@@ -582,12 +582,15 @@ class SegDiffIndex:
             self._write_meta()
 
     def _write_meta(self) -> None:
-        self.store.set_meta("epsilon", self.epsilon)
-        self.store.set_meta("window", self.window)
-        # a checkpoint may only claim observations that closed segments
-        # cover; the open tail is re-ingested from the replayed stream
-        self.store.set_meta("n_observations", float(self._n_obs_covered))
-        self.store.set_meta("sealed", 1.0 if self._sealed else 0.0)
+        self.store.set_meta_many({
+            "epsilon": self.epsilon,
+            "window": self.window,
+            # a checkpoint may only claim observations that closed
+            # segments cover; the open tail is re-ingested from the
+            # replayed stream
+            "n_observations": float(self._n_obs_covered),
+            "sealed": 1.0 if self._sealed else 0.0,
+        })
 
     # ------------------------------------------------------------------ #
     # anti-entropy checksums

@@ -77,8 +77,8 @@ from ..segmentation.sliding_window import SlidingWindowSegmenter
 from ..storage.checksum import (
     diff_trees,
     load_trees,
-    persist_trees,
     store_trees,
+    tree_meta,
 )
 from ..storage.faults import FaultInjected, RealFS
 from ..storage.livewal import WAL_NAME, LiveWAL
@@ -875,12 +875,12 @@ class LiveIndex:
             store, path = self._sealed_store_for(fname)
             try:
                 rows = copy_store_into([hot.store], store)
-                store.set_meta("epsilon", self.epsilon)
-                store.set_meta("window", self.window)
-                store.set_meta("sealed", 1.0)
                 # checksum trees travel inside the partition file so
                 # scrub can verify it without any external state
-                persist_trees(store, store_trees(store))
+                store.set_meta_many({
+                    "epsilon": self.epsilon, "window": self.window,
+                    "sealed": 1.0, **tree_meta(store_trees(store)),
+                })
                 spec = PartitionSpec(
                     partition_id=part_id,
                     t_min=hot.segments[0].t_start,
@@ -1012,10 +1012,10 @@ class LiveIndex:
             store, path = self._sealed_store_for(fname)
             try:
                 rows = copy_store_into([p.store for p in run], store)
-                store.set_meta("epsilon", self.epsilon)
-                store.set_meta("window", self.window)
-                store.set_meta("sealed", 1.0)
-                persist_trees(store, store_trees(store))
+                store.set_meta_many({
+                    "epsilon": self.epsilon, "window": self.window,
+                    "sealed": 1.0, **tree_meta(store_trees(store)),
+                })
                 spec = PartitionSpec(
                     partition_id=part_id,
                     t_min=run[0].spec.t_min,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 from ..core.corners import FeatureSet
 from ..core.queries import DropQuery, JumpQuery
@@ -324,8 +324,14 @@ class FeatureStore(abc.ABC):
         """All recorded data segments in ingestion order."""
 
     @abc.abstractmethod
+    def set_meta_many(self, items: Mapping[str, float]) -> None:
+        """Persist scalars of build metadata (epsilon, window, checksum
+        digests, ...) as **one** durable unit, in ``items`` order: one
+        checkpoint boundary, committing every buffered write with it."""
+
     def set_meta(self, key: str, value: float) -> None:
-        """Persist one scalar of build metadata (epsilon, window, ...)."""
+        """Persist one scalar of build metadata."""
+        self.set_meta_many({key: value})
 
     @abc.abstractmethod
     def get_meta(self, key: str):

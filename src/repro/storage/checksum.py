@@ -13,7 +13,7 @@ The tree covers the four feature tables of one store, rows taken in
 is produced by the same deterministic build pipeline, or by copying row
 ranges from a peer).  Digests are CRC32: fast, dependency-free, and
 exactly representable as a float64, which lets a tree persist through
-the stores' scalar ``set_meta``/``get_meta`` interface so the
+the stores' scalar ``set_meta_many``/``get_meta`` interface so the
 authoritative tree built at finalize travels inside the shard file
 itself.
 
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import InvalidParameterError, StorageError
+from ..errors import CorruptionError, InvalidParameterError, StorageError
 from ..obs.metrics import REGISTRY
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "build_tree",
     "store_trees",
     "diff_trees",
+    "tree_meta",
     "persist_trees",
     "load_trees",
     "TABLES",
@@ -63,6 +64,8 @@ RANGES_MISMATCHED = REGISTRY.counter(
 )
 
 _META_PREFIX = "cks"
+#: Largest integer a float64 meta value carries exactly.
+_MAX_ROWS = 2 ** 53
 
 
 def _crc_rows(rows: np.ndarray) -> int:
@@ -196,54 +199,76 @@ def diff_trees(
 # ---------------------------------------------------------------------- #
 
 
-def persist_trees(store, trees: Dict[str, ChecksumTree]) -> None:
-    """Write a tree set into ``store``'s meta table.
+def tree_meta(trees: Dict[str, ChecksumTree]) -> Dict[str, float]:
+    """The ``cks/<table>/...`` meta items that persist a tree set.
 
     CRC32 digests are 32-bit integers, exact in a float64, so the
-    existing scalar meta interface carries the whole tree; keys are
-    ``cks/<table>/...``.
+    stores' scalar meta interface carries the whole tree.
     """
+    items: Dict[str, float] = {}
     for table, tree in trees.items():
         prefix = f"{_META_PREFIX}/{table}"
-        store.set_meta(f"{prefix}/leaf_size", float(tree.leaf_size))
-        store.set_meta(f"{prefix}/n_rows", float(tree.n_rows))
-        store.set_meta(f"{prefix}/n_levels", float(len(tree.levels)))
+        items[f"{prefix}/leaf_size"] = float(tree.leaf_size)
+        items[f"{prefix}/n_rows"] = float(tree.n_rows)
+        items[f"{prefix}/n_levels"] = float(len(tree.levels))
         for li, level in enumerate(tree.levels):
-            store.set_meta(f"{prefix}/len/{li}", float(len(level)))
+            items[f"{prefix}/len/{li}"] = float(len(level))
             for ni, digest in enumerate(level):
-                store.set_meta(f"{prefix}/{li}/{ni}", float(digest))
+                items[f"{prefix}/{li}/{ni}"] = float(digest)
+    return items
+
+
+def persist_trees(store, trees: Dict[str, ChecksumTree]) -> None:
+    """Write a tree set into ``store``'s meta table as one durable unit."""
+    store.set_meta_many(tree_meta(trees))
+
+
+def _meta_int(store, key: str, table: str, lo: int, hi: int) -> int:
+    """One persisted integer in ``[lo, hi]``.  The value comes off disk:
+    absent is a truncated tree, anything else out of range (``nan``,
+    ``-1``, ``1e18``) is corruption — never a loop bound."""
+    value = store.get_meta(key)
+    if value is None:
+        raise StorageError(f"truncated checksum tree for {table}")
+    if not (lo <= value <= hi) or value != int(value):
+        raise CorruptionError(
+            f"checksum tree for {table}: {key} = {value!r} is outside "
+            f"[{lo}, {hi}]"
+        )
+    return int(value)
 
 
 def load_trees(store) -> Optional[Dict[str, ChecksumTree]]:
-    """Read back a persisted tree set; ``None`` when absent."""
+    """Read back a persisted tree set; ``None`` when absent.
+
+    The shape is fully determined by ``n_rows`` and ``leaf_size``
+    (level 0 holds ``max(1, ceil(n_rows / leaf_size))`` digests, each
+    level above half of the one below, rounded up, down to one root),
+    so every persisted length is checked against it before it bounds a
+    loop; a mismatch raises :class:`~repro.errors.CorruptionError`.
+    """
     trees: Dict[str, ChecksumTree] = {}
     for table in TABLES:
         prefix = f"{_META_PREFIX}/{table}"
-        leaf_size = store.get_meta(f"{prefix}/leaf_size")
-        if leaf_size is None:
+        if store.get_meta(f"{prefix}/leaf_size") is None:
             return None
-        n_rows = store.get_meta(f"{prefix}/n_rows")
-        n_levels = store.get_meta(f"{prefix}/n_levels")
-        if n_rows is None or n_levels is None:
-            raise StorageError(f"truncated checksum tree for {table}")
+        leaf_size = _meta_int(store, f"{prefix}/leaf_size", table, 1, _MAX_ROWS)
+        n_rows = _meta_int(store, f"{prefix}/n_rows", table, 0, _MAX_ROWS)
+        lengths = [max(1, -(-n_rows // leaf_size))]
+        while lengths[-1] > 1:
+            lengths.append(-(-lengths[-1] // 2))
+        _meta_int(
+            store, f"{prefix}/n_levels", table, len(lengths), len(lengths)
+        )
         levels = []
-        for li in range(int(n_levels)):
-            length = store.get_meta(f"{prefix}/len/{li}")
-            if length is None:
-                raise StorageError(f"truncated checksum tree for {table}")
-            level = []
-            for ni in range(int(length)):
-                digest = store.get_meta(f"{prefix}/{li}/{ni}")
-                if digest is None:
-                    raise StorageError(
-                        f"truncated checksum tree for {table}"
-                    )
-                level.append(int(digest))
-            levels.append(tuple(level))
+        for li, n in enumerate(lengths):
+            _meta_int(store, f"{prefix}/len/{li}", table, n, n)
+            levels.append(tuple(
+                _meta_int(store, f"{prefix}/{li}/{ni}", table, 0, 0xFFFFFFFF)
+                for ni in range(n)
+            ))
         trees[table] = ChecksumTree(
-            table=table,
-            leaf_size=int(leaf_size),
-            n_rows=int(n_rows),
+            table=table, leaf_size=leaf_size, n_rows=n_rows,
             levels=tuple(levels),
         )
     return trees

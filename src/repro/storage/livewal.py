@@ -194,6 +194,8 @@ class LiveWAL:
                 need = _GAP_PAYLOAD.size
             else:
                 break  # garbage
+            if need > file_size - pos - _RECORD.size:
+                break  # torn frame: the header claims more than the file holds
             payload = fh.read(need)
             if len(payload) < need or zlib.crc32(payload) != crc:
                 break  # torn frame

@@ -10,7 +10,7 @@ analogue of a ``(dt, dv)`` B-tree's leading-column pruning).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -227,9 +227,9 @@ class MemoryFeatureStore(FeatureStore):
         self._check_open()
         return list(self._segments)
 
-    def set_meta(self, key: str, value: float) -> None:
+    def set_meta_many(self, items: Mapping[str, float]) -> None:
         self._check_open()
-        self._meta[key] = float(value)
+        self._meta.update((k, float(v)) for k, v in items.items())
 
     def get_meta(self, key: str):
         self._check_open()

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import bisect
 import struct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ...errors import InvalidParameterError, StorageError
 from .heapfile import RID
@@ -63,6 +65,13 @@ class BPlusTree:
         self._key = struct.Struct("<" + "d" * key_width)
         self._leaf_entry = struct.Struct("<" + "d" * key_width + "ii")
         self._int_entry = struct.Struct("<" + "d" * key_width + "i")
+        #: The leaf / internal entry layouts above as numpy record types.
+        self.entry_dtype = np.dtype(
+            [("key", "<f8", (key_width,)), ("page", "<i4"), ("slot", "<i4")]
+        )
+        self._int_dtype = np.dtype(
+            [("key", "<f8", (key_width,)), ("child", "<i4")]
+        )
         self.leaf_fanout = (
             PAGE_CAPACITY - _LEAF_HEADER.size
         ) // self._leaf_entry.size
@@ -78,64 +87,73 @@ class BPlusTree:
     # construction
     # ------------------------------------------------------------------ #
 
-    def bulk_load(self, entries: Sequence[Entry]) -> int:
+    def bulk_load(self, entries) -> int:
         """Build the tree from entries sorted ascending by key.
 
-        Returns (and stores) the root page id; an empty input produces an
-        empty leaf root.
+        ``entries`` is a structured array of :attr:`entry_dtype` (the
+        leaf entry layout, so a leaf's entry region is one slice of it)
+        or a sequence of ``(key, rid)`` pairs, which is converted to
+        one.  Returns (and stores) the root page id; an empty input
+        produces an empty leaf root.
         """
-        for a, b in zip(entries, entries[1:]):
-            if a[0] > b[0]:
+        if not isinstance(entries, np.ndarray):
+            entries = np.array(
+                [(key, rid.page_id, rid.slot) for key, rid in entries],
+                dtype=self.entry_dtype,
+            )
+        keys = entries["key"]
+        n = entries.shape[0]
+        if n > 1:
+            # lexicographic ``keys[i] > keys[i + 1]``: the first column
+            # where the two rows differ decides
+            differs = keys[:-1] != keys[1:]
+            first = differs.argmax(axis=1)
+            rows = np.arange(n - 1)
+            if np.any(
+                differs[rows, first]
+                & (keys[:-1][rows, first] > keys[1:][rows, first])
+            ):
                 raise InvalidParameterError("bulk_load requires sorted entries")
 
-        # level 0: packed, chained leaves
-        leaf_ids: List[int] = []
-        first_keys: List[Key] = []
+        # level 0: packed, chained leaves; each leaf's successor is
+        # allocated before the leaf is written, so the link goes in once
         chunk = self.leaf_fanout
-        groups = [
-            entries[i : i + chunk] for i in range(0, len(entries), chunk)
-        ] or [[]]
-        for group in groups:
+        starts = range(0, n, chunk) or [0]
+        leaf_ids: List[int] = []
+        page_id = self.pager.allocate()
+        for i, start in enumerate(starts):
+            group = entries[start : start + chunk]
+            next_leaf = self.pager.allocate() if i + 1 < len(starts) else -1
             page = bytearray(PAGE_SIZE)
-            _LEAF_HEADER.pack_into(page, 0, 1, len(group), -1)
-            offset = _LEAF_HEADER.size
-            for key, rid in group:
-                self._leaf_entry.pack_into(
-                    page, offset, *key, rid.page_id, rid.slot
-                )
-                offset += self._leaf_entry.size
-            page_id = self.pager.allocate()
+            _LEAF_HEADER.pack_into(page, 0, 1, group.shape[0], next_leaf)
+            body = group.tobytes()
+            page[_LEAF_HEADER.size : _LEAF_HEADER.size + len(body)] = body
             self.pager.write(page_id, bytes(page))
             leaf_ids.append(page_id)
-            first_keys.append(tuple(group[0][0]) if group else ())
-        for prev, nxt in zip(leaf_ids, leaf_ids[1:]):
-            page = bytearray(self.pager.read(prev))
-            kind, n, _old_next = _LEAF_HEADER.unpack_from(page, 0)
-            _LEAF_HEADER.pack_into(page, 0, kind, n, nxt)
-            self.pager.write(prev, bytes(page))
+            page_id = next_leaf
 
-        # upper levels
-        child_ids, child_keys = leaf_ids, first_keys
-        while len(child_ids) > 1:
+        # upper levels: one separator (a child's first key) per child
+        child_ids = np.array(leaf_ids, dtype="<i4")
+        child_keys = keys[::chunk]
+        chunk = self.internal_fanout
+        while child_ids.shape[0] > 1:
             parent_ids: List[int] = []
-            parent_keys: List[Key] = []
-            chunk = self.internal_fanout
-            for i in range(0, len(child_ids), chunk):
-                ids = child_ids[i : i + chunk]
-                keys = child_keys[i : i + chunk]
+            for start in range(0, child_ids.shape[0], chunk):
+                ids = child_ids[start : start + chunk]
+                seps = np.empty(ids.shape[0] - 1, dtype=self._int_dtype)
+                seps["key"] = child_keys[start + 1 : start + chunk]
+                seps["child"] = ids[1:]
                 page = bytearray(PAGE_SIZE)
-                _INT_HEADER.pack_into(page, 0, 0, len(ids) - 1, ids[0])
-                offset = _INT_HEADER.size
-                for key, child in zip(keys[1:], ids[1:]):
-                    self._int_entry.pack_into(page, offset, *key, child)
-                    offset += self._int_entry.size
+                _INT_HEADER.pack_into(page, 0, 0, seps.shape[0], int(ids[0]))
+                body = seps.tobytes()
+                page[_INT_HEADER.size : _INT_HEADER.size + len(body)] = body
                 page_id = self.pager.allocate()
                 self.pager.write(page_id, bytes(page))
                 parent_ids.append(page_id)
-                parent_keys.append(keys[0])
-            child_ids, child_keys = parent_ids, parent_keys
+            child_ids = np.array(parent_ids, dtype="<i4")
+            child_keys = child_keys[::chunk]
 
-        self.root = child_ids[0]
+        self.root = int(child_ids[0])
         return self.root
 
     # ------------------------------------------------------------------ #

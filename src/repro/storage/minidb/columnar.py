@@ -33,7 +33,7 @@ page-cost experiments (Figures 19-20 regimes) report the same
 from __future__ import annotations
 
 import mmap
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .heapfile import _HEADER as _HEAP_HEADER
 from .heapfile import HeapFile
 from .pager import PAGE_CAPACITY, PAGE_SIZE
 
-__all__ = ["ColumnarView", "probe_index_block"]
+__all__ = ["ColumnarView", "decode_heap_chain", "probe_index_block"]
 
 
 class _CachedBlock:
@@ -94,17 +94,19 @@ class ColumnarView:
                 guard.tick()
             heap.pager.note_cached_reads(cached.n_pages)
             return cached.block
-        block, n_pages = _decode_heap_chain(heap, guard)
+        block, page_ids, _counts = decode_heap_chain(heap, guard)
         self._blocks[name] = _CachedBlock(
-            heap.first_page, heap.n_rows, n_pages, block
+            heap.first_page, heap.n_rows, len(page_ids), block
         )
         return block
 
 
-def _decode_heap_chain(
+def decode_heap_chain(
     heap: HeapFile, guard=None
-) -> Tuple[np.ndarray, int]:
-    """Walk one heap chain into a fresh ``(n_rows, width)`` block.
+) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Walk one heap chain into a fresh read-only ``(n_rows, width)``
+    block; also returns the chain's page ids and rows per page (row
+    ``i``'s rid follows from them).
 
     When the pager holds no uncommitted state every committed byte is in
     the main file, so the chain is read through an mmap (bulk I/O, no
@@ -128,7 +130,8 @@ def _decode_heap_chain(
     try:
         file_pages = (len(mapped) // PAGE_SIZE) if mapped is not None else 0
         pos = 0
-        n_pages = 0
+        page_ids: List[int] = []
+        counts: List[int] = []
         page_id = heap.first_page
         while page_id != -1:
             if guard is not None:
@@ -160,7 +163,8 @@ def _decode_heap_chain(
                     offset=_HEAP_HEADER.size,
                 ).reshape(count, width)
                 pos += count
-            n_pages += 1
+            page_ids.append(page_id)
+            counts.append(count)
             page_id = next_page
     finally:
         if mapped is not None:
@@ -171,7 +175,7 @@ def _decode_heap_chain(
             f"records {out.shape[0]}"
         )
     out.flags.writeable = False
-    return out, n_pages
+    return out, page_ids, counts
 
 
 def probe_index_block(
@@ -218,9 +222,6 @@ def _leaf_entries_upto(
     unchanged from the scalar walk.
     """
     key_width = tree.key_width
-    entry_dtype = np.dtype(
-        [("key", "<f8", (key_width,)), ("page", "<i4"), ("slot", "<i4")]
-    )
     keys_parts, page_parts, slot_parts = [], [], []
     pager = tree.pager
     page_id = tree._leftmost_leaf()
@@ -231,7 +232,8 @@ def _leaf_entries_upto(
         _kind, n, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
         if n:
             entries = np.frombuffer(
-                data, dtype=entry_dtype, count=n, offset=_LEAF_HEADER.size
+                data, dtype=tree.entry_dtype, count=n,
+                offset=_LEAF_HEADER.size,
             )
             keys = entries["key"]
             cut = int(

@@ -27,12 +27,15 @@ import struct
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ...errors import (
     CorruptionError,
     InvalidParameterError,
     StorageError,
 )
 from .btree import BPlusTree
+from .columnar import decode_heap_chain
 from .heapfile import RID, HeapFile
 from .pager import PAGE_CAPACITY, PAGE_SIZE, Pager, PagerStats
 
@@ -114,12 +117,16 @@ class Table:
             raise InvalidParameterError(
                 f"key columns {cols} invalid for width {self.width}"
             )
-        entries = sorted(
-            ((tuple(row[c] for c in cols), rid) for rid, row in self.scan()),
-            key=lambda entry: entry[0],
-        )
+        rows, page_ids, counts = decode_heap_chain(self.heap)
+        starts = np.cumsum(counts) - counts  # first row of each page
         tree = BPlusTree(self._db.pager, len(cols))
-        tree.bulk_load(entries)
+        entries = np.empty(rows.shape[0], dtype=tree.entry_dtype)
+        entries["key"] = rows[:, cols]
+        entries["page"] = np.repeat(page_ids, counts)
+        entries["slot"] = np.arange(rows.shape[0]) - np.repeat(starts, counts)
+        # stable, so equal keys stay in heap (rid) order
+        order = np.lexsort(entries["key"].T[::-1])
+        tree.bulk_load(entries[order])
         self._indexes[name] = tree
         self._info["indexes"][name] = {
             "key_cols": cols,

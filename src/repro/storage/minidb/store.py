@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ...engine.resilience import RetryPolicy
 from ...errors import (
@@ -143,7 +143,7 @@ class MiniDbFeatureStore(FeatureStore):
         # pairs are, and a crash in between is unrecoverable (resume()
         # only regenerates pairs for segments after the last stored
         # one).  Work stays in the pool/WAL-pending until a checkpoint
-        # boundary (finalize/set_meta) commits it.
+        # boundary (finalize/set_meta_many) commits it.
         self._check_open()
         self._columnar.invalidate()
         self._add(features)
@@ -173,7 +173,7 @@ class MiniDbFeatureStore(FeatureStore):
         Each heap page is written once when full instead of re-written
         per row.  Durability semantics match :meth:`add`: everything
         stays pool/WAL-pending until the next checkpoint boundary
-        (finalize/set_meta) commits the whole run atomically.
+        (finalize/set_meta_many) commits the whole run atomically.
         """
         self._check_open()
         self._columnar.invalidate()
@@ -226,10 +226,11 @@ class MiniDbFeatureStore(FeatureStore):
             DataSegment(*row) for _rid, row in self.db.table("segments").scan()
         ]
 
-    def set_meta(self, key: str, value: float) -> None:
+    def set_meta_many(self, items: Mapping[str, float]) -> None:
         self._check_open()
         self._columnar.invalidate()
-        self.db.set_meta(key, float(value))
+        for key, value in items.items():
+            self.db.set_meta(key, float(value))
         self.db.checkpoint()
 
     def get_meta(self, key: str):
@@ -437,6 +438,15 @@ class MiniDbFeatureStore(FeatureStore):
         obs_context.account(rows_scanned=int(block.shape[0]),
                             bytes_decoded=int(block.nbytes))
         return block
+
+    def read_table_rows(self, table: str, start: int = 0,
+                        stop: Optional[int] = None):
+        """Insertion-order row range: a read-only slice of the heap
+        chain's columnar block (the chain *is* storage order)."""
+        self._check_open()
+        if table not in _FEATURE_TABLES:
+            raise InvalidParameterError(f"unknown feature table {table!r}")
+        return self._columnar.table_block(table)[start:stop]
 
     def page_reads(self) -> int:
         """Cumulative pager reads (the engine's EXPLAIN counter)."""

@@ -22,7 +22,7 @@ import sqlite3
 import tempfile
 import threading
 import time
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, Dict, List, Mapping, Optional, TypeVar
 
 from ..core.corners import FeatureSet
 from ..core.queries import line_candidate_sql, point_candidate_sql
@@ -346,16 +346,16 @@ class SqliteFeatureStore(FeatureStore):
             raise StorageError(f"{self.path}: {exc}") from exc
         return [DataSegment(*row) for row in rows]
 
-    def set_meta(self, key: str, value: float) -> None:
+    def set_meta_many(self, items: Mapping[str, float]) -> None:
         self._check_open()
         # checkpoint boundaries commit via this path: everything buffered
-        # must land in the same transaction as the meta row
+        # must land in the same transaction as the meta rows
         self._flush()
+        rows = [(k, float(v)) for k, v in items.items()]
 
         def write() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO segdiff_meta VALUES (?, ?)",
-                (key, float(value)),
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO segdiff_meta VALUES (?, ?)", rows
             )
             self._conn.commit()
 

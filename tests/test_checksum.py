@@ -158,6 +158,38 @@ class TestPersistence:
             cks.load_trees(index.store)
         index.close()
 
+    @pytest.mark.parametrize(
+        "key", ["n_levels", "len/0", "n_rows", "leaf_size", "0/0"]
+    )
+    @pytest.mark.parametrize("bad", [1e18, -1.0, float("nan"), 2.5])
+    def test_corrupt_counts_never_bound_a_loop(self, walk_series, key, bad):
+        """Counts read off disk are checked against the shape ``n_rows``
+        and ``leaf_size`` imply before anything iterates over them."""
+        from repro.core.index import SegDiffIndex
+        from repro.errors import CorruptionError
+
+        index = SegDiffIndex.build(walk_series, 0.3, 4 * 3600.0)
+        index.seal_checksums()
+        index.store.set_meta(f"cks/drop_points/{key}", bad)
+        with pytest.raises(CorruptionError, match="drop_points"):
+            cks.load_trees(index.store)
+        index.close()
+
+    def test_consistent_but_wrong_shape_rejected(self, walk_series):
+        from repro.core.index import SegDiffIndex
+        from repro.errors import CorruptionError
+
+        index = SegDiffIndex.build(walk_series, 0.3, 4 * 3600.0)
+        trees = index.seal_checksums()
+        levels = len(trees["jump_lines"].levels)
+        assert levels > 1
+        # one level too many / too few for the recorded row count
+        for wrong in (levels + 1, levels - 1, 64.0, 65.0):
+            index.store.set_meta("cks/jump_lines/n_levels", float(wrong))
+            with pytest.raises(CorruptionError, match="n_levels"):
+                cks.load_trees(index.store)
+        index.close()
+
 
 class TestStoreTrees:
     def test_covers_all_four_tables(self, walk_series):
