@@ -84,10 +84,10 @@ def _rows(index) -> Dict[str, np.ndarray]:
     out = {}
     for kind in ("drop", "jump"):
         out[f"{kind}_points"] = np.asarray(
-            index.store.scan_points(kind), dtype=float
+            index.store.scan_points_array(kind), dtype=float
         )
         out[f"{kind}_lines"] = np.asarray(
-            index.store.scan_lines(kind), dtype=float
+            index.store.scan_lines_array(kind), dtype=float
         )
     return out
 

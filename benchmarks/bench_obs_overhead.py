@@ -7,10 +7,9 @@ Times the same build + query workload under three configurations:
   diagnostics work includes per-query resource accounting);
 * ``metrics_tracing`` — metrics plus span tracing enabled.
 
-and across three query paths:
+and across two query paths:
 
-* ``scalar``     — a plain index queried with ``vectorize=False``;
-* ``vectorized`` — the same index on the default columnar primitives;
+* ``vectorized`` — a plain index on the block read primitives;
 * ``sharded``    — a 4-shard transect behind scatter-gather (context
   hand-off through the thread pool plus per-shard accounting).
 
@@ -34,7 +33,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.index import SegDiffIndex
 from repro.core.queries import DropQuery, JumpQuery
@@ -51,7 +50,7 @@ WINDOW = HOUR
 N_QUERIES = 120
 N_SHARDS = 4
 
-PATHS = ("scalar", "vectorized", "sharded")
+PATHS = ("vectorized", "sharded")
 
 REPORT_SCHEMA = ("benchmark", "series", "repeats", "paths",
                  "configs", "overhead_pct")
@@ -99,12 +98,11 @@ def run_workload(path: str, series: TimeSeries,
             sharded.close()
         return {"build": build_s, "query": query_s}
 
-    vectorize: Optional[bool] = None if path == "vectorized" else False
     t0 = time.perf_counter()
     index = SegDiffIndex.build(series, EPSILON, WINDOW)
     build_s = time.perf_counter() - t0
     try:
-        session = QuerySession(index.store, vectorize=vectorize)
+        session = QuerySession(index.store)
         t0 = time.perf_counter()
         for q in _queries():
             session.search(q, mode="index")

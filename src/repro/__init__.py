@@ -56,7 +56,6 @@ from .core import (
     LiveSnapshot,
     LiveTieredIndex,
     Parallelogram,
-    QueryPlanner,
     QueryRegion,
     SearchHit,
     SegDiffIndex,
@@ -119,7 +118,6 @@ __all__ = [
     "TieredIndex",
     "TransectIndex",
     "CorroboratedEvent",
-    "QueryPlanner",
     "FeatureExtractor",
     "Parallelogram",
     "QueryRegion",

@@ -19,7 +19,6 @@ from .corners import SlopeCase, classify_case, collect_features, FeatureSet
 from .extraction import FeatureExtractor, ExtractionStats
 from .index import SegDiffIndex, IndexStats
 from .live import LiveIndex, LiveSnapshot
-from .planner import QueryPlanner
 from .tiered import TieredIndex, LiveTieredIndex
 from .transect import TransectIndex, CorroboratedEvent
 from .reporting import HitSummary, render_summary, summarize_hits
@@ -46,7 +45,6 @@ __all__ = [
     "IndexStats",
     "LiveIndex",
     "LiveSnapshot",
-    "QueryPlanner",
     "TieredIndex",
     "LiveTieredIndex",
     "TransectIndex",

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..datagen.model import PiecewiseLinearSignal
 from ..datagen.series import TimeSeries
+from ..engine.cost import CostModel
 from ..engine.session import ExplainReport, QuerySession
 from ..errors import InvalidParameterError, QueryError, StorageError
 from ..obs.metrics import REGISTRY
@@ -42,7 +43,6 @@ from ..storage.memory_store import MemoryFeatureStore
 from ..storage.sqlite_store import SqliteFeatureStore
 from ..types import DataSegment, SegmentPair
 from .extraction import ExtractionStats, FeatureExtractor
-from .planner import QueryPlanner
 from .queries import DropQuery, JumpQuery
 from .results import SearchHit, witness_event
 
@@ -815,14 +815,13 @@ class SegDiffIndex:
         if self._session is None:
             self._session = QuerySession(
                 self.store,
-                cost_model=QueryPlanner(self.store),
                 resilience=self.resilience,
                 name=self.name,
             )
         return self._session
 
     @property
-    def planner(self) -> QueryPlanner:
+    def planner(self) -> CostModel:
         """The adaptive plan chooser for ``mode="auto"`` (lazy)."""
         return self.session.cost
 

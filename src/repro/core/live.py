@@ -1473,7 +1473,6 @@ class LiveSnapshot:
         data=None,
         verified_only: bool = False,
         pushdown: bool = True,
-        vectorize: Optional[bool] = None,
     ) -> ExecutionResult:
         """:meth:`search` returning the full :class:`ExecutionResult`
         (merged operator stats, partitions scanned/pruned)."""
@@ -1490,7 +1489,6 @@ class LiveSnapshot:
                 data=data,
                 verified_only=verified_only,
                 pushdown=pushdown,
-                vectorize=vectorize,
             )
         self._observe_live(
             "live_search",
@@ -1550,7 +1548,6 @@ class LiveSnapshot:
         mode: str = "auto",
         cache: str = "warm",
         t_range: Optional[Tuple[float, float]] = None,
-        vectorize: Optional[bool] = None,
     ) -> List[ExecutionResult]:
         if mode == "grid":
             raise InvalidParameterError(
@@ -1584,7 +1581,6 @@ class LiveSnapshot:
                 n_queries=len(queries),
                 t_range=t_range,
                 cache=cache,
-                vectorize=vectorize,
             )
         if any(r.status is ResultStatus.FAILED for r in results):
             status = "failed"

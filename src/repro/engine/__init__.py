@@ -10,7 +10,8 @@ Layering (docs/query_engine.md has the full walkthrough)::
                            │
                        executor            (executor.py: the ONE copy of
                            │                union/dedup/refine — §4.4)
-        scan_points / probe_point_index / scan_lines / probe_line_index
+     scan_points_array / probe_point_index_array / scan_lines_array /
+                   probe_line_index_array  ((m, k) blocks)
                            │
           MemoryFeatureStore · SqliteFeatureStore · MiniDbFeatureStore
 """

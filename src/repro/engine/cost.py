@@ -1,6 +1,5 @@
 """Cost-based scan-vs-index plan choice, per operator and per backend.
 
-Successor of ``repro.core.planner`` (which remains as a thin alias).
 The paper's Figures 19-24 show that forced B-tree access *hurts* on hard
 queries — the large-result region of the query plane — while it wins on
 selective ones.  This module closes the gap the paper leaves to the
@@ -152,8 +151,8 @@ class CostModel:
     ) -> str:
         """Whole-query rule: ``"scan"`` for estimated-hard queries.
 
-        Kept for backward compatibility (``QueryPlanner`` semantics) and
-        as the summary ``chosen_mode`` EXPLAIN reports.
+        The classical selectivity rule of thumb, and the summary
+        ``chosen_mode`` EXPLAIN reports.
         """
         selectivity = self.estimate_selectivity(
             kind, t_threshold, v_threshold

@@ -2,42 +2,35 @@
 
 This module is the **only** implementation of the Section 4.4 search
 semantics (point query ∪ line query → dedup → optional witness
-refinement).  The three storage backends no longer carry their own
-copies; they expose four narrow physical primitives instead::
+refinement).  The storage backends carry no copy of it; they expose four
+narrow block primitives instead::
 
-    scan_points(kind, ...)        sequential pass over the point table
-    probe_point_index(kind, T)    index candidates with Δt <= T
-    scan_lines(kind, ...)         sequential pass over the line table
-    probe_line_index(kind, T)     index candidates with Δt1 <= T
+    scan_points_array(kind, ...)        sequential pass over the point table
+    probe_point_index_array(kind, T)    index candidates with Δt <= T
+    scan_lines_array(kind, ...)         sequential pass over the line table
+    probe_line_index_array(kind, T)     index candidates with Δt1 <= T
 
-Each primitive returns a row array — ``(m, 6)`` for points
-(``dt, dv, t_d, t_c, t_b, t_a``), ``(m, 8)`` for lines
-(``dt1, dv1, dt2, dv2, t_d, t_c, t_b, t_a``).  Primitives may *pre-filter*
-with the thresholds they are given (SQLite pushes the predicate into SQL,
-MiniDB filters on B+tree keys before paying the heap fetch) but must
-never drop a matching row; the executor always applies the exact
-vectorized predicates, so pushdown is purely an optimization.
+Each primitive returns an ``(m, width)`` float64 block — ``(m, 6)`` for
+points (``dt, dv, t_d, t_c, t_b, t_a``), ``(m, 8)`` for lines
+(``dt1, dv1, dt2, dv2, t_d, t_c, t_b, t_a``) — so candidates flow from
+storage to the union/dedup as whole arrays with no per-row Python.
+Primitives may *pre-filter* with the thresholds they are given (SQLite
+pushes the predicate into SQL, MiniDB filters on B+tree keys before
+paying the heap fetch) but must never drop a matching row; the executor
+always applies the exact vectorized predicates, so pushdown is purely an
+optimization.
 
 :func:`execute_batch` answers a whole grid of queries in one shared pass
 per operator: candidates are fetched once for the widest ``T`` and every
 query is answered with vectorized masks over the shared arrays — the
 fast path for the Figures 16-24 workload.
-
-Every store also carries columnar twins of the four primitives
-(``scan_points_array`` & co., defaulted in the base class), returning
-``(m, width)`` float64 blocks instead of row sequences.  The executor
-prefers them (``vectorize=None``, the auto default) so candidates flow
-from storage to the union/dedup as whole arrays with no per-row Python;
-``vectorize=False`` forces the scalar primitives (the differential-test
-and benchmark baseline), and stores that predate the array interface are
-detected with ``hasattr`` and served by the scalar path either way.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +41,7 @@ from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import span
 from ..types import SegmentPair
-from .plan import LineCrossOp, PointRangeOp, QueryPlan
+from .plan import QueryPlan
 from .resilience import (
     CompletenessReport,
     QueryGuard,
@@ -144,81 +137,39 @@ class ExecutionResult:
     )
 
 
-def _as_rows(rows, width: int) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, width)
-    return arr
+#: The store block primitive behind each (feature group, access path).
+_PRIMITIVES = {
+    ("points", "scan"): "scan_points_array",
+    ("points", "index"): "probe_point_index_array",
+    ("lines", "scan"): "scan_lines_array",
+    ("lines", "index"): "probe_line_index_array",
+}
 
 
-def _use_arrays(store, vectorize: Optional[bool]) -> bool:
-    """Whether to route fetches through the ``*_array`` primitives.
-
-    ``None`` (auto) and ``True`` both require the store to actually have
-    the array interface — duck-typed stores predating it fall back to
-    the scalar primitives rather than fail; ``False`` forces the scalar
-    path (the equivalence-test and benchmark baseline).
-    """
-    if vectorize is False:
-        return False
-    return hasattr(store, "scan_points_array")
-
-
-def _fetch_point_rows(
-    store, op: PointRangeOp, cache: str, pushdown: bool,
-    guard: Optional[QueryGuard] = None, arrays: bool = False,
+def _fetch_block(
+    store, group: str, access: str, kind: str, t_threshold, v_threshold,
+    cache: str, pushdown: bool, guard: Optional[QueryGuard],
 ) -> np.ndarray:
-    """Fetch point candidates through the guard's breaker when present.
+    """One candidate block of feature ``group`` (``"points"`` /
+    ``"lines"``) through the store primitive for ``access``, under the
+    guard's circuit breaker when there is one.
 
-    The ``guard`` kwarg is only forwarded to the primitive when set, so
-    stores (and test stubs) that predate the resilience layer keep
-    working and the disabled path stays byte-identical.  With ``arrays``
-    the columnar primitive is used (same pushdown, same guard contract);
-    the grid access path has no columnar twin and stays as is.
+    The thresholds reach the primitive as pushdown hints only with
+    ``pushdown``; without it a scan gets none and a probe just the
+    ``t_threshold`` it cannot work without, so the block holds the
+    access path's raw candidates.  The grid path always takes both.
     """
-    v = op.v_threshold if pushdown else None
-    kw = {} if guard is None else {"guard": guard}
-    if op.access == "scan":
-        t = op.t_threshold if pushdown else None
-        scan = store.scan_points_array if arrays else store.scan_points
+    if access == "grid":
         def fn():
-            return scan(op.kind, t_threshold=t, v_threshold=v,
-                        cache=cache, **kw)
-    elif op.access == "grid":
-        def fn():
-            return store.probe_point_grid(
-                op.kind, op.t_threshold, op.v_threshold
-            )
+            return store.probe_point_grid(kind, t_threshold, v_threshold)
     else:
-        probe = (store.probe_point_index_array if arrays
-                 else store.probe_point_index)
+        primitive = getattr(store, _PRIMITIVES[group, access])
+        t = t_threshold if pushdown or access == "index" else None
+        v = v_threshold if pushdown else None
         def fn():
-            return probe(op.kind, op.t_threshold, v_threshold=v,
-                         cache=cache, **kw)
-    rows = fn() if guard is None else guard.call(fn)
-    return _as_rows(rows, _POINT_WIDTH)
-
-
-def _fetch_line_rows(
-    store, op: LineCrossOp, cache: str, pushdown: bool,
-    guard: Optional[QueryGuard] = None, arrays: bool = False,
-) -> np.ndarray:
-    v = op.v_threshold if pushdown else None
-    kw = {} if guard is None else {"guard": guard}
-    if op.access == "scan":
-        t = op.t_threshold if pushdown else None
-        scan = store.scan_lines_array if arrays else store.scan_lines
-        def fn():
-            return scan(op.kind, t_threshold=t, v_threshold=v,
-                        cache=cache, **kw)
-    else:
-        probe = (store.probe_line_index_array if arrays
-                 else store.probe_line_index)
-        def fn():
-            return probe(op.kind, op.t_threshold, v_threshold=v,
-                         cache=cache, **kw)
-    rows = fn() if guard is None else guard.call(fn)
-    return _as_rows(rows, _LINE_WIDTH)
+            return primitive(kind, t_threshold=t, v_threshold=v,
+                             cache=cache, guard=guard)
+    return fn() if guard is None else guard.call(fn)
 
 
 def _t_range_mask(
@@ -281,10 +232,6 @@ def _union_dedup_rows(
     return uniq, [SegmentPair(*t) for t in uniq.tolist()]
 
 
-def _union_dedup(ident_blocks: Sequence[np.ndarray]) -> List[SegmentPair]:
-    return _union_dedup_rows(ident_blocks)[1]
-
-
 def execute(
     plan: QueryPlan,
     store,
@@ -292,7 +239,6 @@ def execute(
     data=None,
     pushdown: bool = True,
     guard: Optional[QueryGuard] = None,
-    vectorize: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run one plan against ``store``.
 
@@ -305,19 +251,18 @@ def execute(
     partial pairs of the operators that *did* finish, and
     ``degrade="candidates"`` skips refinement near the deadline (the
     result is then flagged :attr:`ResultStatus.DEGRADED`).
-    ``vectorize`` picks the storage primitives (see :func:`_use_arrays`);
-    both paths produce identical results, stats, and metrics.
     """
     pop, lop = plan.point_op, plan.line_op
-    arrays = _use_arrays(store, vectorize)
     ident_blocks: List[np.ndarray] = []
 
     try:
         with span("op.point_range") as ps:
             if guard is not None:
                 guard.start_op("point_range")
-            prows = _fetch_point_rows(store, pop, cache, pushdown, guard,
-                                      arrays)
+            prows = _fetch_block(
+                store, "points", pop.access, pop.kind, pop.t_threshold,
+                pop.v_threshold, cache, pushdown, guard,
+            )
             pmask = point_mask(
                 pop.kind, prows[:, 0], prows[:, 1],
                 pop.t_threshold, pop.v_threshold,
@@ -338,8 +283,10 @@ def execute(
         with span("op.line_cross") as ls:
             if guard is not None:
                 guard.start_op("line_cross")
-            lrows = _fetch_line_rows(store, lop, cache, pushdown, guard,
-                                     arrays)
+            lrows = _fetch_block(
+                store, "lines", lop.access, lop.kind, lop.t_threshold,
+                lop.v_threshold, cache, pushdown, guard,
+            )
             lmask = line_mask(
                 lop.kind,
                 lrows[:, 0],
@@ -368,7 +315,7 @@ def execute(
     except QueryTimeout as exc:
         # hand back whatever the finished operators produced
         exc.attach(
-            partial_pairs=_union_dedup(ident_blocks),
+            partial_pairs=_union_dedup_rows(ident_blocks)[1],
             completeness=(
                 guard.report("deadline exceeded") if guard is not None
                 else None
@@ -440,57 +387,11 @@ def execute(
     return result
 
 
-def _fetch_batch_group(
-    store, kind: str, group: Sequence[QueryPlan], cache: str,
-    guard: Optional[QueryGuard], arrays: bool = False,
-):
-    """The shared per-kind candidate fetch of :func:`execute_batch`."""
-    t_max = max(p.query.t_threshold for p in group)
-    all_index_points = all(p.point_op.access == "index" for p in group)
-    all_index_lines = all(p.line_op.access == "index" for p in group)
-    kw = {} if guard is None else {"guard": guard}
-
-    with span("op.point_range.fetch") as ps:
-        if all_index_points:
-            probe = (store.probe_point_index_array if arrays
-                     else store.probe_point_index)
-            def pfn():
-                return probe(kind, t_max, cache=cache, **kw)
-            point_access = "index"
-        else:
-            scan = store.scan_points_array if arrays else store.scan_points
-            def pfn():
-                return scan(kind, cache=cache, **kw)
-            point_access = "scan"
-        prows = _as_rows(pfn() if guard is None else guard.call(pfn),
-                         _POINT_WIDTH)
-        ps.set_attribute("kind", kind)
-        ps.set_attribute("rows_fetched", int(prows.shape[0]))
-    with span("op.line_cross.fetch") as ls:
-        if all_index_lines:
-            probe = (store.probe_line_index_array if arrays
-                     else store.probe_line_index)
-            def lfn():
-                return probe(kind, t_max, cache=cache, **kw)
-            line_access = "index"
-        else:
-            scan = store.scan_lines_array if arrays else store.scan_lines
-            def lfn():
-                return scan(kind, cache=cache, **kw)
-            line_access = "scan"
-        lrows = _as_rows(lfn() if guard is None else guard.call(lfn),
-                         _LINE_WIDTH)
-        ls.set_attribute("kind", kind)
-        ls.set_attribute("rows_fetched", int(lrows.shape[0]))
-    return prows, point_access, lrows, line_access
-
-
 def execute_batch(
     plans: Sequence[QueryPlan],
     store,
     cache: str = "warm",
     guard: Optional[QueryGuard] = None,
-    vectorize: Optional[bool] = None,
 ) -> List[ExecutionResult]:
     """Answer many queries in one shared pass per operator.
 
@@ -508,7 +409,6 @@ def execute_batch(
     :class:`~repro.errors.QueryTimeout` aborts the whole batch — the
     deadline covers the batch, not one cell.
     """
-    arrays = _use_arrays(store, vectorize)
     results: List[Optional[ExecutionResult]] = [None] * len(plans)
     by_kind: Dict[str, List[int]] = {}
     for i, plan in enumerate(plans):
@@ -516,10 +416,28 @@ def execute_batch(
 
     for kind, idxs in by_kind.items():
         group = [plans[i] for i in idxs]
+        # the shared fetch, no pushdown: one index probe for the widest T
+        # when every plan probes the index, otherwise one full scan
+        t_max = max(p.query.t_threshold for p in group)
+        point_access = "index" if all(
+            p.point_op.access == "index" for p in group) else "scan"
+        line_access = "index" if all(
+            p.line_op.access == "index" for p in group) else "scan"
         try:
-            prows, point_access, lrows, line_access = _fetch_batch_group(
-                store, kind, group, cache, guard, arrays
-            )
+            with span("op.point_range.fetch") as ps:
+                prows = _fetch_block(
+                    store, "points", point_access, kind, t_max, None,
+                    cache, False, guard,
+                )
+                ps.set_attribute("kind", kind)
+                ps.set_attribute("rows_fetched", int(prows.shape[0]))
+            with span("op.line_cross.fetch") as ls:
+                lrows = _fetch_block(
+                    store, "lines", line_access, kind, t_max, None,
+                    cache, False, guard,
+                )
+                ls.set_attribute("kind", kind)
+                ls.set_attribute("rows_fetched", int(lrows.shape[0]))
         except QueryTimeout as exc:
             if guard is not None:
                 exc.attach(completeness=guard.report("deadline exceeded"))
@@ -632,7 +550,7 @@ def execute_batch(
 # ``t_range`` can contribute no matching pair; and the §4.4 answer is a
 # set union, so matches(∪ partitions) = ∪ matches(partition) — the merge
 # below reproduces the single-store answer bit for bit (the dedup sort
-# order of :func:`_union_dedup` is total and content-determined).
+# order of :func:`_union_dedup_rows` is total and content-determined).
 
 
 def _read_ctx(partition):
@@ -656,27 +574,6 @@ def _partition_id(part, i: int) -> str:
     index-based one)."""
     pid = getattr(part, "partition_id", None)
     return str(pid) if pid is not None else f"part{i}"
-
-
-def _merge_pairs(pair_lists: Sequence[List[SegmentPair]]) -> List[SegmentPair]:
-    """Cross-partition union/dedup with the §4.4 result ordering."""
-    seen: Set[Tuple[float, float, float, float]] = set()
-    for pairs in pair_lists:
-        seen.update(p.as_tuple() for p in pairs)
-    return [SegmentPair(*t) for t in sorted(seen)]
-
-
-def _merge_results(
-    results: Sequence[ExecutionResult],
-) -> Tuple[np.ndarray, List[SegmentPair]]:
-    """Union per-partition answers, in array form when every result
-    carries its ident matrix (the executor's own results always do);
-    lexicographic ``np.unique`` equals ``sorted(set(tuples))``, so both
-    branches produce the same pairs in the same order."""
-    if all(r.ident_rows is not None for r in results):
-        return _union_dedup_rows([r.ident_rows for r in results])
-    pairs = _merge_pairs([r.pairs for r in results])
-    return np.array([p.as_tuple() for p in pairs]).reshape(-1, 4), pairs
 
 
 def _merge_op_stats(
@@ -711,7 +608,6 @@ def execute_partitioned(
     verified_only: bool = False,
     pushdown: bool = True,
     guard: Optional[QueryGuard] = None,
-    vectorize: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run one query across a set of time partitions and merge.
 
@@ -740,10 +636,11 @@ def execute_partitioned(
                 pspan.set_attribute("partition", pid)
                 results.append(
                     execute(plan, part.store, cache=cache,
-                            pushdown=pushdown, guard=guard,
-                            vectorize=vectorize)
+                            pushdown=pushdown, guard=guard)
                 )
-    merged_rows, merged_pairs = _merge_results(results)
+    merged_rows, merged_pairs = _union_dedup_rows(
+        [r.ident_rows for r in results]
+    )
     merged = ExecutionResult(
         pairs=merged_pairs,
         op_stats=_merge_op_stats(results, query.kind),
@@ -771,7 +668,6 @@ def execute_batch_partitioned(
     t_range=None,
     cache: str = "warm",
     guard: Optional[QueryGuard] = None,
-    vectorize: Optional[bool] = None,
 ) -> List[ExecutionResult]:
     """Scatter a whole query grid across partitions and merge per cell.
 
@@ -801,7 +697,7 @@ def execute_batch_partitioned(
                 pspan.set_attribute("queries", n_queries)
                 per_partition.append(
                     execute_batch(plans, part.store, cache=cache,
-                                  guard=guard, vectorize=vectorize)
+                                  guard=guard)
                 )
 
     merged: List[ExecutionResult] = []
@@ -816,7 +712,9 @@ def execute_batch_partitioned(
                 break
             if kind:
                 break
-        cell_rows, cell_pairs = _merge_results(good)
+        cell_rows, cell_pairs = _union_dedup_rows(
+            [c.ident_rows for c in good]
+        )
         out = ExecutionResult(
             pairs=cell_pairs,
             op_stats=_merge_op_stats(good, kind) if kind else [],

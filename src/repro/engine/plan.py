@@ -9,10 +9,11 @@ A drop (jump) search is one fixed logical shape::
 
 The *logical* operators carry the query thresholds and the chosen
 *physical access path* (``scan`` / ``index`` / ``grid``); the executor
-maps each operator onto the narrow physical interface every
-:class:`~repro.storage.base.FeatureStore` exposes (``scan_points``,
-``probe_point_index``, ``scan_lines``, ``probe_line_index``).  Plan
-choice per operator lives in :mod:`repro.engine.cost`.
+maps each operator onto the narrow block interface every
+:class:`~repro.storage.base.FeatureStore` exposes (``scan_points_array``,
+``probe_point_index_array``, ``scan_lines_array``,
+``probe_line_index_array``).  Plan choice per operator lives in
+:mod:`repro.engine.cost`.
 """
 
 from __future__ import annotations

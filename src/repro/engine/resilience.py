@@ -324,6 +324,11 @@ class QueryOutcome:
     status: ResultStatus = ResultStatus.COMPLETE
     completeness: Optional[CompletenessReport] = None
     error: Optional[BaseException] = None
+    #: The deduped ``(len(pairs), 4)`` ident matrix behind ``pairs`` —
+    #: what a scatter-gather merge unions instead of tuple sets.
+    ident_rows: Optional[object] = field(
+        default=None, compare=False, repr=False
+    )
     #: Diagnostics: the query's id, its resource accounting
     #: (:class:`~repro.obs.context.ResourceAccounting`), and — on
     #: DEGRADED/FAILED outcomes — the flight recorder's recent tail

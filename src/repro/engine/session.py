@@ -145,14 +145,8 @@ class QuerySession:
         slow_query_threshold: Optional[float] = None,
         resilience: Optional[ResiliencePolicy] = None,
         name: Optional[str] = None,
-        vectorize: Optional[bool] = None,
     ) -> None:
         self.store = store
-        #: Storage-primitive selection for every query this session runs:
-        #: ``None`` (auto) prefers the columnar ``*_array`` primitives,
-        #: ``False`` forces the scalar ones (the benchmark/differential
-        #: baseline).  Both paths return identical results.
-        self.vectorize = vectorize
         self.cost = cost_model if cost_model is not None else CostModel(store)
         #: Seconds above which a query lands in the slow-query log; when
         #: None, the process-wide default (``repro.obs.slowlog``) applies.
@@ -280,8 +274,7 @@ class QuerySession:
             else None
         )
         result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown, guard=guard,
-                         vectorize=self.vectorize)
+                         pushdown=pushdown, guard=guard)
         if before is not None:
             delta = fn().snapshot().delta(before)
             obs_context.account(pages_read=delta.page_reads)
@@ -305,7 +298,7 @@ class QuerySession:
     def _run_with_io(self, plan, cache, data, pushdown):
         before = self._io_stats()
         result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown, vectorize=self.vectorize)
+                         pushdown=pushdown)
         after = self._io_stats()
         return result, before, after
 
@@ -491,6 +484,7 @@ class QuerySession:
             hits=result.hits,
             status=result.status,
             completeness=result.completeness,
+            ident_rows=result.ident_rows,
             query_id=ctx.query_id,
             accounting=ctx.accounting,
             recorder_tail=(
@@ -559,13 +553,12 @@ class QuerySession:
                             ]
                         if self._lock is None:
                             results = execute_batch(plans, self.store,
-                                                    cache=cache, guard=guard,
-                                                    vectorize=self.vectorize)
+                                                    cache=cache, guard=guard)
                         else:
                             with self._lock:
                                 results = execute_batch(
                                     plans, self.store, cache=cache,
-                                    guard=guard, vectorize=self.vectorize,
+                                    guard=guard,
                                 )
                         root.set_attribute("queries", len(plans))
                 except QueryTimeout:
@@ -604,6 +597,7 @@ class QuerySession:
                 status=r.status,
                 completeness=r.completeness,
                 error=r.error,
+                ident_rows=r.ident_rows,
                 query_id=ctx.query_id,
                 accounting=ctx.accounting,
                 recorder_tail=(

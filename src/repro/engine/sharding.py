@@ -65,6 +65,7 @@ from ..obs import slowlog
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import retain_trace, span
 from ..types import SegmentPair
+from .executor import _union_dedup_rows
 from .resilience import (
     CompletenessReport,
     QueryOutcome,
@@ -605,15 +606,15 @@ class ShardedIndex:
     def _merge(self, routed, results) -> QueryOutcome:
         """Union/dedup the shard answers into one honest outcome.
 
-        Ordering matches the executor's ``np.unique(axis=0)``
-        (``sorted(set(...))`` over the 4-tuples), so a one-shard index
-        returns exactly what the plain index would.
+        The shards' ident matrices go through the executor's §4.4
+        union/dedup, so a one-shard index returns exactly what the plain
+        index would, in the same order.
         """
         ok: List[str] = []
         lost: List[str] = []
         degraded = False
         last_error: Optional[BaseException] = None
-        merged = set()
+        ident_blocks = []
         for shard, result in zip(routed, results):
             if isinstance(result, BaseException):
                 lost.append(shard.shard_id)
@@ -621,8 +622,8 @@ class ShardedIndex:
                 continue
             ok.append(shard.shard_id)
             degraded = degraded or result.degraded
-            merged.update(p.as_tuple() for p in result.pairs)
-        pairs = [SegmentPair(*t) for t in sorted(merged)]
+            ident_blocks.append(result.ident_rows)
+        ident_rows, pairs = _union_dedup_rows(ident_blocks)
         if not ok:
             return QueryOutcome(
                 pairs=[],
@@ -641,6 +642,7 @@ class ShardedIndex:
             )
             return QueryOutcome(
                 pairs=pairs,
+                ident_rows=ident_rows,
                 status=ResultStatus.DEGRADED,
                 completeness=CompletenessReport(
                     finished=tuple(ok),
@@ -651,6 +653,7 @@ class ShardedIndex:
             )
         return QueryOutcome(
             pairs=pairs,
+            ident_rows=ident_rows,
             status=ResultStatus.COMPLETE,
             completeness=CompletenessReport(finished=tuple(ok)),
         )

@@ -53,12 +53,13 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-#: ``repro_query_seconds`` buckets, re-tuned after the vectorized hot
-#: path (BENCH_query.json): most single queries now land between ~10 µs
-#: (memory-store probes) and ~15 ms (large-series loop queries), so the
-#: old 100 µs first edge collapsed p50/p99 into one bucket.  Edges run
-#: 10 µs → 1 s with double resolution below 1 ms; batch grids and cold
-#: caches still land in the coarse upper decades.
+#: ``repro_query_seconds`` buckets, tuned to the block read path: most
+#: single queries land between ~10 µs (memory-store probes) and ~15 ms
+#: (the ledger's ``query_p50_ms`` is 3-12 ms across its four workloads,
+#: benchmarks/ledger/STABILITY.md), so a 100 µs first edge would
+#: collapse p50/p99 into one bucket.  Edges run 10 µs → 1 s with double
+#: resolution below 1 ms; batch grids and cold caches still land in the
+#: coarse upper decades.
 QUERY_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
     0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0, 5.0,

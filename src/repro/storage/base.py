@@ -14,32 +14,6 @@ __all__ = ["FeatureStore", "StoreCounts", "Query"]
 
 Query = Union[DropQuery, JumpQuery]
 
-_POINT_WIDTH = 6
-_LINE_WIDTH = 8
-
-
-def rows_to_block(rows, width: int):
-    """Adapt a scalar primitive's row sequence to an ``(m, width)``
-    float64 block (the vectorized engine's column layout).  Zero-copy
-    when ``rows`` already is such an array."""
-    import numpy as np
-
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, width)
-    return arr.reshape(-1, width)
-
-
-def _account_block(block):
-    """Attribute one adapted candidate block to the bound query context
-    (no-op when none) — the default accounting for duck-typed stores
-    whose own primitives predate resource accounting."""
-    from ..obs import context as obs_context
-
-    obs_context.account(rows_scanned=int(block.shape[0]),
-                        bytes_decoded=int(block.nbytes))
-    return block
-
 
 @dataclass(frozen=True)
 class StoreCounts:
@@ -67,9 +41,10 @@ class FeatureStore(abc.ABC):
     experiments grow the index group by group).
 
     Search semantics live in :mod:`repro.engine`; a store contributes
-    only the four **physical primitives** below (``scan_points``,
-    ``probe_point_index``, ``scan_lines``, ``probe_line_index``), and
-    :meth:`search` is a thin compatibility shim over the engine.
+    only the four **block primitives** below (``scan_points_array``,
+    ``probe_point_index_array``, ``scan_lines_array``,
+    ``probe_line_index_array``) — ``(m, k)`` float64 blocks are the only
+    way candidate rows leave a store.
     """
 
     #: Cost-model key (see ``repro.engine.cost.BACKEND_COSTS``).
@@ -102,31 +77,39 @@ class FeatureStore(abc.ABC):
     def finalize(self) -> None:
         """Flush buffers and build (or rebuild) secondary indexes."""
 
-    def search(self, query: Query, mode: str = "index") -> List[SegmentPair]:
-        """Run a drop/jump search; ``mode`` is ``"index"`` or ``"scan"``.
+    def search(
+        self, query: Query, mode: str = "index", cache: str = "warm"
+    ) -> List[SegmentPair]:
+        """Run a drop/jump search with every operator on access path
+        ``mode`` (``"index"``, ``"scan"``, or ``"grid"`` where the backend
+        has one) in cache regime ``cache`` (``"warm"`` / ``"cold"``).
 
         Returns distinct segment pairs (the union of the point and line
-        query results, Section 4.4).  Compatibility shim — new code
-        should go through :class:`repro.engine.QuerySession`.
+        query results, Section 4.4) through the engine executor; callers
+        wanting plan choice, batching or EXPLAIN use
+        :class:`repro.engine.QuerySession`.
         """
-        return self._engine_search(query, mode)
-
-    def _engine_search(
-        self, query: Query, mode: str, cache: str = "warm"
-    ) -> List[SegmentPair]:
-        """Delegate one search to the engine executor."""
         from ..engine.executor import execute
-        from ..engine.plan import build_plan
+        from ..engine.plan import POINT_ACCESS_PATHS, build_plan
+        from ..errors import InvalidParameterError
 
+        if mode not in POINT_ACCESS_PATHS:
+            raise InvalidParameterError(
+                f"mode must be one of {POINT_ACCESS_PATHS}, got {mode!r}"
+            )
+        if cache not in ("warm", "cold"):
+            raise InvalidParameterError(
+                f"cache must be 'warm' or 'cold', got {cache!r}"
+            )
         plan = build_plan(query, point_access=mode)
         return execute(plan, self, cache=cache).pairs
 
     # ------------------------------------------------------------------ #
-    # physical primitives (the engine's narrow interface)
+    # block primitives (the engine's only read interface)
     # ------------------------------------------------------------------ #
 
     @abc.abstractmethod
-    def scan_points(
+    def scan_points_array(
         self,
         kind: str,
         t_threshold: Optional[float] = None,
@@ -136,7 +119,7 @@ class FeatureStore(abc.ABC):
     ):
         """Sequential pass over the ``kind`` point table.
 
-        Returns an ``(m, 6)`` row array/sequence with columns
+        Returns an ``(m, 6)`` float64 block with columns
         ``dt, dv, t_d, t_c, t_b, t_a``.  The thresholds are *pushdown
         hints*: a backend may pre-filter with them when that is cheap,
         but must never drop a matching row (the executor re-applies the
@@ -145,16 +128,13 @@ class FeatureStore(abc.ABC):
         queries.
 
         ``guard`` (a :class:`repro.engine.resilience.QueryGuard`, or
-        ``None``) makes the pass *cooperative*: long row loops must call
-        ``guard.tick()`` at least once per chunk (directly or via
-        ``guard.wrap_iter``) so a query never runs more than one chunk
-        past its deadline.  The executor only passes the kwarg when a
-        guard is active, so legacy implementations without it keep
-        working on the unguarded path.
+        ``None``) makes the pass *cooperative*: the read must call
+        ``guard.tick()`` at least once per chunk so a query never runs
+        more than one chunk past its deadline.
         """
 
     @abc.abstractmethod
-    def probe_point_index(
+    def probe_point_index_array(
         self,
         kind: str,
         t_threshold: float,
@@ -164,14 +144,14 @@ class FeatureStore(abc.ABC):
     ):
         """Point candidates with ``dt <= t_threshold`` via the index.
 
-        Same row layout, pushdown and ``guard`` contract as
-        :meth:`scan_points`.  Raises
+        Same block layout, pushdown and ``guard`` contract as
+        :meth:`scan_points_array`.  Raises
         :class:`~repro.errors.StorageError` when the index has not been
         built (call ``finalize()`` first).
         """
 
     @abc.abstractmethod
-    def scan_lines(
+    def scan_lines_array(
         self,
         kind: str,
         t_threshold: Optional[float] = None,
@@ -181,13 +161,13 @@ class FeatureStore(abc.ABC):
     ):
         """Sequential pass over the ``kind`` line table.
 
-        Returns an ``(m, 8)`` row array/sequence with columns
+        Returns an ``(m, 8)`` float64 block with columns
         ``dt1, dv1, dt2, dv2, t_d, t_c, t_b, t_a``.  Same ``guard``
-        contract as :meth:`scan_points`.
+        contract as :meth:`scan_points_array`.
         """
 
     @abc.abstractmethod
-    def probe_line_index(
+    def probe_line_index_array(
         self,
         kind: str,
         t_threshold: float,
@@ -195,7 +175,8 @@ class FeatureStore(abc.ABC):
         cache: str = "warm",
         guard=None,
     ):
-        """Line candidates with ``dt1 <= t_threshold`` via the index."""
+        """Line candidates with ``dt1 <= t_threshold`` via the index, as
+        an ``(m, 8)`` block."""
 
     def probe_point_grid(self, kind: str, t_threshold: float,
                          v_threshold: float):
@@ -205,67 +186,6 @@ class FeatureStore(abc.ABC):
         raise InvalidParameterError(
             f"the {type(self).__name__} backend has no grid access path"
         )
-
-    # ------------------------------------------------------------------ #
-    # batch columnar primitives (the engine's vectorized interface)
-    # ------------------------------------------------------------------ #
-    #
-    # Each ``*_array`` primitive is the columnar twin of a scalar
-    # primitive above: same table, same pushdown hints, same ``guard``
-    # contract (tick at least once per chunk), but the result is a
-    # guaranteed ``(m, width)`` float64 block instead of a row sequence.
-    # The defaults adapt the scalar primitives, so every store — however
-    # old — works on the vectorized engine path; the bundled backends
-    # override them with genuinely columnar reads (zero-copy array
-    # slices, chunked fetchmany into array blocks, mmap'd page decodes).
-
-    def scan_points_array(self, kind: str,
-                          t_threshold: Optional[float] = None,
-                          v_threshold: Optional[float] = None,
-                          cache: str = "warm", guard=None):
-        """Columnar :meth:`scan_points`: an ``(m, 6)`` float64 block."""
-        kw = {} if guard is None else {"guard": guard}
-        return _account_block(rows_to_block(
-            self.scan_points(kind, t_threshold=t_threshold,
-                             v_threshold=v_threshold, cache=cache, **kw),
-            _POINT_WIDTH,
-        ))
-
-    def probe_point_index_array(self, kind: str, t_threshold: float,
-                                v_threshold: Optional[float] = None,
-                                cache: str = "warm", guard=None):
-        """Columnar :meth:`probe_point_index`: an ``(m, 6)`` block."""
-        kw = {} if guard is None else {"guard": guard}
-        return _account_block(rows_to_block(
-            self.probe_point_index(kind, t_threshold,
-                                   v_threshold=v_threshold, cache=cache,
-                                   **kw),
-            _POINT_WIDTH,
-        ))
-
-    def scan_lines_array(self, kind: str,
-                         t_threshold: Optional[float] = None,
-                         v_threshold: Optional[float] = None,
-                         cache: str = "warm", guard=None):
-        """Columnar :meth:`scan_lines`: an ``(m, 8)`` float64 block."""
-        kw = {} if guard is None else {"guard": guard}
-        return _account_block(rows_to_block(
-            self.scan_lines(kind, t_threshold=t_threshold,
-                            v_threshold=v_threshold, cache=cache, **kw),
-            _LINE_WIDTH,
-        ))
-
-    def probe_line_index_array(self, kind: str, t_threshold: float,
-                               v_threshold: Optional[float] = None,
-                               cache: str = "warm", guard=None):
-        """Columnar :meth:`probe_line_index`: an ``(m, 8)`` block."""
-        kw = {} if guard is None else {"guard": guard}
-        return _account_block(rows_to_block(
-            self.probe_line_index(kind, t_threshold,
-                                  v_threshold=v_threshold, cache=cache,
-                                  **kw),
-            _LINE_WIDTH,
-        ))
 
     # ------------------------------------------------------------------ #
     # row-range access (anti-entropy interface)
@@ -289,11 +209,11 @@ class FeatureStore(abc.ABC):
         kind, _, group = table.partition("_")
         if kind not in ("drop", "jump") or group not in ("points", "lines"):
             raise InvalidParameterError(f"unknown feature table {table!r}")
-        import numpy as np
-
-        scan = self.scan_points if group == "points" else self.scan_lines
-        rows = np.asarray(scan(kind), dtype=float)
-        return rows[start:stop]
+        scan = (
+            self.scan_points_array if group == "points"
+            else self.scan_lines_array
+        )
+        return scan(kind)[start:stop]
 
     def replace_table_rows(self, table: str, start: int, rows) -> None:
         """Overwrite rows ``[start, start + len(rows))`` of ``table`` in

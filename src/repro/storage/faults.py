@@ -421,28 +421,16 @@ class FaultyStoreWrapper:
     """Inject errors/latency/hangs into any feature store's read path.
 
     Wraps a finalized :class:`~repro.storage.base.FeatureStore` and
-    intercepts the four physical read primitives (plus the optional grid
-    probe); everything else — counts, sampling, ``BACKEND``,
-    ``THREAD_SAFE_READS``, pager stats — delegates to the wrapped store,
-    so a :class:`~repro.engine.session.QuerySession` over the wrapper
-    behaves identically to one over the store until a fault fires::
+    intercepts the four block read primitives (plus the optional grid
+    probe and ``read_table_rows``); everything else — counts, sampling,
+    ``BACKEND``, ``THREAD_SAFE_READS``, pager stats — delegates to the
+    wrapped store, so a :class:`~repro.engine.session.QuerySession` over
+    the wrapper behaves identically to one over the store until a fault
+    fires::
 
         chaotic = FaultyStoreWrapper(store, ReadFaultPolicy(error_at={1}))
         session = QuerySession(chaotic, resilience=policy)
     """
-
-    READ_PRIMITIVES = (
-        "scan_points",
-        "probe_point_index",
-        "scan_lines",
-        "probe_line_index",
-        "scan_points_array",
-        "probe_point_index_array",
-        "scan_lines_array",
-        "probe_line_index_array",
-        "probe_point_grid",
-        "read_table_rows",
-    )
 
     def __init__(self, store, policy: Optional[ReadFaultPolicy] = None):
         self._store = store
@@ -523,102 +511,42 @@ class FaultyStoreWrapper:
                 )
             time.sleep(self.policy.hang_slice_s)
 
-    @staticmethod
-    def _guard_kw(guard) -> dict:
-        return {} if guard is None else {"guard": guard}
-
     # -- intercepted read primitives ------------------------------------ #
-
-    def scan_points(self, kind, t_threshold=None, v_threshold=None,
-                    cache="warm", guard=None):
-        corrupt = self._inject("scan_points", guard)
-        rows = self._store.scan_points(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, **self._guard_kw(guard),
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def probe_point_index(self, kind, t_threshold, v_threshold=None,
-                          cache="warm", guard=None):
-        corrupt = self._inject("probe_point_index", guard)
-        rows = self._store.probe_point_index(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            **self._guard_kw(guard),
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def scan_lines(self, kind, t_threshold=None, v_threshold=None,
-                   cache="warm", guard=None):
-        corrupt = self._inject("scan_lines", guard)
-        rows = self._store.scan_lines(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, **self._guard_kw(guard),
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def probe_line_index(self, kind, t_threshold, v_threshold=None,
-                         cache="warm", guard=None):
-        corrupt = self._inject("probe_line_index", guard)
-        rows = self._store.probe_line_index(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            **self._guard_kw(guard),
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    # The columnar twins share the same global call counter, so a fault
-    # schedule written for the scalar path (one call per operator) fires
-    # at the same workload points on the vectorized path.  If the
-    # wrapped store predates the array interface, fall back to its
-    # scalar primitive and adapt the rows — the wrapper stays usable
-    # around any duck-typed store.
-
-    def _array_fallback(self, scalar_name, width, kind, args, kw):
-        from .base import rows_to_block
-
-        return rows_to_block(
-            getattr(self._store, scalar_name)(kind, *args, **kw), width
-        )
 
     def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
                           cache="warm", guard=None):
         corrupt = self._inject("scan_points_array", guard)
-        kw = dict(t_threshold=t_threshold, v_threshold=v_threshold,
-                  cache=cache, **self._guard_kw(guard))
-        fn = getattr(self._store, "scan_points_array", None)
-        rows = (fn(kind, **kw) if fn is not None
-                else self._array_fallback("scan_points", 6, kind, (), kw))
+        rows = self._store.scan_points_array(
+            kind, t_threshold=t_threshold, v_threshold=v_threshold,
+            cache=cache, guard=guard,
+        )
         return self._corrupt(rows) if corrupt else rows
 
     def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
                                 cache="warm", guard=None):
         corrupt = self._inject("probe_point_index_array", guard)
-        kw = dict(v_threshold=v_threshold, cache=cache,
-                  **self._guard_kw(guard))
-        fn = getattr(self._store, "probe_point_index_array", None)
-        rows = (fn(kind, t_threshold, **kw) if fn is not None
-                else self._array_fallback("probe_point_index", 6, kind,
-                                          (t_threshold,), kw))
+        rows = self._store.probe_point_index_array(
+            kind, t_threshold, v_threshold=v_threshold, cache=cache,
+            guard=guard,
+        )
         return self._corrupt(rows) if corrupt else rows
 
     def scan_lines_array(self, kind, t_threshold=None, v_threshold=None,
                          cache="warm", guard=None):
         corrupt = self._inject("scan_lines_array", guard)
-        kw = dict(t_threshold=t_threshold, v_threshold=v_threshold,
-                  cache=cache, **self._guard_kw(guard))
-        fn = getattr(self._store, "scan_lines_array", None)
-        rows = (fn(kind, **kw) if fn is not None
-                else self._array_fallback("scan_lines", 8, kind, (), kw))
+        rows = self._store.scan_lines_array(
+            kind, t_threshold=t_threshold, v_threshold=v_threshold,
+            cache=cache, guard=guard,
+        )
         return self._corrupt(rows) if corrupt else rows
 
     def probe_line_index_array(self, kind, t_threshold, v_threshold=None,
                                cache="warm", guard=None):
         corrupt = self._inject("probe_line_index_array", guard)
-        kw = dict(v_threshold=v_threshold, cache=cache,
-                  **self._guard_kw(guard))
-        fn = getattr(self._store, "probe_line_index_array", None)
-        rows = (fn(kind, t_threshold, **kw) if fn is not None
-                else self._array_fallback("probe_line_index", 8, kind,
-                                          (t_threshold,), kw))
+        rows = self._store.probe_line_index_array(
+            kind, t_threshold, v_threshold=v_threshold, cache=cache,
+            guard=guard,
+        )
         return self._corrupt(rows) if corrupt else rows
 
     def probe_point_grid(self, kind, t_threshold, v_threshold, guard=None):

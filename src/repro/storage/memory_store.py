@@ -18,8 +18,7 @@ from ..core.corners import FeatureSet
 from ..errors import InvalidParameterError, StorageError
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
-from ..types import SegmentPair
-from .base import FeatureStore, Query, StoreCounts
+from .base import FeatureStore, StoreCounts
 from .grid_index import GridIndex
 
 __all__ = ["MemoryFeatureStore"]
@@ -236,30 +235,13 @@ class MemoryFeatureStore(FeatureStore):
         return self._meta.get(key)
 
     # ------------------------------------------------------------------ #
-    # reads
+    # reads: block primitives (engine interface)
     # ------------------------------------------------------------------ #
-
-    def search(self, query: Query, mode: str = "index") -> List[SegmentPair]:
-        """Search with plan ``mode``: ``"scan"``, ``"index"`` (dt-sorted
-        binary search), or ``"grid"`` (2-D bucket grid over points).
-
-        Compatibility shim — the union/dedup semantics live in
-        :mod:`repro.engine.executor`.
-        """
-        self._check_open()
-        if mode not in ("index", "scan", "grid"):
-            raise InvalidParameterError(
-                f"mode must be 'index', 'scan' or 'grid', got {mode!r}"
-            )
-        return self._engine_search(query, mode)
-
-    # -- physical primitives (engine interface) ------------------------ #
     #
-    # The columnar ``*_array`` primitives are the real implementations:
-    # frozen tables already live as contiguous float64 arrays, so a scan
+    # Frozen tables already live as contiguous float64 arrays, so a scan
     # is a zero-copy handle and an index probe a binary-search slice of
-    # the dt-sorted view.  The scalar names are thin delegating shims —
-    # nothing on this backend ever materializes per-row tuples.
+    # the dt-sorted view — nothing on this backend ever materializes
+    # per-row tuples.
 
     def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
                           cache="warm", guard=None):
@@ -309,38 +291,10 @@ class MemoryFeatureStore(FeatureStore):
         obs_context.account(rows_scanned=cut)
         return data[:cut]
 
-    def scan_points(self, kind, t_threshold=None, v_threshold=None,
-                    cache="warm", guard=None):
-        return self.scan_points_array(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, guard=guard,
-        )
-
-    def probe_point_index(self, kind, t_threshold, v_threshold=None,
-                          cache="warm", guard=None):
-        return self.probe_point_index_array(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            guard=guard,
-        )
-
     def probe_point_grid(self, kind, t_threshold, v_threshold):
         self._check_open()
         return self._tables[f"{kind}_points"].grid.query(
             kind, t_threshold, v_threshold
-        )
-
-    def scan_lines(self, kind, t_threshold=None, v_threshold=None,
-                   cache="warm", guard=None):
-        return self.scan_lines_array(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, guard=guard,
-        )
-
-    def probe_line_index(self, kind, t_threshold, v_threshold=None,
-                         cache="warm", guard=None):
-        return self.probe_line_index_array(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            guard=guard,
         )
 
     def read_table_rows(self, table: str, start: int = 0,

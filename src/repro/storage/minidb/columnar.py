@@ -1,8 +1,8 @@
 """Columnar read views over MiniDB heap chains and B+tree leaves.
 
-The scalar read path decodes one row per :class:`struct.Struct` call —
-per-row Python that dominates query time (EXPERIMENTS.md, PR 8 profile).
-This module replaces it with array-at-once decodes of the **unchanged**
+Decoding one row per :class:`struct.Struct` call is per-row Python that
+dominates query time (EXPERIMENTS.md, PR 8 profile).  This module is the
+store's query-time reader: array-at-once decodes of the **unchanged**
 page byte layouts:
 
 * :class:`ColumnarView` — a per-database cache of whole heap chains as
@@ -134,6 +134,14 @@ def decode_heap_chain(
         counts: List[int] = []
         page_id = heap.first_page
         while page_id != -1:
+            # a chain visits each page at most once; without this bound a
+            # cycle of empty pages would walk forever
+            if len(page_ids) >= pager.n_pages:
+                raise CorruptionError(
+                    f"{pager.path}: heap chain from page {heap.first_page} "
+                    f"is longer than the file's {pager.n_pages} pages "
+                    "(next-page cycle)"
+                )
             if guard is not None:
                 guard.tick()
             if mapped is not None and page_id < file_pages:
@@ -189,10 +197,9 @@ def probe_index_block(
 
     Returns an ``(m, key_width + 4)`` float64 block — index key columns
     followed by the rows' identifying timestamps, in leaf-chain (key)
-    order: the same layout the scalar probe assembles per row.
-    ``v_mask`` (keys block -> bool mask) applies the value pushdown
-    before any heap fetch, mirroring the scalar path where only
-    *matching* entries pay the random heap read.
+    order.  ``v_mask`` (keys block -> bool mask) applies the value
+    pushdown before any heap fetch, so only *matching* entries pay the
+    random heap read.
     """
     tree = table.index(index_name)
     key_width = tree.key_width
@@ -218,8 +225,8 @@ def _leaf_entries_upto(
     a ``searchsorted`` on the leading column (keys are lexicographically
     sorted, so the leading column is non-decreasing across the chain and
     the walk stops at the first leaf that crosses the bound).  Leaf pages
-    are read through the buffer pool, so index-page accounting is
-    unchanged from the scalar walk.
+    are read through the buffer pool, so index-page accounting is that
+    of a row-at-a-time leaf walk.
     """
     key_width = tree.key_width
     keys_parts, page_parts, slot_parts = [], [], []
@@ -272,8 +279,8 @@ def _gather_ident(
     Rows are gathered per distinct heap page: one pool read decodes the
     whole page, and the page's other requested slots are charged as pool
     hits via :meth:`Pager.note_cached_reads` — the logical per-row page
-    cost of the scalar path (Figures 19-20) with one physical decode per
-    page instead of one per row.
+    cost of a rid-at-a-time fetch (Figures 19-20) with one physical
+    decode per page instead of one per row.
     """
     n = rid_pages.shape[0]
     out = np.empty((n, 4))

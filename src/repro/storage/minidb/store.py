@@ -33,7 +33,7 @@ from ...obs.metrics import REGISTRY, ROWS_BUCKETS
 from ...types import DataSegment, SegmentPair
 from ..base import FeatureStore, Query, StoreCounts
 from ...core.corners import FeatureSet
-from ...core.queries import line_mask, line_match, point_mask, point_match
+from ...core.queries import line_mask, point_mask
 from .columnar import ColumnarView, probe_index_block
 from .database import MiniDatabase
 from .pager import PAGE_SIZE, PagerStats
@@ -245,23 +245,24 @@ class MiniDbFeatureStore(FeatureStore):
     def search(
         self, query: Query, mode: str = "index", cache: str = "warm"
     ) -> List[SegmentPair]:
-        """Compatibility shim — union/dedup lives in the engine executor;
-        this store contributes page-instrumented physical primitives."""
+        """:meth:`FeatureStore.search`, recording the pager counters the
+        query accumulated in ``last_query_stats``."""
         self._check_open()
-        if mode not in ("index", "scan"):
-            raise InvalidParameterError(
-                f"mode must be 'index' or 'scan', got {mode!r}"
-            )
-        if cache not in ("warm", "cold"):
-            raise InvalidParameterError(
-                f"cache must be 'warm' or 'cold', got {cache!r}"
-            )
         before = self.db.stats().snapshot()
-        pairs = self._engine_search(query, mode, cache=cache)
+        pairs = super().search(query, mode=mode, cache=cache)
         self.last_query_stats = self.db.stats().delta(before)
         return pairs
 
-    # -- physical primitives (engine interface) ------------------------ #
+    # -- block primitives (engine interface) ---------------------------- #
+    #
+    # Rows move as whole (m, width) blocks: heap chains are decoded
+    # page-at-a-time through the columnar view (mmap'd when the pager
+    # has no uncommitted state) and B+tree probes decode whole leaves,
+    # gathering ident columns with one physical heap read per distinct
+    # page.  The index key holds the full predicate columns, so with a
+    # value pushdown only *matching* entries pay the heap fetch — the
+    # random I/O that makes indexes lose on hard queries stays visible
+    # in the page stats.  See minidb/columnar.py for the accounting rules.
 
     def _check_index_current(self, name: str) -> None:
         if self.db.table(name).n_rows != self._indexed_rows[name]:
@@ -273,111 +274,10 @@ class MiniDbFeatureStore(FeatureStore):
         if cache == "cold":
             # drop the buffer pool so this operator's page reads are the
             # paper's flushed-cache regime, exactly and deterministically;
-            # the columnar view goes with it, so an array scan re-pays
-            # the chain's physical reads just like a row-at-a-time one
+            # the columnar view goes with it, so the scan re-pays the
+            # chain's physical reads
             self.db.drop_cache()
             self._columnar.invalidate()
-
-    @staticmethod
-    def _cooperative(rows_iter, guard):
-        """Wrap a row iterator with the guard's periodic deadline ticks.
-
-        MiniDB reads are row-at-a-time loops over heap/B+tree iterators,
-        so cooperative cancellation slots in as an iterator wrapper —
-        a query stops within ``guard.check_every`` rows of its deadline.
-        """
-        if guard is None:
-            return rows_iter
-        return guard.wrap_iter(rows_iter)
-
-    def scan_points(self, kind, t_threshold=None, v_threshold=None,
-                    cache="warm", guard=None):
-        self._check_open()
-        self._prepare_cache(cache)
-        rows = []
-        scan = self._cooperative(
-            self.db.table(_POINT_TABLES[kind]).scan(), guard
-        )
-        for _rid, row in scan:
-            if v_threshold is not None and not point_match(
-                kind, row[0], row[1], t_threshold, v_threshold
-            ):
-                continue
-            rows.append(row)
-        return rows
-
-    def probe_point_index(self, kind, t_threshold, v_threshold=None,
-                          cache="warm", guard=None):
-        """B+tree leading-column probe.  The index key holds the full
-        ``(dt, dv)`` predicate columns, so with a value pushdown only
-        *matching* entries pay the heap fetch — the random I/O that makes
-        indexes lose on hard queries stays visible in the page stats."""
-        self._check_open()
-        name = _POINT_TABLES[kind]
-        self._check_index_current(name)
-        self._prepare_cache(cache)
-        table = self.db.table(name)
-        rows = []
-        probe = self._cooperative(
-            table.index_scan_leading("by_key", t_threshold), guard
-        )
-        for key, rid in probe:
-            if v_threshold is not None and not point_match(
-                kind, key[0], key[1], t_threshold, v_threshold
-            ):
-                continue
-            rows.append(key[:2] + self._ident(table, rid, 2))
-        return rows
-
-    def scan_lines(self, kind, t_threshold=None, v_threshold=None,
-                   cache="warm", guard=None):
-        self._check_open()
-        self._prepare_cache(cache)
-        rows = []
-        scan = self._cooperative(
-            self.db.table(_LINE_TABLES[kind]).scan(), guard
-        )
-        for _rid, row in scan:
-            if v_threshold is not None and not line_match(
-                kind, row[0], row[1], row[2], row[3],
-                t_threshold, v_threshold,
-            ):
-                continue
-            rows.append(row)
-        return rows
-
-    def probe_line_index(self, kind, t_threshold, v_threshold=None,
-                         cache="warm", guard=None):
-        self._check_open()
-        name = _LINE_TABLES[kind]
-        self._check_index_current(name)
-        self._prepare_cache(cache)
-        table = self.db.table(name)
-        rows = []
-        probe = self._cooperative(
-            table.index_scan_leading("by_key", t_threshold), guard
-        )
-        for key, rid in probe:
-            if v_threshold is not None and not line_match(
-                kind, key[0], key[1], key[2], key[3],
-                t_threshold, v_threshold,
-            ):
-                continue
-            rows.append(key[:4] + self._ident(table, rid, 4))
-        return rows
-
-    @staticmethod
-    def _ident(table, rid, key_width: int):
-        return tuple(table.get(rid)[key_width:key_width + 4])
-
-    # -- batch columnar primitives (vectorized engine interface) -------- #
-    #
-    # Same plan semantics and page accounting as the scalar primitives
-    # above, but rows move as whole (m, width) blocks: heap chains are
-    # decoded page-at-a-time through the columnar view (mmap'd when the
-    # pager has no uncommitted state) and B+tree probes decode whole
-    # leaves, gathering ident columns with one physical heap read per
-    # distinct page.  See minidb/columnar.py for the accounting rules.
 
     def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
                           cache="warm", guard=None):

@@ -30,8 +30,7 @@ from ..engine.resilience import RetryPolicy
 from ..errors import InvalidParameterError, StorageError
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
-from ..types import SegmentPair
-from .base import FeatureStore, Query, StoreCounts
+from .base import FeatureStore, StoreCounts
 from .schema import (
     CREATE_INDEX_SQL,
     CREATE_TABLE_SQL,
@@ -383,158 +382,22 @@ class SqliteFeatureStore(FeatureStore):
     # reads
     # ------------------------------------------------------------------ #
 
-    def search(
-        self, query: Query, mode: str = "index", cache: str = "warm"
-    ) -> List[SegmentPair]:
-        """Compatibility shim — union/dedup lives in the engine executor;
-        this store contributes SQL-backed physical primitives only."""
-        self._check_open()
-        if mode not in ("index", "scan"):
-            raise InvalidParameterError(
-                f"mode must be 'index' or 'scan', got {mode!r}"
-            )
-        if cache not in ("warm", "cold"):
-            raise InvalidParameterError(
-                f"cache must be 'warm' or 'cold', got {cache!r}"
-            )
-        return self._engine_search(query, mode, cache=cache)
+    # -- block primitives (engine interface) ---------------------------- #
 
-    # -- physical primitives (engine interface) ------------------------ #
-
-    def _candidate_rows(self, sql: str, params: dict, cache: str,
-                        guard=None):
-        """Run one candidate query in the requested cache regime.
-
-        With a ``guard``, rows are pulled in ``fetchmany`` chunks of
-        ``guard.check_every`` with a deadline tick between chunks — a
-        query never runs more than one chunk past its deadline even on a
-        huge result set.  Without one, a single ``fetchall`` keeps the
-        fast path unchanged.
-        """
-        import numpy as np
-
-        if guard is None:
-            def fetch(conn):
-                return conn.execute(sql, params).fetchall()
-        else:
-            def fetch(conn):
-                cursor = conn.execute(sql, params)
-                rows: list = []
-                while True:
-                    guard.tick()
-                    chunk = cursor.fetchmany(guard.check_every)
-                    if not chunk:
-                        return rows
-                    rows.extend(chunk)
-
-        if cache == "cold":
-            # a fresh connection with a minimal page cache emulates the
-            # paper's flushed-cache runs (DESIGN.md §5.7)
-            if threading.get_ident() == self._owner_thread:
-                self._with_retry(self._conn.commit)
-            conn = self._connect()
-            try:
-                conn.execute("PRAGMA cache_size = -64")  # 64 KiB only
-                rows = self._with_retry(lambda: fetch(conn))
-            finally:
-                conn.close()
-        else:
-            rows = self._with_retry(lambda: fetch(self._reader()))
-        if not rows:
-            return np.empty((0, 0))
-        result = np.asarray(rows, dtype=float)
-        obs_context.account(
-            rows_scanned=int(result.shape[0]),
-            bytes_decoded=int(result.nbytes),
-        )
-        return result
-
-    def _point_hint(self, kind: str, access: str) -> str:
-        if access == "scan":
-            return "NOT INDEXED"
-        if not self._indexed:
-            raise StorageError("indexes not built; call finalize() first")
-        return f"INDEXED BY {INDEX_NAMES[POINT_TABLES[kind]]}"
-
-    def _line_hint(self, kind: str, access: str) -> str:
-        if access == "scan":
-            return "NOT INDEXED"
-        if not self._indexed:
-            raise StorageError("indexes not built; call finalize() first")
-        return f"INDEXED BY {INDEX_NAMES[LINE_TABLES[kind]]}"
-
-    def scan_points(self, kind, t_threshold=None, v_threshold=None,
-                    cache="warm", guard=None):
-        self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "scan"),
-            with_t=t_threshold is not None,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def probe_point_index(self, kind, t_threshold, v_threshold=None,
-                          cache="warm", guard=None):
-        self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def scan_lines(self, kind, t_threshold=None, v_threshold=None,
-                   cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "scan"),
-            with_t=t_threshold is not None,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def probe_line_index(self, kind, t_threshold, v_threshold=None,
-                         cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    # -- batch columnar primitives (vectorized engine interface) -------- #
-
-    #: fetchmany granularity of the unguarded array read path
+    #: fetchmany granularity of the unguarded read path
     _ARRAY_CHUNK = 4096
 
-    def _candidate_rows_array(self, sql: str, params: dict, cache: str,
-                              guard, width: int):
-        """Chunked ``fetchmany`` into ``(m, width)`` float64 blocks.
+    def _fetch_block(self, sql: str, params: dict, cache: str, guard,
+                     width: int):
+        """Run one candidate query in the requested cache regime, as
+        chunked ``fetchmany`` into ``(m, width)`` float64 blocks.
 
-        The vectorized twin of :meth:`_candidate_rows`: rows are pulled
-        in fixed-size chunks and converted chunk-at-a-time into column
-        blocks that concatenate once at the end, so no full-result
-        Python row list is ever materialized.  With a ``guard`` the
-        chunk size is ``guard.check_every`` with a deadline tick per
-        chunk — the same one-chunk-past-deadline bound as the scalar
-        path.
+        Rows are pulled in fixed-size chunks and converted
+        chunk-at-a-time into column blocks that concatenate once at the
+        end, so no full-result Python row list is ever materialized.
+        With a ``guard`` the chunk size is ``guard.check_every`` with a
+        deadline tick per chunk — a query never runs more than one chunk
+        past its deadline even on a huge result set.
         """
         import numpy as np
 
@@ -559,6 +422,8 @@ class SqliteFeatureStore(FeatureStore):
             return np.concatenate(blocks, axis=0)
 
         if cache == "cold":
+            # a fresh connection with a minimal page cache emulates the
+            # paper's flushed-cache runs (DESIGN.md §5.7)
             if threading.get_ident() == self._owner_thread:
                 self._with_retry(self._conn.commit)
             conn = self._connect()
@@ -575,61 +440,49 @@ class SqliteFeatureStore(FeatureStore):
         )
         return result
 
-    def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
-                          cache="warm", guard=None):
+    def _candidates(self, kind, lines: bool, access: str, t_threshold,
+                    v_threshold, cache, guard):
+        """The point or line table's candidates on one access path:
+        ``NOT INDEXED`` forces the scan, ``INDEXED BY`` the §4.4 B-tree
+        (whose ``dt <= :T`` bound is then always part of the SQL)."""
         self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "scan"),
-            with_t=t_threshold is not None,
+        table = (LINE_TABLES if lines else POINT_TABLES)[kind]
+        if access == "scan":
+            hint = "NOT INDEXED"
+        elif not self._indexed:
+            raise StorageError("indexes not built; call finalize() first")
+        else:
+            hint = f"INDEXED BY {INDEX_NAMES[table]}"
+        candidate_sql = line_candidate_sql if lines else point_candidate_sql
+        sql = candidate_sql(
+            kind, table, hint,
+            with_t=access == "index" or t_threshold is not None,
             with_v=v_threshold is not None,
         )
-        return self._candidate_rows_array(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard, 6
+        return self._fetch_block(
+            sql, {"T": t_threshold, "V": v_threshold}, cache, guard,
+            8 if lines else 6,
         )
+
+    def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
+                          cache="warm", guard=None):
+        return self._candidates(kind, False, "scan", t_threshold,
+                                v_threshold, cache, guard)
 
     def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
                                 cache="warm", guard=None):
-        self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows_array(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard, 6
-        )
+        return self._candidates(kind, False, "index", t_threshold,
+                                v_threshold, cache, guard)
 
     def scan_lines_array(self, kind, t_threshold=None, v_threshold=None,
                          cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "scan"),
-            with_t=t_threshold is not None,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows_array(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard, 8
-        )
+        return self._candidates(kind, True, "scan", t_threshold,
+                                v_threshold, cache, guard)
 
     def probe_line_index_array(self, kind, t_threshold, v_threshold=None,
                                cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows_array(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard, 8
-        )
+        return self._candidates(kind, True, "index", t_threshold,
+                                v_threshold, cache, guard)
 
     def _reader(self) -> sqlite3.Connection:
         """The connection to read from in the current thread."""
@@ -642,6 +495,16 @@ class SqliteFeatureStore(FeatureStore):
             with self._spawn_lock:
                 self._spawned_conns.append(conn)
         return conn
+
+    def _meta_reader(self) -> sqlite3.Connection:
+        """The connection for read-only metadata queries (``counts``,
+        ``sample_points``, ``extreme_feature_dv``): the planner calls
+        them from scatter-pool threads, which must not touch the
+        owner's connection.  Write buffers are owner-thread state, so
+        only the owner flushes them first."""
+        if threading.get_ident() == self._owner_thread:
+            self._flush()
+        return self._reader()
 
     _TABLE_COLS = {
         "drop_points": ("dt", "dv", "t_d", "t_c", "t_b", "t_a"),
@@ -721,20 +584,20 @@ class SqliteFeatureStore(FeatureStore):
         self._check_open()
         if kind not in POINT_TABLES:
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        self._flush()
+        conn = self._meta_reader()
         table = POINT_TABLES[kind]
-        total = self._conn.execute(
+        total = conn.execute(
             f"SELECT COUNT(*) FROM {table}"
         ).fetchone()[0]
         if total == 0:
             return None
         step = max(1, total // max(n, 1))
-        rows = self._conn.execute(
+        rows = conn.execute(
             f"SELECT dt, dv FROM {table} WHERE rowid % ? = 0 LIMIT ?",
             (step, n),
         ).fetchall()
         if not rows:  # tiny tables whose rowids all miss the stride
-            rows = self._conn.execute(
+            rows = conn.execute(
                 f"SELECT dt, dv FROM {table} LIMIT ?", (n,)
             ).fetchall()
         return np.asarray(rows, dtype=float)
@@ -744,12 +607,12 @@ class SqliteFeatureStore(FeatureStore):
         self._check_open()
         if kind not in POINT_TABLES:
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        self._flush()
+        conn = self._meta_reader()
         agg = "MIN" if kind == "drop" else "MAX"
-        p = self._conn.execute(
+        p = conn.execute(
             f"SELECT {agg}(dv) FROM {POINT_TABLES[kind]}"
         ).fetchone()[0]
-        l1, l2 = self._conn.execute(
+        l1, l2 = conn.execute(
             f"SELECT {agg}(dv1), {agg}(dv2) FROM {LINE_TABLES[kind]}"
         ).fetchone()
         values = [v for v in (p, l1, l2) if v is not None]
@@ -763,8 +626,8 @@ class SqliteFeatureStore(FeatureStore):
 
     def counts(self) -> StoreCounts:
         self._check_open()
-        self._flush()
-        get = lambda t: self._conn.execute(  # noqa: E731
+        conn = self._meta_reader()
+        get = lambda t: conn.execute(  # noqa: E731
             f"SELECT COUNT(*) FROM {t}"
         ).fetchone()[0]
         return StoreCounts(

@@ -39,10 +39,10 @@ def all_rows(index):
     out = {}
     for kind in TABLES:
         out[f"{kind}_points"] = np.asarray(
-            index.store.scan_points(kind), dtype=float
+            index.store.scan_points_array(kind), dtype=float
         )
         out[f"{kind}_lines"] = np.asarray(
-            index.store.scan_lines(kind), dtype=float
+            index.store.scan_lines_array(kind), dtype=float
         )
     return out
 

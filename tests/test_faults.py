@@ -226,9 +226,9 @@ class TestCorruptionMode:
             ReadFaultPolicy,
         )
 
-        clean = store.scan_points("drop")
+        clean = store.scan_points_array("drop")
         wrapper = FaultyStoreWrapper(store, ReadFaultPolicy(corrupt_at={1}))
-        assert not np.array_equal(wrapper.scan_points("drop"), clean)
+        assert not np.array_equal(wrapper.scan_points_array("drop"), clean)
 
     def test_empty_result_passes_through(self, store):
         from repro.storage.faults import (

@@ -9,6 +9,7 @@ a partial transaction, never corrupt data.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.storage.minidb import (
     PAGE_CAPACITY,
     PAGE_SIZE,
     MiniDatabase,
+    MiniDbFeatureStore,
     Pager,
 )
 
@@ -271,6 +273,36 @@ class TestFsckStructural:
             assert any("catalog records 3" in str(p) for p in problems)
         finally:
             db.close()
+
+
+class TestHeapChainBounds:
+    def test_cycle_of_empty_pages_is_corruption_not_a_hang(self, tmp_path):
+        """Two empty heap pages pointing at each other carry no row to
+        trip the row-count checks: the query-time chain walk must still
+        stop, with the typed error, even without a guard."""
+        store = MiniDbFeatureStore(str(tmp_path / "cycle.minidb"))
+        try:
+            heap = store.db.table("drop_points").heap
+            first, second = heap.first_page, store.db.pager.allocate()
+            heap._write_header(first, 0, second)
+            heap._write_header(second, 0, first)
+            raised = []
+
+            def scan():
+                try:
+                    store.scan_points_array("drop")
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    raised.append(exc)
+
+            reader = threading.Thread(target=scan, daemon=True)
+            reader.start()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive(), "heap chain walk never ended"
+            assert len(raised) == 1
+            assert isinstance(raised[0], CorruptionError)
+            assert "cycle" in str(raised[0])
+        finally:
+            store.close()
 
 
 class TestLifecycle:

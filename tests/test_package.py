@@ -1,6 +1,8 @@
 """Public API surface tests: everything advertised is importable and sane."""
 
 import importlib
+import importlib.util
+import inspect
 
 import pytest
 
@@ -28,10 +30,10 @@ class TestPublicApi:
             "repro.core.results",
             "repro.core.reporting",
             "repro.core.guarantees",
-            "repro.core.planner",
             "repro.core.tiered",
             "repro.core.transect",
             "repro.datagen",
+            "repro.engine.cost",
             "repro.segmentation",
             "repro.storage",
             "repro.storage.minidb",
@@ -74,3 +76,41 @@ class TestPublicApi:
         pairs = index.search_drops(t_threshold=3600, v_threshold=-3.0)
         assert isinstance(pairs, list)
         index.close()
+
+
+class TestOneReadContract:
+    """Structural guard: ``(m, k)`` blocks are the only way rows leave a
+    store — no scalar twin, selection knob or alias module may return."""
+
+    ARRAY = {
+        "scan_points_array", "probe_point_index_array",
+        "scan_lines_array", "probe_line_index_array",
+    }
+    SCALAR = {
+        "scan_points", "probe_point_index", "scan_lines", "probe_line_index",
+    }
+
+    def test_block_primitives_are_the_abstract_read_surface(self):
+        from repro.storage.base import FeatureStore
+
+        assert self.ARRAY <= FeatureStore.__abstractmethods__
+        assert not self.SCALAR & FeatureStore.__abstractmethods__
+        assert not any(hasattr(FeatureStore, name) for name in self.SCALAR)
+
+    def test_no_vectorize_parameter(self):
+        from repro.core.live import LiveSnapshot
+        from repro.engine import QuerySession, executor
+
+        for fn in (
+            executor.execute,
+            executor.execute_batch,
+            executor.execute_partitioned,
+            executor.execute_batch_partitioned,
+            QuerySession.__init__,
+            LiveSnapshot.execute,
+            LiveSnapshot.search_batch_results,
+        ):
+            assert "vectorize" not in inspect.signature(fn).parameters, fn
+
+    def test_planner_alias_module_is_gone(self):
+        assert importlib.util.find_spec("repro.core.planner") is None

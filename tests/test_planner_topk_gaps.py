@@ -4,8 +4,8 @@ import pytest
 
 from repro.baselines import NaiveScan
 from repro.core.index import SegDiffIndex
-from repro.core.planner import QueryPlanner
 from repro.datagen import piecewise_series
+from repro.engine.cost import CostModel
 from repro.errors import InvalidParameterError, StorageError
 from repro.storage import MemoryFeatureStore, SqliteFeatureStore
 
@@ -63,26 +63,26 @@ class TestStoreSampling:
 class TestPlanner:
     def test_validation(self, walk_index):
         with pytest.raises(InvalidParameterError):
-            QueryPlanner(walk_index.store, sample_size=0)
+            CostModel(walk_index.store, sample_size=0)
         with pytest.raises(InvalidParameterError):
-            QueryPlanner(walk_index.store, scan_threshold=0.0)
+            CostModel(walk_index.store, scan_threshold=0.0)
 
     def test_selectivity_bounds(self, walk_index):
-        planner = QueryPlanner(walk_index.store)
+        planner = CostModel(walk_index.store)
         tiny = planner.estimate_selectivity("drop", HOUR, -1e6)
         huge = planner.estimate_selectivity("drop", 8 * HOUR, -1e-6)
         assert 0.0 <= tiny <= huge <= 1.0
         assert tiny == 0.0
 
     def test_mode_choice_follows_selectivity(self, walk_index):
-        planner = QueryPlanner(walk_index.store, scan_threshold=0.02)
+        planner = CostModel(walk_index.store, scan_threshold=0.02)
         assert planner.choose_mode("drop", HOUR, -1e6) == "index"
         assert planner.choose_mode("drop", 8 * HOUR, -1e-6) == "scan"
 
     def test_empty_store_prefers_scan(self):
         with MemoryFeatureStore() as store:
             store.finalize()
-            planner = QueryPlanner(store)
+            planner = CostModel(store)
             assert planner.choose_mode("drop", 1.0, -1.0) == "scan"
 
     def test_auto_mode_returns_same_results(self, walk_index):

@@ -94,6 +94,22 @@ class TestShardedEqualsPlain:
                 idx.search_jumps(T, -V)
             )
 
+    def test_auto_mode_on_sqlite_shards_plans_off_the_owner_thread(
+        self, series
+    ):
+        """``mode="auto"`` makes each shard's cost model read counts and
+        samples on the scatter-pool thread; SQLite connections are bound
+        to the thread that opened them, so those reads must go through
+        the store's per-thread reader."""
+        with ShardedIndex.build(
+            series, EPS, WINDOW, n_shards=4, max_gap=MAX_GAP,
+            backend="sqlite", max_workers=2,
+        ) as sharded:
+            scan = sharded.search_outcome("drop", T, V, mode="scan")
+            auto = sharded.search_outcome("drop", T, V, mode="auto")
+            assert auto.status is ResultStatus.COMPLETE
+            assert scan.pairs and auto.pairs == scan.pairs
+
     def test_replicas_are_bit_identical(self, series):
         with ShardedIndex.build(
             series, EPS, WINDOW, n_shards=2, max_gap=MAX_GAP, replicas=3

@@ -1,13 +1,13 @@
-"""Differential tests for the vectorized query hot path.
+"""The read contract: ``(m, k)`` blocks are how rows leave a store.
 
-The columnar ``*_array`` read path (``vectorize=None``/``True``) must be
-observationally identical to the scalar tuple-at-a-time path
-(``vectorize=False``): bit-identical pairs in the same §4.4 order,
-identical EXPLAIN row counts, and the same resilience behaviour
-(deadlines fire inside array scans, degraded candidates-only answers
-stay Theorem-1 supersets).  Also covers the MiniDB columnar view's
-write invalidation and the fault wrapper's scalar fallback for
-duck-typed stores without array primitives.
+Every answer the engine assembles from the four ``*_array`` primitives
+must equal the scalar §4.4 oracle (``tests/oracle.py``: ``point_match``
+/ ``line_match`` row by row over rows read without any ``*_array``
+call): bit-identical pairs in the same order, on every backend, through
+loops, batches, live snapshots and shards.  EXPLAIN row counts must be
+the tables' own, deadlines must fire inside a block scan, degraded
+candidates-only answers must stay Theorem-1 supersets, and the MiniDB
+columnar view must never serve a block that predates an append.
 """
 
 import time
@@ -20,16 +20,25 @@ from repro.core.corners import collect_features
 from repro.core.index import SegDiffIndex
 from repro.core.live import LiveIndex
 from repro.core.parallelogram import Parallelogram
-from repro.core.queries import DropQuery, JumpQuery
-from repro.datagen import random_walk_series
-from repro.engine import QuerySession, ResiliencePolicy, ResultStatus
-from repro.engine.executor import _use_arrays
+from repro.core.queries import (
+    DropQuery,
+    JumpQuery,
+    line_match,
+    point_match,
+)
+from repro.datagen import TimeSeries, random_walk_series
+from repro.engine import (
+    QuerySession,
+    ResiliencePolicy,
+    ResultStatus,
+    ShardedIndex,
+)
 from repro.errors import QueryTimeout
-from repro.storage import MemoryFeatureStore
-from repro.storage.base import rows_to_block
 from repro.storage.faults import FaultyStoreWrapper, ReadFaultPolicy
 from repro.storage.minidb import MiniDbFeatureStore
 from repro.types import DataSegment
+
+from .oracle import oracle_pairs, table_rows
 
 HOUR = 3600.0
 BACKENDS = ("memory", "sqlite", "minidb")
@@ -43,15 +52,11 @@ def walk_series():
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
-def backend_sessions(request, walk_series):
-    """(scalar session, vectorized session) over one shared store."""
+def backend_session(request, walk_series):
     index = SegDiffIndex.build(
         walk_series, 0.2, 8 * HOUR, backend=request.param
     )
-    yield (
-        QuerySession(index.store, vectorize=False),
-        QuerySession(index.store),
-    )
+    yield QuerySession(index.store)
     index.close()
 
 
@@ -70,7 +75,7 @@ query_strategy = st.builds(
 
 
 # ---------------------------------------------------------------------- #
-# differential: vectorized ≡ scalar on persisted stores
+# differential: engine ≡ scalar oracle on persisted stores
 # ---------------------------------------------------------------------- #
 
 
@@ -78,40 +83,50 @@ class TestDifferential:
     @settings(deadline=None, max_examples=20)
     @given(grid=st.lists(query_strategy, min_size=1, max_size=4),
            mode=st.sampled_from(["scan", "index"]))
-    def test_loop_and_batch_match_scalar(self, backend_sessions, grid, mode):
-        scalar, vect = backend_sessions
-        expect = [scalar.search(q, mode=mode) for q in grid]
-        assert [vect.search(q, mode=mode) for q in grid] == expect
-        assert vect.search_batch(grid, mode=mode) == expect
-        assert scalar.search_batch(grid, mode=mode) == expect
+    def test_loop_and_batch_match_scalar(self, backend_session, grid, mode):
+        sess = backend_session
+        expect = [oracle_pairs([sess.store], q) for q in grid]
+        assert [sess.search(q, mode=mode) for q in grid] == expect
+        assert sess.search_batch(grid, mode=mode) == expect
 
     @settings(deadline=None, max_examples=8)
     @given(q=query_strategy, mode=st.sampled_from(["scan", "index"]))
-    def test_explain_row_counts_match_scalar(self, backend_sessions, q, mode):
-        scalar, vect = backend_sessions
-        a = scalar.explain(q, mode=mode)
-        b = vect.explain(q, mode=mode)
-        assert b.n_pairs == a.n_pairs
-        assert len(b.operators) == len(a.operators)
-        for op_a, op_b in zip(a.operators, b.operators):
-            assert op_b.operator == op_a.operator
-            assert op_b.access == op_a.access
-            assert op_b.estimated_rows == op_a.estimated_rows
-            assert op_b.actual_rows == op_a.actual_rows
-            assert op_b.rows_fetched == op_a.rows_fetched
-
-    def test_refined_answers_match_scalar(self, backend_sessions,
-                                          walk_series):
-        scalar, vect = backend_sessions
-        for mode in ("scan", "index"):
-            assert (
-                vect.search(DROP, mode=mode, data=walk_series)
-                == scalar.search(DROP, mode=mode, data=walk_series)
+    def test_explain_row_counts_match_scalar(self, backend_session, q, mode):
+        """EXPLAIN runs with ``pushdown=False``, so ``rows_fetched`` is
+        the access path's raw candidate count: the whole table on a
+        scan, the ``dt <= T`` prefix on a probe."""
+        sess = backend_session
+        report = sess.explain(q, mode=mode)
+        assert report.n_pairs == len(oracle_pairs([sess.store], q))
+        kind, t, v = q.kind, q.t_threshold, q.v_threshold
+        points = table_rows(sess.store, f"{kind}_points")
+        lines = table_rows(sess.store, f"{kind}_lines")
+        matched = (
+            sum(point_match(kind, r[0], r[1], t, v) for r in points),
+            sum(line_match(kind, *r[:4], t, v) for r in lines),
+        )
+        for op, rows, n_matched in zip(
+            report.operators, (points, lines), matched
+        ):
+            assert op.access == mode
+            assert op.actual_rows == n_matched
+            assert op.rows_fetched == (
+                len(rows) if mode == "scan"
+                else sum(r[0] <= t for r in rows)
             )
+
+    def test_refined_answers_match_scalar(self, backend_session,
+                                          walk_series):
+        sess = backend_session
+        candidates = set(oracle_pairs([sess.store], DROP))
+        for mode in ("scan", "index"):
+            hits = sess.search(DROP, mode=mode, data=walk_series)
+            assert hits and {hit.pair for hit in hits} <= candidates
+            assert hits == sess.search(DROP, mode="scan", data=walk_series)
 
 
 # ---------------------------------------------------------------------- #
-# differential: live snapshots under random seal schedules
+# differential: live snapshots under random seal schedules, shards
 # ---------------------------------------------------------------------- #
 
 
@@ -119,10 +134,13 @@ class TestLiveSnapshots:
     @settings(deadline=None, max_examples=10)
     @given(data=st.data())
     def test_snapshot_vectorized_equals_scalar(self, data):
+        """Live snapshot ≡ the oracle over a batch build of the same
+        observations, whatever the seal schedule."""
         seed = data.draw(st.integers(0, 2**16))
         n = data.draw(st.integers(min_value=120, max_value=260))
         series = random_walk_series(n, dt=300.0, step_std=0.8, seed=seed)
         live = LiveIndex(0.2, 8 * HOUR, seal_rows=2**62)
+        batch = SegDiffIndex(0.2, 8 * HOUR)
         try:
             lo = 0
             while lo < n:
@@ -132,31 +150,59 @@ class TestLiveSnapshots:
                 lo = hi
                 if lo < n and data.draw(st.booleans()):
                     live.seal()
+            batch.ingest_array(series.times, series.values)
+            batch.checkpoint()
             queries = [DROP, JumpQuery(2 * HOUR, 0.5),
                        DropQuery(4 * HOUR, -0.5)]
+            expect = [oracle_pairs([batch.store], q) for q in queries]
             with live.snapshot() as snap:
                 for mode in ("scan", "index"):
-                    for q in queries:
-                        assert (
-                            snap.execute(q, mode=mode).pairs
-                            == snap.execute(
-                                q, mode=mode, vectorize=False
-                            ).pairs
-                        )
-                    batch_v = snap.search_batch_results(queries, mode=mode)
-                    batch_s = snap.search_batch_results(
-                        queries, mode=mode, vectorize=False
-                    )
-                    assert (
-                        [r.pairs for r in batch_v]
-                        == [r.pairs for r in batch_s]
-                    )
+                    assert [
+                        snap.execute(q, mode=mode).pairs for q in queries
+                    ] == expect
+                    assert [
+                        r.pairs
+                        for r in snap.search_batch_results(queries, mode=mode)
+                    ] == expect
         finally:
             live.close()
+            batch.close()
+
+
+class TestSharded:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_sharded_pairs_equal_oracle_over_shard_rows(self, backend):
+        """The scatter-gather merge is the §4.4 union/dedup over the
+        shards' rows: same pairs, same order."""
+        # five half-day walks a week apart: shards split at the gaps
+        episodes = [
+            random_walk_series(150, dt=300.0, step_std=0.8, seed=seed)
+            for seed in range(5)
+        ]
+        series = TimeSeries(
+            times=np.concatenate([
+                ep.times + i * 7 * 24 * HOUR for i, ep in enumerate(episodes)
+            ]),
+            values=np.concatenate([ep.values for ep in episodes]),
+        )
+        with ShardedIndex.build(
+            series, 0.2, 8 * HOUR, n_shards=3, max_gap=24 * HOUR,
+            backend=backend, max_workers=2,
+        ) as sharded:
+            stores = [shard.primary.store for shard in sharded.shards]
+            for q in (DROP, JumpQuery(2 * HOUR, 0.5)):
+                expect = oracle_pairs(stores, q)
+                assert expect
+                for mode in ("scan", "index"):
+                    outcome = sharded.search_outcome(
+                        q.kind, q.t_threshold, q.v_threshold, mode=mode
+                    )
+                    assert outcome.status is ResultStatus.COMPLETE
+                    assert outcome.pairs == expect
 
 
 # ---------------------------------------------------------------------- #
-# resilience on the array path
+# resilience on the block path
 # ---------------------------------------------------------------------- #
 
 
@@ -166,14 +212,12 @@ class TestResilienceOnArrays:
             walk_series, 0.2, 8 * HOUR, backend="memory"
         )
         try:
+            # the first primitive call hangs, i.e. inside a block read
             wrapper = FaultyStoreWrapper(
                 index.store,
                 ReadFaultPolicy(hang_at={1}, hang_slice_s=0.01),
             )
             sess = QuerySession(wrapper)
-            # the engine must pick the array primitives on the wrapper,
-            # so the hang fires inside an array call
-            assert _use_arrays(wrapper, None)
             t0 = time.monotonic()
             with pytest.raises(QueryTimeout):
                 sess.search(DROP, mode="index", timeout_ms=150.0)
@@ -198,11 +242,11 @@ class TestResilienceOnArrays:
                 degrade_margin_ms=120_000.0,
             )
             sess = QuerySession(index.store, resilience=policy)
-            assert _use_arrays(index.store, None)
             outcome = sess.search_outcome(
                 DROP, mode="index", data=walk_series
             )
             assert outcome.status is ResultStatus.DEGRADED
+            assert outcome.pairs == oracle_pairs([index.store], DROP)
             # zero false negatives (Theorem 1): candidates ⊇ refined
             assert {hit.pair for hit in full} <= set(outcome.pairs)
         finally:
@@ -236,61 +280,17 @@ class TestColumnarInvalidation:
                 store.add(fs)
             first = store.scan_points_array("drop")
             assert not first.flags.writeable
-            ref = rows_to_block(list(store.scan_points("drop")), 6)
-            assert np.array_equal(first, ref)
+            assert first.tolist() == [
+                list(r) for r in table_rows(store, "drop_points")
+            ]
             # cached serve returns the identical block
             assert np.array_equal(store.scan_points_array("drop"), first)
             for fs in sets[2:]:
                 store.add(fs)
             second = store.scan_points_array("drop")
-            ref2 = rows_to_block(list(store.scan_points("drop")), 6)
             assert second.shape[0] > first.shape[0]
-            assert np.array_equal(second, ref2)
+            assert second.tolist() == [
+                list(r) for r in table_rows(store, "drop_points")
+            ]
         finally:
             store.close()
-
-
-# ---------------------------------------------------------------------- #
-# fault wrapper: scalar fallback for duck-typed stores
-# ---------------------------------------------------------------------- #
-
-
-class _ScalarOnlyStore:
-    """Duck-typed store exposing only the scalar read primitives."""
-
-    _ARRAY_NAMES = frozenset({
-        "scan_points_array", "probe_point_index_array",
-        "scan_lines_array", "probe_line_index_array",
-    })
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        if name in self._ARRAY_NAMES:
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
-class TestArrayFallback:
-    def test_wrapper_synthesizes_blocks_from_scalar_scans(self, walk_series):
-        index = SegDiffIndex.build(
-            walk_series, 0.2, 8 * HOUR, backend="memory"
-        )
-        try:
-            wrapper = FaultyStoreWrapper(_ScalarOnlyStore(index.store), None)
-            block = wrapper.scan_points_array("drop")
-            ref = rows_to_block(list(index.store.scan_points("drop")), 6)
-            assert np.array_equal(block, ref)
-            probe = wrapper.probe_line_index_array("jump", HOUR)
-            ref = rows_to_block(
-                list(index.store.probe_line_index("jump", HOUR)), 8
-            )
-            assert np.array_equal(probe, ref)
-            # engine over the fallback wrapper still matches scalar
-            expect = QuerySession(index.store, vectorize=False).search(
-                DROP, mode="index"
-            )
-            assert QuerySession(wrapper).search(DROP, mode="index") == expect
-        finally:
-            index.close()
