@@ -51,8 +51,6 @@ import math
 import os
 import re
 import threading
-import time
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,17 +60,17 @@ from ..engine.executor import (
     execute_batch_partitioned,
     execute_partitioned,
 )
+from ..engine.plan import build_plan
 from ..engine.resilience import ResultStatus
+from ..engine.session import QueryEnvelope
 from ..errors import (
     InvalidParameterError,
     QueryError,
     StorageError,
 )
-from ..obs import context as obs_context
 from ..obs import recorder as flight
-from ..obs import slowlog
-from ..obs.metrics import QUERY_LATENCY_BUCKETS, REGISTRY
-from ..obs.tracing import retain_trace, span
+from ..obs.metrics import REGISTRY
+from ..obs.tracing import span
 from ..segmentation.sliding_window import SlidingWindowSegmenter
 from ..storage.checksum import (
     diff_trees,
@@ -126,22 +124,6 @@ _EST_SEGMENT_BYTES = 32
 _MODES = ("auto", "index", "scan", "grid")
 
 _PARTITION_FILE_RE = re.compile(r"^p\d+\.(sqlite|minidb)$")
-
-_LIVE_QUERIES = {
-    api: REGISTRY.counter(
-        "repro_engine_queries_total",
-        "Queries answered by QuerySession", {"api": api},
-    )
-    for api in ("live_search", "live_search_batch")
-}
-_LIVE_QUERY_SECONDS = {
-    api: REGISTRY.histogram(
-        "repro_query_seconds",
-        "End-to-end query latency per session API", {"api": api},
-        buckets=QUERY_LATENCY_BUCKETS,
-    )
-    for api in ("live_search", "live_search_batch")
-}
 
 
 def _batch_feature_bounds(batch) -> Optional[Tuple[float, float]]:
@@ -1358,16 +1340,21 @@ class LiveSnapshot:
                 f"T={t_threshold} exceeds the index window w={self.window}"
             )
 
-    def _make_plan(self, query, mode: str, t_range):
-        from ..engine.plan import build_plan
-
+    def _make_plans(self, queries: Sequence, mode: str, t_range):
+        """``partition -> [plan per query]``: each partition's cost
+        model chooses under ``auto``, otherwise ``mode`` is forced."""
         if mode == "auto":
-            return lambda part: part.session().plan(
-                query, mode="auto", t_range=t_range
-            )
-        return lambda part: build_plan(
-            query, point_access=mode, t_range=t_range
-        )
+            return lambda part: [
+                part.session().plan(q, mode="auto", t_range=t_range)
+                for q in queries
+            ]
+        return lambda part: [
+            build_plan(q, point_access=mode, t_range=t_range)
+            for q in queries
+        ]
+
+    def _envelope(self, api: str) -> QueryEnvelope:
+        return QueryEnvelope(api, f"live/{self.backend}")
 
     def _query(self, kind: str, t_threshold: float, v_threshold: float):
         if kind not in ("drop", "jump"):
@@ -1401,68 +1388,9 @@ class LiveSnapshot:
             query, mode=mode, cache=cache, t_range=t_range,
             data=data, verified_only=verified_only,
         )
+        if result.error is not None:
+            raise result.error  # a partial answer must not pass silently
         return result.hits if data is not None else result.pairs
-
-    def _begin(self, api: str):
-        """Adopt the bound diagnostics context or open a new one."""
-        ctx = obs_context.current_context()
-        if ctx is not None:
-            return ctx, nullcontext(), False
-        ctx = obs_context.new_context(api=api)
-        return ctx, obs_context.use_context(ctx), True
-
-    def _observe_live(
-        self, api: str, plan: str, seconds: float, n_pairs: int,
-        result, ctx, owns: bool, status: str,
-        partitions_scanned: Optional[int] = None,
-        partitions_pruned: Optional[int] = None,
-    ) -> None:
-        """Per-query telemetry + slow-query log for the live tier.
-
-        Live-tier records carry the partition pruning decision and the
-        accounting breakdown, so a slow scatter names the partitions it
-        actually scanned.
-        """
-        _LIVE_QUERIES[api].inc()
-        _LIVE_QUERY_SECONDS[api].observe(seconds)
-        threshold = slowlog.default_threshold()
-        slow = threshold is not None and seconds >= threshold
-        if slow:
-            acct = ctx.accounting.to_dict()
-            slowlog.SLOW_QUERY_LOG.add(
-                slowlog.SlowQueryRecord(
-                    api=api,
-                    backend=f"live/{self.backend}",
-                    duration_s=seconds,
-                    threshold_s=threshold,
-                    plan=plan,
-                    n_pairs=n_pairs,
-                    operators=[
-                        {
-                            "operator": s.operator,
-                            "table": s.table,
-                            "access": s.access,
-                            "rows_fetched": s.rows_fetched,
-                            "rows_matched": s.rows_matched,
-                        }
-                        for s in (getattr(result, "op_stats", None) or [])
-                    ],
-                    query_id=ctx.query_id,
-                    status=status,
-                    partitions_scanned=partitions_scanned,
-                    partitions_pruned=partitions_pruned,
-                    shards=acct["breakdown"],
-                    accounting={
-                        "totals": acct["totals"],
-                        "candidate_matrices": acct["candidate_matrices"],
-                    },
-                )
-            )
-        if owns:
-            if slow or status != "complete":
-                for root in ctx.trace_roots:
-                    retain_trace(root)
-            del ctx.trace_roots[:]
 
     def execute(
         self,
@@ -1474,15 +1402,16 @@ class LiveSnapshot:
         verified_only: bool = False,
         pushdown: bool = True,
     ) -> ExecutionResult:
-        """:meth:`search` returning the full :class:`ExecutionResult`
-        (merged operator stats, partitions scanned/pruned)."""
+        """:meth:`search` returning the full :class:`ExecutionResult`:
+        merged operator stats, partitions scanned/pruned, and the
+        scatter's verdict — DEGRADED or FAILED with the lost partitions
+        named in ``completeness`` when some could not be read."""
         self._check(query.t_threshold, mode)
-        ctx, binder, owns = self._begin("live_search")
-        t0 = time.perf_counter()
-        with binder:
+        make_plans = self._make_plans([query], mode, t_range)
+        with self._envelope("live_search") as env:
             result = execute_partitioned(
                 query,
-                self._make_plan(query, mode, t_range),
+                lambda part: make_plans(part)[0],
                 self._all_partitions(),
                 t_range=t_range,
                 cache=cache,
@@ -1490,22 +1419,18 @@ class LiveSnapshot:
                 verified_only=verified_only,
                 pushdown=pushdown,
             )
-        self._observe_live(
-            "live_search",
-            plan=(
-                f"live[{self.n_partitions}p] {query.kind}"
+            # the record carries the pruning decision and the accounting
+            # breakdown, so a slow scatter names the partitions it scanned
+            env.done(
+                lambda: f"live[{self.n_partitions}p] {query.kind}"
                 f"(T={query.t_threshold:g}, V={query.v_threshold:g})"
-                f" mode={mode}"
-            ),
-            seconds=time.perf_counter() - t0,
-            n_pairs=len(result.pairs),
-            result=result,
-            ctx=ctx,
-            owns=owns,
-            status=result.status.value,
-            partitions_scanned=result.partitions_scanned,
-            partitions_pruned=result.partitions_pruned,
-        )
+                f" mode={mode}",
+                len(result.pairs),
+                result.status.value,
+                result.op_stats,
+                partitions_scanned=result.partitions_scanned,
+                partitions_pruned=result.partitions_pruned,
+            )
         return result
 
     def search_drops(
@@ -1557,53 +1482,22 @@ class LiveSnapshot:
             self._check(q.t_threshold, mode)
         if not queries:
             return []
-
-        def make_plans(part):
-            if mode == "auto":
-                session = part.session()
-                return [
-                    session.plan(q, mode="auto", t_range=t_range)
-                    for q in queries
-                ]
-            from ..engine.plan import build_plan
-
-            return [
-                build_plan(q, point_access=mode, t_range=t_range)
-                for q in queries
-            ]
-
-        ctx, binder, owns = self._begin("live_search_batch")
-        t0 = time.perf_counter()
-        with binder:
+        with self._envelope("live_search_batch") as env:
             results = execute_batch_partitioned(
-                make_plans,
+                self._make_plans(queries, mode, t_range),
                 self._all_partitions(),
                 n_queries=len(queries),
                 t_range=t_range,
                 cache=cache,
             )
-        if any(r.status is ResultStatus.FAILED for r in results):
-            status = "failed"
-        elif any(r.status is ResultStatus.DEGRADED for r in results):
-            status = "degraded"
-        else:
-            status = "complete"
-        first = results[0] if results else None
-        self._observe_live(
-            "live_search_batch",
-            plan=(
-                f"live[{self.n_partitions}p] batch[{len(queries)}q]"
-                f" mode={mode}"
-            ),
-            seconds=time.perf_counter() - t0,
-            n_pairs=sum(len(r.pairs) for r in results),
-            result=first,
-            ctx=ctx,
-            owns=owns,
-            status=status,
-            partitions_scanned=getattr(first, "partitions_scanned", None),
-            partitions_pruned=getattr(first, "partitions_pruned", None),
-        )
+            env.done_batch(
+                lambda: f"live[{self.n_partitions}p] batch[{len(queries)}q]"
+                f" mode={mode}",
+                results,
+                op_stats=results[0].op_stats,
+                partitions_scanned=results[0].partitions_scanned,
+                partitions_pruned=results[0].partitions_pruned,
+            )
         return results
 
     def explain(
@@ -1619,20 +1513,17 @@ class LiveSnapshot:
         fetched counts are true candidate sizes) and reports the pruning
         decision alongside merged operator statistics."""
         query = self._query(kind, t_threshold, v_threshold)
-        ctx, binder, owns = self._begin("live_search")
-        try:
-            with binder:
-                result = self.execute(
-                    query, mode=mode, cache=cache, t_range=t_range,
-                    pushdown=False,
-                )
-        finally:
-            if owns:
-                del ctx.trace_roots[:]
+        # the outer envelope only owns the context, so the accounting can
+        # be read back; the query is reported once, by ``execute``
+        with self._envelope("live_search") as env:
+            result = self.execute(
+                query, mode=mode, cache=cache, t_range=t_range,
+                pushdown=False,
+            )
         return {
             "query": query,
-            "query_id": ctx.query_id,
-            "accounting": ctx.accounting.to_dict(),
+            "query_id": env.ctx.query_id,
+            "accounting": env.ctx.accounting.to_dict(),
             "t_range": t_range,
             "generation": self.generation,
             "watermark": self.watermark,
@@ -1640,16 +1531,7 @@ class LiveSnapshot:
             "partitions_scanned": result.partitions_scanned,
             "partitions_pruned": result.partitions_pruned,
             "n_pairs": len(result.pairs),
-            "operators": [
-                {
-                    "operator": s.operator,
-                    "table": s.table,
-                    "access": s.access,
-                    "rows_fetched": s.rows_fetched,
-                    "rows_matched": s.rows_matched,
-                }
-                for s in result.op_stats
-            ],
+            "operators": [s.to_dict() for s in result.op_stats],
         }
 
     # -------------------------------------------------------------- #

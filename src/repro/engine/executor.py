@@ -29,7 +29,7 @@ fast path for the Figures 16-24 workload.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +105,10 @@ class OperatorStats:
     rows_fetched: int  # candidate rows the primitive returned
     rows_matched: int  # rows surviving the exact predicate
 
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON form the slow-query log and EXPLAIN carry."""
+        return asdict(self)
+
 
 @dataclass
 class ExecutionResult:
@@ -126,11 +130,12 @@ class ExecutionResult:
     status: ResultStatus = ResultStatus.COMPLETE
     completeness: Optional[CompletenessReport] = None
     error: Optional[BaseException] = None
-    # set by the partitioned entry points; None on single-store execution
+    # set by the partitioned entry points (whose ``completeness`` names
+    # the partitions that answered); None on single-store execution
     partitions_scanned: Optional[int] = None
     partitions_pruned: Optional[int] = None
     #: The deduped ``(len(pairs), 4)`` ident matrix behind ``pairs`` —
-    #: lets partitioned merges union arrays instead of tuple sets.
+    #: what :func:`_gather` unions instead of tuple sets.
     #: Excluded from equality: an ndarray would poison dataclass ``==``.
     ident_rows: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
@@ -539,34 +544,118 @@ def execute_batch(
 
 
 # ---------------------------------------------------------------------- #
-# partitioned execution (time-partitioned live indexes)
+# scatter–gather (time partitions of one stream, shards of a transect)
 # ---------------------------------------------------------------------- #
 #
+# The §4.4 answer is a set union, so matches(∪ children) = ∪ matches(child)
+# whatever the children are.  A child is an id, a routing predicate its
+# owner evaluates before the scatter (a skipped child can contribute no
+# matching pair) and a ``run``; the union reproduces the single-store
+# answer bit for bit because the dedup sort order of
+# :func:`_union_dedup_rows` is total and content-determined.
+
+
+def _scatter(
+    labels: Sequence[str],
+    children: Sequence,
+    run: Callable,
+    scatter_span: str,
+    scope: str,
+    child_span: Optional[str] = None,
+    pool=None,
+    **attrs,
+) -> List:
+    """THE scatter loop: ``run(child)`` per child, aligned with ``children``.
+
+    Each child runs under the accounting scope ``scope=label`` (``"shard"``
+    or ``"partition"``) and, when ``child_span`` names one, its own span.
+    Children run inline, or on ``pool``: thread-locals do not cross a
+    ``ThreadPoolExecutor``, so each worker rebinds the handed-off query
+    context and parents its spans on the scatter span — one connected
+    trace tree per query instead of per-thread orphans.  A child that
+    raises :class:`QueryTimeout`, :class:`StorageError` or ``OSError`` is
+    *lost*: its slot holds the exception for :func:`_gather` to name.
+    """
+    with span(scatter_span) as ss:
+        for key, value in attrs.items():
+            ss.set_attribute(key, value)
+        ctx = obs_context.current_context()
+        handed = (
+            ctx.handoff(ss) if pool is not None and ctx is not None else None
+        )
+
+        def call(label, child):
+            bind = (
+                obs_context.bind_scope(**{scope: label}) if handed is None
+                else obs_context.use_context(handed, **{scope: label})
+            )
+            try:
+                with bind:
+                    if child_span is None:
+                        return run(child)
+                    with span(child_span) as cs:
+                        cs.set_attribute(scope, label)
+                        return run(child)
+            except (QueryTimeout, StorageError, OSError) as exc:
+                return exc
+
+        if pool is None:
+            return [call(*lc) for lc in zip(labels, children)]
+        return list(pool.map(call, labels, children))
+
+
+def _gather(
+    labels: Sequence[str], results: Sequence, noun: str
+) -> Tuple[np.ndarray, List[SegmentPair], ResultStatus,
+           CompletenessReport, Optional[BaseException]]:
+    """THE verdict over one scatter: union the children, name the lost.
+
+    ``results[i]`` is child ``labels[i]``'s answer — anything carrying
+    ``ident_rows`` and ``status`` — or the exception that lost it (a
+    FAILED answer counts as lost, its ``error`` as the cause).  Nothing
+    lost and nothing degraded is COMPLETE; something lost or degraded is
+    DEGRADED (the union of the survivors is honest but incomplete);
+    everything lost is FAILED.  The report names finished and lost
+    children by id.
+    """
+    ok: List[str] = []
+    lost: List[str] = []
+    blocks: List[np.ndarray] = []
+    degraded = False
+    error: Optional[BaseException] = None
+    for label, result in zip(labels, results):
+        raised = isinstance(result, BaseException)
+        if raised or result.status is ResultStatus.FAILED:
+            lost.append(label)
+            error = result if raised else result.error
+            continue
+        ok.append(label)
+        degraded = degraded or result.status is ResultStatus.DEGRADED
+        blocks.append(result.ident_rows)
+    ident_rows, pairs = _union_dedup_rows(blocks)
+    if not lost and not degraded:
+        status = ResultStatus.COMPLETE
+        reason = "" if ok else f"no {noun} overlaps the predicate"
+    elif not ok:
+        status = ResultStatus.FAILED
+        reason = f"every routed {noun} failed"
+    else:
+        status = ResultStatus.DEGRADED
+        if lost:
+            reason = f"lost {noun}(s): {', '.join(lost)}"
+            record_degraded()
+        else:
+            reason = f"{noun} answered degraded (refine pass skipped)"
+    report = CompletenessReport(tuple(ok), tuple(lost), reason)
+    return ident_rows, pairs, status, report, error
+
+
 # A partition is anything exposing ``store``, ``overlaps_time(t_range)``
-# and (optionally) ``read_lock`` — a lock the executor holds around reads
-# on backends whose concurrent reads are unsafe.  Partition pruning is
-# sound because ``overlaps_time`` tests the partition's *feature* extent
-# (min t_d .. max t_a over stored rows), so a partition skipped for a
-# ``t_range`` can contribute no matching pair; and the §4.4 answer is a
-# set union, so matches(∪ partitions) = ∪ matches(partition) — the merge
-# below reproduces the single-store answer bit for bit (the dedup sort
-# order of :func:`_union_dedup_rows` is total and content-determined).
-
-
-def _read_ctx(partition):
-    lock = getattr(partition, "read_lock", None)
-    return lock if lock is not None else nullcontext()
-
-
-def _split_kept(partitions: Sequence, t_range) -> Tuple[List, int]:
-    kept = [p for p in partitions if p.overlaps_time(t_range)]
-    pruned = len(partitions) - len(kept)
-    _PARTITIONS_SCANNED.inc(len(kept))
-    if pruned:
-        _PARTITIONS_PRUNED.inc(pruned)
-    obs_context.account(partitions_scanned=len(kept),
-                        partitions_pruned=pruned)
-    return kept, pruned
+# and (optionally) ``read_lock`` — a lock held around every read, planning
+# included (a cost-model sample scans the table through the same buffer
+# pool), on backends whose concurrent reads are unsafe.  ``overlaps_time``
+# tests the partition's *feature* extent (min t_d .. max t_a over stored
+# rows), which is what makes pruning sound.
 
 
 def _partition_id(part, i: int) -> str:
@@ -576,26 +665,73 @@ def _partition_id(part, i: int) -> str:
     return str(pid) if pid is not None else f"part{i}"
 
 
-def _merge_op_stats(
-    results: Sequence[ExecutionResult], kind: str
-) -> List[OperatorStats]:
-    """Sum per-operator row counts across partitions."""
-    merged: List[OperatorStats] = []
-    for op, table in (
-        ("point_range", f"{kind}_points"), ("line_cross", f"{kind}_lines")
-    ):
-        stats = [s for r in results for s in r.op_stats if s.operator == op]
-        accesses = sorted({s.access for s in stats})
-        merged.append(
+def _scatter_partitions(
+    partitions: Sequence, t_range, run: Callable, **attrs
+) -> Tuple[List[str], List, int]:
+    """Prune by feature-time bounds, then scatter ``run`` inline over
+    the survivors, each under its read lock: ``(ids, results, pruned)``."""
+    kept = [p for p in partitions if p.overlaps_time(t_range)]
+    pruned = len(partitions) - len(kept)
+    _PARTITIONS_SCANNED.inc(len(kept))
+    if pruned:
+        _PARTITIONS_PRUNED.inc(pruned)
+    obs_context.account(partitions_scanned=len(kept),
+                        partitions_pruned=pruned)
+
+    def locked(part):
+        lock = getattr(part, "read_lock", None)
+        with lock if lock is not None else nullcontext():
+            return run(part)
+
+    labels = [_partition_id(p, i) for i, p in enumerate(kept)]
+    results = _scatter(
+        labels, kept, locked, "op.partition_scatter", "partition",
+        child_span="partition.execute",
+        partitions=len(partitions), pruned=pruned, **attrs,
+    )
+    return labels, results, pruned
+
+
+def _gather_partitions(
+    labels: Sequence[str], results: Sequence, pruned: int,
+    kind: Optional[str] = None,
+) -> ExecutionResult:
+    """The :func:`_gather` verdict as one :class:`ExecutionResult`, with
+    per-operator row counts summed over the partitions that answered
+    (``kind`` names the tables when none did)."""
+    ident_rows, pairs, status, report, error = _gather(
+        labels, results, "partition"
+    )
+    stats = [
+        s for r in results if isinstance(r, ExecutionResult)
+        for s in r.op_stats
+    ]
+    if kind is None and stats:
+        kind = stats[0].table.rsplit("_", 1)[0]
+    op_stats: List[OperatorStats] = []
+    operators = (("point_range", "points"), ("line_cross", "lines"))
+    for op, group in operators if kind is not None else ():
+        mine = [s for s in stats if s.operator == op]
+        accesses = sorted({s.access for s in mine})
+        op_stats.append(
             OperatorStats(
                 operator=op,
-                table=table,
+                table=f"{kind}_{group}",
                 access="+".join(accesses) if accesses else "none",
-                rows_fetched=sum(s.rows_fetched for s in stats),
-                rows_matched=sum(s.rows_matched for s in stats),
+                rows_fetched=sum(s.rows_fetched for s in mine),
+                rows_matched=sum(s.rows_matched for s in mine),
             )
         )
-    return merged
+    return ExecutionResult(
+        pairs=pairs,
+        op_stats=op_stats,
+        status=status,
+        completeness=report,
+        error=error,
+        partitions_scanned=len(labels),
+        partitions_pruned=pruned,
+        ident_rows=ident_rows,
+    )
 
 
 def execute_partitioned(
@@ -617,37 +753,17 @@ def execute_partitioned(
     stripped — refinement runs once over the merged pairs) and their
     answers are unioned with the standard dedup ordering, so the result
     is identical to executing against one store holding all partitions'
-    rows.
+    rows.  A partition that fails is lost, not fatal: the result is
+    then DEGRADED (FAILED when every partition was lost) and its
+    completeness report names the lost partitions — see :func:`_gather`.
     """
-    kept, pruned = _split_kept(partitions, t_range)
-    with span("op.partition_scatter") as ss:
-        ss.set_attribute("partitions", len(partitions))
-        ss.set_attribute("pruned", pruned)
-        results = []
-        for i, part in enumerate(kept):
-            pid = _partition_id(part, i)
-            plan = replace(
-                make_plan(part), t_range=t_range, refine_op=None
-            )
-            # the partition scope labels every store/executor accounting
-            # contribution below with this partition's id
-            with span("partition.execute") as pspan, \
-                    obs_context.bind_scope(partition=pid), _read_ctx(part):
-                pspan.set_attribute("partition", pid)
-                results.append(
-                    execute(plan, part.store, cache=cache,
-                            pushdown=pushdown, guard=guard)
-                )
-    merged_rows, merged_pairs = _union_dedup_rows(
-        [r.ident_rows for r in results]
-    )
-    merged = ExecutionResult(
-        pairs=merged_pairs,
-        op_stats=_merge_op_stats(results, query.kind),
-        partitions_scanned=len(kept),
-        partitions_pruned=pruned,
-        ident_rows=merged_rows,
-    )
+    def run(part):
+        plan = replace(make_plan(part), t_range=t_range, refine_op=None)
+        return execute(plan, part.store, cache=cache, pushdown=pushdown,
+                       guard=guard)
+
+    labels, results, pruned = _scatter_partitions(partitions, t_range, run)
+    merged = _gather_partitions(labels, results, pruned, query.kind)
     if data is not None:
         with span("op.refine") as rs:
             merged.hits = rank_hits(
@@ -673,70 +789,28 @@ def execute_batch_partitioned(
 
     Each surviving partition answers the grid through
     :func:`execute_batch` (one shared candidate fetch per kind, the
-    existing fast path); cell ``i`` of the returned list unions cell
+    existing fast path); cell ``i`` of the returned list gathers cell
     ``i`` of every partition.  Per-partition failures stay isolated: a
     cell that failed on *some* partitions but succeeded on others comes
     back DEGRADED (merged pairs are honest-but-incomplete, the report
     names the lost partitions); a cell that failed everywhere is FAILED.
     """
-    kept, pruned = _split_kept(partitions, t_range)
-    per_partition: List[List[ExecutionResult]] = []
-    with span("op.partition_scatter") as ss:
-        ss.set_attribute("partitions", len(partitions))
-        ss.set_attribute("pruned", pruned)
-        ss.set_attribute("queries", n_queries)
-        for i, part in enumerate(kept):
-            pid = _partition_id(part, i)
-            plans = [
-                replace(p, t_range=t_range, refine_op=None)
-                for p in make_plans(part)
-            ]
-            with span("partition.execute") as pspan, \
-                    obs_context.bind_scope(partition=pid), _read_ctx(part):
-                pspan.set_attribute("partition", pid)
-                pspan.set_attribute("queries", n_queries)
-                per_partition.append(
-                    execute_batch(plans, part.store, cache=cache,
-                                  guard=guard)
-                )
+    def run(part):
+        plans = [
+            replace(p, t_range=t_range, refine_op=None)
+            for p in make_plans(part)
+        ]
+        return execute_batch(plans, part.store, cache=cache, guard=guard)
 
-    merged: List[ExecutionResult] = []
-    for i in range(n_queries):
-        cells = [results[i] for results in per_partition]
-        good = [c for c in cells if c.status is not ResultStatus.FAILED]
-        failed = [c for c in cells if c.status is ResultStatus.FAILED]
-        kind = None
-        for c in cells:
-            for s in c.op_stats:
-                kind = s.table.rsplit("_", 1)[0]
-                break
-            if kind:
-                break
-        cell_rows, cell_pairs = _union_dedup_rows(
-            [c.ident_rows for c in good]
+    labels, per_partition, pruned = _scatter_partitions(
+        partitions, t_range, run, queries=n_queries
+    )
+    return [
+        _gather_partitions(
+            labels,
+            [r if isinstance(r, BaseException) else r[i]
+             for r in per_partition],
+            pruned,
         )
-        out = ExecutionResult(
-            pairs=cell_pairs,
-            op_stats=_merge_op_stats(good, kind) if kind else [],
-            partitions_scanned=len(kept),
-            partitions_pruned=pruned,
-            ident_rows=cell_rows,
-        )
-        if failed:
-            report = CompletenessReport(
-                unfinished=tuple(
-                    f"partition[{j}]" for j, c in enumerate(cells)
-                    if c.status is ResultStatus.FAILED
-                ),
-                reason=f"{len(failed)}/{len(cells)} partitions failed: "
-                       f"{failed[0].error}",
-            )
-            out.error = failed[0].error
-            out.completeness = report
-            out.status = (
-                ResultStatus.FAILED if not good else ResultStatus.DEGRADED
-            )
-            if out.status is ResultStatus.DEGRADED:
-                record_degraded()
-        merged.append(out)
-    return merged
+        for i in range(n_queries)
+    ]

@@ -20,9 +20,9 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidParameterError, QueryRejected, QueryTimeout
+from ..errors import InvalidParameterError, QueryTimeout
 from ..obs import context as obs_context
 from ..obs import recorder as flight
 from ..obs import slowlog
@@ -45,20 +45,25 @@ __all__ = ["QuerySession", "OperatorExplain", "ExplainReport"]
 
 _MODES = ("auto", "index", "scan", "grid")
 
+#: Every query API an envelope reports under: one store, the live tier's
+#: partition scatter, the sharded fan-out.
+_APIS = ("search", "search_batch", "explain", "live_search",
+         "live_search_batch", "shard_search")
+
 _QUERIES = {
     api: REGISTRY.counter(
         "repro_engine_queries_total",
-        "Queries answered by QuerySession", {"api": api},
+        "Queries answered, per query API", {"api": api},
     )
-    for api in ("search", "search_batch", "explain")
+    for api in _APIS
 }
 _QUERY_SECONDS = {
     api: REGISTRY.histogram(
         "repro_query_seconds",
-        "End-to-end query latency per session API", {"api": api},
+        "End-to-end query latency per query API", {"api": api},
         buckets=QUERY_LATENCY_BUCKETS,
     )
-    for api in ("search", "search_batch", "explain")
+    for api in _APIS
 }
 _QUERY_PAIRS = REGISTRY.histogram(
     "repro_query_pairs", "Distinct pairs returned per query",
@@ -68,6 +73,102 @@ _SLOW_QUERIES = REGISTRY.counter(
     "repro_query_slow_total",
     "Queries exceeding the slow-query threshold",
 )
+
+
+class QueryEnvelope:
+    """THE wrapper around one query, whatever tier answers it::
+
+        with QueryEnvelope("search", backend) as env:
+            ...                     # run under env.ctx
+            env.done(plan.describe, n_pairs, status, op_stats)
+
+    Entering adopts the diagnostics context already bound on this thread
+    (a scatter worker, ``segdiff debug``) or opens and binds a new one —
+    whoever opened it *owns* the tail-retention decision.  :meth:`done`
+    counts the query, times it and feeds the slow-query log.  Leaving,
+    the owner keeps the query's trace only when it was slow, unhealthy,
+    or left by an exception (timed out, shed, failed), and always clears
+    the context's parked roots.
+    """
+
+    def __init__(self, api: str, backend: str,
+                 threshold: Optional[float] = None) -> None:
+        self.api = api
+        self.backend = backend
+        #: Seconds at which the query counts as slow (``None``: the
+        #: process-wide default of ``repro.obs.slowlog``).
+        self.threshold = threshold
+        self._retain = False
+
+    def __enter__(self) -> "QueryEnvelope":
+        self.ctx = obs_context.current_context()
+        self._binder = None
+        if self.ctx is None:
+            self.ctx = obs_context.new_context(api=self.api)
+            self._binder = obs_context.use_context(self.ctx)
+            self._binder.__enter__()
+        self._t0 = time.perf_counter()
+        return self
+
+    def done(self, describe: Callable[[], str], n_pairs: int,
+             status: str = "complete", op_stats=(),
+             partitions_scanned: Optional[int] = None,
+             partitions_pruned: Optional[int] = None) -> None:
+        """Record the answered query's telemetry (``describe()`` names
+        the executed plan; only a slow query pays for the string)."""
+        seconds = time.perf_counter() - self._t0
+        _QUERIES[self.api].inc()
+        _QUERY_SECONDS[self.api].observe(seconds)
+        _QUERY_PAIRS.observe(n_pairs)
+        threshold = self.threshold
+        if threshold is None:
+            threshold = slowlog.default_threshold()
+        slow = threshold is not None and seconds >= threshold
+        self._retain = slow or status != "complete"
+        if not slow:
+            return
+        _SLOW_QUERIES.inc()
+        acct = self.ctx.accounting.to_dict()
+        slowlog.SLOW_QUERY_LOG.add(
+            slowlog.SlowQueryRecord(
+                api=self.api,
+                backend=self.backend,
+                duration_s=seconds,
+                threshold_s=threshold,
+                plan=describe(),
+                n_pairs=n_pairs,
+                operators=[s.to_dict() for s in op_stats],
+                query_id=self.ctx.query_id,
+                status=status,
+                partitions_scanned=partitions_scanned,
+                partitions_pruned=partitions_pruned,
+                shards=acct["breakdown"],
+                accounting={
+                    "totals": acct["totals"],
+                    "candidate_matrices": acct["candidate_matrices"],
+                },
+            )
+        )
+
+    def done_batch(self, describe: Callable[[], str],
+                   results: Sequence[ExecutionResult], **parts) -> None:
+        """:meth:`done` for a grid: pairs summed, the worst cell's status."""
+        statuses = {r.status for r in results}
+        worst = next(
+            (s for s in (ResultStatus.FAILED, ResultStatus.DEGRADED)
+             if s in statuses),
+            ResultStatus.COMPLETE,
+        )
+        self.done(describe, sum(len(r.pairs) for r in results),
+                  worst.value, **parts)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._binder is not None:
+            self._binder.__exit__(exc_type, exc, tb)
+            if self._retain or exc_type is not None:
+                for root in self.ctx.trace_roots:
+                    retain_trace(root)
+            del self.ctx.trace_roots[:]
 
 
 @dataclass(frozen=True)
@@ -302,86 +403,11 @@ class QuerySession:
         after = self._io_stats()
         return result, before, after
 
-    def _slow_threshold(self) -> Optional[float]:
-        threshold = self.slow_query_threshold
-        if threshold is None:
-            threshold = slowlog.default_threshold()
-        return threshold
-
-    def _begin_query(self, api: str):
-        """Adopt the bound context (scatter worker) or open a new one.
-
-        Returns ``(ctx, binder, owns)``: ``owns`` is True when this
-        session created the context and is responsible for the
-        tail-retention decision at the end of the query.
-        """
-        ctx = obs_context.current_context()
-        if ctx is not None:
-            return ctx, nullcontext(), False
-        ctx = obs_context.new_context(api=api)
-        return ctx, obs_context.use_context(ctx), True
-
-    @staticmethod
-    def _finish_query(ctx, retain: bool) -> None:
-        """Tail-based retention: keep the query's trace only when it was
-        slow, degraded, failed, timed out, or shed."""
-        if retain:
-            for root in ctx.trace_roots:
-                retain_trace(root)
-        del ctx.trace_roots[:]
-
-    def _observe_query(
-        self,
-        api: str,
-        plan: QueryPlan,
-        seconds: float,
-        n_pairs: int,
-        op_stats=None,
-        ctx=None,
-        status: str = "complete",
-        partitions_scanned: Optional[int] = None,
-        partitions_pruned: Optional[int] = None,
-    ) -> None:
-        """Record per-query telemetry and feed the slow-query log."""
-        _QUERIES[api].inc()
-        _QUERY_SECONDS[api].observe(seconds)
-        _QUERY_PAIRS.observe(n_pairs)
-        threshold = self._slow_threshold()
-        if threshold is not None and seconds >= threshold:
-            _SLOW_QUERIES.inc()
-            acct = ctx.accounting.to_dict() if ctx is not None else None
-            slowlog.SLOW_QUERY_LOG.add(
-                slowlog.SlowQueryRecord(
-                    api=api,
-                    backend=getattr(self.store, "BACKEND", "unknown"),
-                    duration_s=seconds,
-                    threshold_s=threshold,
-                    plan=plan.describe(),
-                    n_pairs=n_pairs,
-                    operators=[
-                        {
-                            "operator": s.operator,
-                            "table": s.table,
-                            "access": s.access,
-                            "rows_fetched": s.rows_fetched,
-                            "rows_matched": s.rows_matched,
-                        }
-                        for s in (op_stats or [])
-                    ],
-                    query_id=ctx.query_id if ctx is not None else None,
-                    status=status,
-                    partitions_scanned=partitions_scanned,
-                    partitions_pruned=partitions_pruned,
-                    shards=acct["breakdown"] if acct is not None else [],
-                    accounting=(
-                        {
-                            "totals": acct["totals"],
-                            "candidate_matrices": acct["candidate_matrices"],
-                        }
-                        if acct is not None else None
-                    ),
-                )
-            )
+    def _envelope(self, api: str) -> QueryEnvelope:
+        return QueryEnvelope(
+            api, getattr(self.store, "BACKEND", "unknown"),
+            self.slow_query_threshold,
+        )
 
     def search(
         self,
@@ -434,59 +460,41 @@ class QuerySession:
         refine = (
             RefineOp(verified_only=verified_only) if data is not None else None
         )
-        ctx, binder, owns = self._begin_query("search")
-        t0 = time.perf_counter()
-        try:
-            with binder, self._admit(guard):
-                try:
-                    with span("query.search") as root:
-                        root.set_attribute("query_id", ctx.query_id)
-                        shard, _ = obs_context.current_scope()
-                        if shard is not None:
-                            root.set_attribute("shard", shard)
-                        with span("query.plan"):
-                            plan = self.plan(query, mode=mode, t_range=t_range)
-                        if refine is not None:
-                            plan = QueryPlan(
-                                query=plan.query,
-                                point_op=plan.point_op,
-                                line_op=plan.line_op,
-                                refine_op=refine,
-                                t_range=plan.t_range,
-                            )
-                        result = self._execute(plan, cache, data, guard=guard)
-                        root.set_attribute(
-                            "backend",
-                            getattr(self.store, "BACKEND", "unknown"),
+        with self._envelope("search") as env, self._admit(guard):
+            try:
+                with span("query.search") as root:
+                    root.set_attribute("query_id", env.ctx.query_id)
+                    shard, _ = obs_context.current_scope()
+                    if shard is not None:
+                        root.set_attribute("shard", shard)
+                    with span("query.plan"):
+                        plan = self.plan(query, mode=mode, t_range=t_range)
+                    if refine is not None:
+                        plan = QueryPlan(
+                            query=plan.query,
+                            point_op=plan.point_op,
+                            line_op=plan.line_op,
+                            refine_op=refine,
+                            t_range=plan.t_range,
                         )
-                        root.set_attribute("kind", query.kind)
-                        root.set_attribute("pairs", len(result.pairs))
-                except QueryTimeout:
-                    record_timeout()
-                    raise
-        except (QueryTimeout, QueryRejected):
-            # timed-out and shed queries always keep their trace
-            if owns:
-                self._finish_query(ctx, retain=True)
-            raise
-        seconds = time.perf_counter() - t0
-        self._observe_query(
-            "search", plan, seconds, len(result.pairs), result.op_stats,
-            ctx=ctx, status=result.status.value,
-        )
+                    result = self._execute(plan, cache, data, guard=guard)
+                    root.set_attribute("backend", env.backend)
+                    root.set_attribute("kind", query.kind)
+                    root.set_attribute("pairs", len(result.pairs))
+            except QueryTimeout:
+                record_timeout()
+                raise
+            env.done(plan.describe, len(result.pairs),
+                     result.status.value, result.op_stats)
         unhealthy = result.status is not ResultStatus.COMPLETE
-        if owns:
-            threshold = self._slow_threshold()
-            slow = threshold is not None and seconds >= threshold
-            self._finish_query(ctx, retain=unhealthy or slow)
         return QueryOutcome(
             pairs=result.pairs,
             hits=result.hits,
             status=result.status,
             completeness=result.completeness,
             ident_rows=result.ident_rows,
-            query_id=ctx.query_id,
-            accounting=ctx.accounting,
+            query_id=env.ctx.query_id,
+            accounting=env.ctx.accounting,
             recorder_tail=(
                 flight.RECORDER.tail_dicts(32) if unhealthy else None
             ),
@@ -539,57 +547,27 @@ class QuerySession:
                 "batched execution supports 'auto', 'index' and 'scan'"
             )
         guard = self._make_guard(timeout_ms, None)
-        ctx, binder, owns = self._begin_query("search_batch")
-        t0 = time.perf_counter()
-        try:
-            with binder, self._admit(guard):
-                try:
-                    with span("query.search_batch") as root:
-                        root.set_attribute("query_id", ctx.query_id)
-                        with span("query.plan"):
-                            plans = [
-                                self.plan(q, mode=mode, t_range=t_range)
-                                for q in queries
-                            ]
-                        if self._lock is None:
-                            results = execute_batch(plans, self.store,
-                                                    cache=cache, guard=guard)
-                        else:
-                            with self._lock:
-                                results = execute_batch(
-                                    plans, self.store, cache=cache,
-                                    guard=guard,
-                                )
-                        root.set_attribute("queries", len(plans))
-                except QueryTimeout:
-                    record_timeout()
-                    raise
-        except (QueryTimeout, QueryRejected):
-            if owns:
-                self._finish_query(ctx, retain=True)
-            raise
-        seconds = time.perf_counter() - t0
+        with self._envelope("search_batch") as env, self._admit(guard):
+            try:
+                with span("query.search_batch") as root:
+                    root.set_attribute("query_id", env.ctx.query_id)
+                    with span("query.plan"):
+                        plans = [
+                            self.plan(q, mode=mode, t_range=t_range)
+                            for q in queries
+                        ]
+                    with self._lock or nullcontext():
+                        results = execute_batch(plans, self.store,
+                                                cache=cache, guard=guard)
+                    root.set_attribute("queries", len(plans))
+            except QueryTimeout:
+                record_timeout()
+                raise
+            if plans:
+                env.done_batch(plans[0].describe, results)
         unhealthy = any(
             r.status is not ResultStatus.COMPLETE for r in results
         )
-        if unhealthy:
-            batch_status = (
-                "failed"
-                if any(r.status is ResultStatus.FAILED for r in results)
-                else "degraded"
-            )
-        else:
-            batch_status = "complete"
-        if plans:
-            n_pairs = sum(len(r.pairs) for r in results)
-            self._observe_query(
-                "search_batch", plans[0], seconds, n_pairs,
-                ctx=ctx, status=batch_status,
-            )
-        if owns:
-            threshold = self._slow_threshold()
-            slow = threshold is not None and seconds >= threshold
-            self._finish_query(ctx, retain=unhealthy or slow)
         tail = flight.RECORDER.tail_dicts(32) if unhealthy else None
         return [
             QueryOutcome(
@@ -598,8 +576,8 @@ class QuerySession:
                 completeness=r.completeness,
                 error=r.error,
                 ident_rows=r.ident_rows,
-                query_id=ctx.query_id,
-                accounting=ctx.accounting,
+                query_id=env.ctx.query_id,
+                accounting=env.ctx.accounting,
                 recorder_tail=(
                     tail if r.status is not ResultStatus.COMPLETE else None
                 ),
@@ -620,36 +598,27 @@ class QuerySession:
         Pushdown is disabled for the run so ``rows_fetched`` reports the
         true candidate-set size of each access path.
         """
-        ctx, binder, owns = self._begin_query("explain")
-        t0 = time.perf_counter()
-        with binder, self._admit(None), span("query.explain") as root:
-            root.set_attribute("query_id", ctx.query_id)
-            with span("query.plan"):
-                plan = self.plan(query, mode=mode, t_range=t_range)
-            # snapshots and execution happen atomically under the session
-            # lock — concurrent sessions on the same store can no longer
-            # misattribute each other's pager traffic
-            result, stats_before, stats_after = self._execute_with_io(
-                plan, cache, None, pushdown=False
-            )
-            root.set_attribute("kind", query.kind)
-            pages_read = cache_hits = cache_misses = None
-            if stats_before is not None and stats_after is not None:
-                delta = stats_after.delta(stats_before)
-                pages_read = delta.page_reads
-                cache_hits = delta.hits
-                cache_misses = delta.misses
-                obs_context.account(pages_read=pages_read)
-        seconds = time.perf_counter() - t0
-        self._observe_query(
-            "explain", plan, seconds, len(result.pairs), result.op_stats,
-            ctx=ctx,
-        )
-        if owns:
-            threshold = self._slow_threshold()
-            self._finish_query(
-                ctx, retain=threshold is not None and seconds >= threshold
-            )
+        with self._envelope("explain") as env, self._admit(None):
+            with span("query.explain") as root:
+                root.set_attribute("query_id", env.ctx.query_id)
+                with span("query.plan"):
+                    plan = self.plan(query, mode=mode, t_range=t_range)
+                # snapshots and execution happen atomically under the session
+                # lock — concurrent sessions on the same store can no longer
+                # misattribute each other's pager traffic
+                result, stats_before, stats_after = self._execute_with_io(
+                    plan, cache, None, pushdown=False
+                )
+                root.set_attribute("kind", query.kind)
+                pages_read = cache_hits = cache_misses = None
+                if stats_before is not None and stats_after is not None:
+                    delta = stats_after.delta(stats_before)
+                    pages_read = delta.page_reads
+                    cache_hits = delta.hits
+                    cache_misses = delta.misses
+                    obs_context.account(pages_read=pages_read)
+            env.done(plan.describe, len(result.pairs),
+                     op_stats=result.op_stats)
 
         counts = self.store.counts()
         ops: List[OperatorExplain] = []
@@ -694,8 +663,8 @@ class QuerySession:
             pages_read=pages_read,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            query_id=ctx.query_id,
-            accounting=ctx.accounting.to_dict(),
+            query_id=env.ctx.query_id,
+            accounting=env.ctx.accounting.to_dict(),
         )
 
     def _io_stats(self):

@@ -43,35 +43,30 @@ refuses to time-shard without ``max_gap``.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import (
+    CorruptionError,
     InvalidParameterError,
     QueryTimeout,
     StorageError,
 )
 from ..obs import context as obs_context
 from ..obs import recorder as flight
-from ..obs import slowlog
 from ..obs.metrics import REGISTRY
-from ..obs.tracing import retain_trace, span
+from ..storage.faults import RealFS
+from ..storage.partitions import install_json, manifest_field, read_json
 from ..types import SegmentPair
-from .executor import _union_dedup_rows
-from .resilience import (
-    CompletenessReport,
-    QueryOutcome,
-    ResiliencePolicy,
-    ResultStatus,
-)
+from .executor import _gather, _scatter
+from .resilience import QueryOutcome, ResiliencePolicy, ResultStatus
+from .session import QueryEnvelope
 
 __all__ = [
     "ShardSpec",
@@ -392,40 +387,44 @@ class ShardedIndex:
         """
         from ..core.index import SegDiffIndex
 
-        manifest_path = os.path.join(directory, "manifest.json")
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StorageError(
-                f"cannot read shard manifest {manifest_path}: {exc}"
-            ) from exc
+        path = os.path.join(directory, "manifest.json")
+        manifest = read_json(path, "shard manifest")
+        get = partial(manifest_field, path)
+        epsilon = get(manifest, "epsilon", float)
+        window = get(manifest, "window", float)
         shards = []
-        for entry in manifest["shards"]:
+        for entry in get(manifest, "shards", list):
             spec = ShardSpec(
-                shard_id=entry["shard_id"],
-                t_min=float(entry["t_min"]),
-                t_max=float(entry["t_max"]),
-                sensor=entry.get("sensor"),
+                shard_id=get(entry, "shard_id", str),
+                t_min=get(entry, "t_min", float),
+                t_max=get(entry, "t_max", float),
+                sensor=get(entry, "sensor", str, optional=True),
             )
+            fnames = get(entry, "replicas", list)
+            if not fnames or not all(isinstance(f, str) for f in fnames):
+                raise CorruptionError(
+                    f"{path}: shard {spec.shard_id!r} field 'replicas' "
+                    f"must list >= 1 file name, got {fnames!r}"
+                )
             replicas = [
                 SegDiffIndex.open(
                     os.path.join(directory, fname),
                     resilience=resilience,
                     name=f"{spec.shard_id}/r{i}",
                 )
-                for i, fname in enumerate(entry["replicas"])
+                for i, fname in enumerate(fnames)
             ]
             shards.append(Shard(spec, replicas))
-        return cls(
-            shards,
-            epsilon=float(manifest["epsilon"]),
-            window=float(manifest["window"]),
-            max_workers=max_workers,
-        )
+        if not shards:
+            raise CorruptionError(f"{path}: field 'shards' lists no shard")
+        return cls(shards, epsilon, window, max_workers=max_workers)
 
-    def save_manifest(self, directory: str) -> str:
-        """Write ``manifest.json`` for a directory-backed build."""
+    def save_manifest(self, directory: str, _fs=None) -> str:
+        """Atomically install ``manifest.json`` for a directory-backed
+        build (:func:`~repro.storage.partitions.install_json`): a crash
+        mid-save leaves the previous manifest or the new one, never a
+        torn file beside intact replicas.  ``_fs`` is the fault matrix's
+        filesystem facade."""
         entries = []
         for shard in self.shards:
             fnames = []
@@ -453,8 +452,7 @@ class ShardedIndex:
             "shards": entries,
         }
         path = os.path.join(directory, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
+        install_json(_fs if _fs is not None else RealFS(), path, manifest)
         return path
 
     # ------------------------------------------------------------------ #
@@ -518,144 +516,46 @@ class ShardedIndex:
 
         ``sensors``/``t_range`` restrict routing; remaining keywords
         (``timeout_ms``, ``degrade``, ``cache``) pass through to every
-        shard session.  The merged outcome is COMPLETE when every routed
-        shard answered (possibly via replica failover), DEGRADED when
-        some shards were lost or answered degraded (the completeness
-        report names the lost shards), and FAILED when no shard
-        answered.
+        shard session.  One scatter, one gather
+        (:func:`~repro.engine.executor._scatter` — on the pool when more
+        than one shard is routed — and ``_gather``): the merged outcome
+        is COMPLETE when every routed shard answered (possibly via
+        replica failover), DEGRADED when some shards were lost or
+        answered degraded (the completeness report names the lost
+        shards), and FAILED when no shard answered.
         """
         routed = self.route(sensors, t_range)
-        if not routed:
-            return QueryOutcome(
-                pairs=[],
-                status=ResultStatus.COMPLETE,
-                completeness=CompletenessReport(
-                    reason="no shard overlaps the predicate"
-                ),
-            )
-        # Adopt an already-bound diagnostics context or open a new one;
-        # the owner makes the tail-retention call after the merge.
-        ctx = obs_context.current_context()
-        owns = ctx is None
-        if owns:
-            ctx = obs_context.new_context(api="shard_search")
-        binder = obs_context.use_context(ctx) if owns else nullcontext()
-        t0 = time.perf_counter()
-        with binder:
-            with span("shard.scatter_gather") as s:
-                s.set_attribute("query_id", ctx.query_id)
-                s.set_attribute("kind", kind)
-                s.set_attribute("shards", len(routed))
-                # Hand the context off through the pool explicitly:
-                # thread-locals don't cross ThreadPoolExecutor, so each
-                # worker rebinds and parents its spans on the scatter
-                # span — one connected trace tree per query instead of
-                # per-thread orphans.
-                handed = ctx.handoff(s)
-                if len(routed) == 1:
-                    results = [
-                        self._shard_call(
-                            handed, routed[0], kind, t_threshold,
-                            v_threshold, mode, kw,
-                        )
-                    ]
-                else:
-                    pool = self._executor(len(routed))
-                    results = list(
-                        pool.map(
-                            lambda sh: self._shard_call(
-                                handed, sh, kind, t_threshold,
-                                v_threshold, mode, kw,
-                            ),
-                            routed,
-                        )
-                    )
-        outcome = self._merge(routed, results)
-        outcome.query_id = ctx.query_id
-        outcome.accounting = ctx.accounting
-        unhealthy = outcome.status is not ResultStatus.COMPLETE
-        if unhealthy:
-            outcome.recorder_tail = flight.RECORDER.tail_dicts(32)
-        if owns:
-            threshold = slowlog.default_threshold()
-            seconds = time.perf_counter() - t0
-            slow = threshold is not None and seconds >= threshold
-            if unhealthy or slow:
-                for root in ctx.trace_roots:
-                    retain_trace(root)
-            del ctx.trace_roots[:]
-        return outcome
-
-    @staticmethod
-    def _shard_call(ctx, shard: Shard, kind, t_threshold, v_threshold,
-                    mode, kw):
-        """One shard's outcome, or the error that lost it.
-
-        Runs on a scatter-pool worker thread: rebinds the handed-off
-        query context (scoped to this shard) so the shard session's
-        spans and accounting join the submitting query.
-        """
-        try:
-            with obs_context.use_context(ctx, shard=shard.shard_id):
-                return shard.search_outcome(
+        labels = [shard.shard_id for shard in routed]
+        with QueryEnvelope("shard_search", "sharded") as env:
+            results = _scatter(
+                labels, routed,
+                lambda shard: shard.search_outcome(
                     kind, t_threshold, v_threshold, mode=mode, **kw
-                )
-        except (QueryTimeout, StorageError, OSError) as exc:
-            return exc
-
-    def _merge(self, routed, results) -> QueryOutcome:
-        """Union/dedup the shard answers into one honest outcome.
-
-        The shards' ident matrices go through the executor's §4.4
-        union/dedup, so a one-shard index returns exactly what the plain
-        index would, in the same order.
-        """
-        ok: List[str] = []
-        lost: List[str] = []
-        degraded = False
-        last_error: Optional[BaseException] = None
-        ident_blocks = []
-        for shard, result in zip(routed, results):
-            if isinstance(result, BaseException):
-                lost.append(shard.shard_id)
-                last_error = result
-                continue
-            ok.append(shard.shard_id)
-            degraded = degraded or result.degraded
-            ident_blocks.append(result.ident_rows)
-        ident_rows, pairs = _union_dedup_rows(ident_blocks)
-        if not ok:
-            return QueryOutcome(
-                pairs=[],
-                status=ResultStatus.FAILED,
-                completeness=CompletenessReport(
-                    finished=(),
-                    unfinished=tuple(lost),
-                    reason="every routed shard failed",
                 ),
-                error=last_error,
+                "shard.scatter_gather", "shard",
+                pool=self._executor(len(routed)) if len(routed) > 1 else None,
+                query_id=env.ctx.query_id, kind=kind, shards=len(routed),
             )
-        if lost or degraded:
-            reason = (
-                f"lost shard(s): {', '.join(lost)}" if lost
-                else "shard answered degraded (refine pass skipped)"
+            ident_rows, pairs, status, report, error = _gather(
+                labels, results, "shard"
             )
-            return QueryOutcome(
-                pairs=pairs,
-                ident_rows=ident_rows,
-                status=ResultStatus.DEGRADED,
-                completeness=CompletenessReport(
-                    finished=tuple(ok),
-                    unfinished=tuple(lost),
-                    reason=reason,
-                ),
-                error=last_error,
+            env.done(
+                lambda: f"sharded[{len(routed)}/{len(self._shards)}s] {kind}"
+                f"(T={t_threshold:g}, V={v_threshold:g}) mode={mode}",
+                len(pairs), status.value,
             )
         return QueryOutcome(
             pairs=pairs,
             ident_rows=ident_rows,
-            status=ResultStatus.COMPLETE,
-            completeness=CompletenessReport(finished=tuple(ok)),
+            status=status,
+            completeness=report,
+            error=error,
+            query_id=env.ctx.query_id,
+            accounting=env.ctx.accounting,
+            recorder_tail=(
+                flight.RECORDER.tail_dicts(32)
+                if status is not ResultStatus.COMPLETE else None
+            ),
         )
 
     def _executor(self, n: int) -> ThreadPoolExecutor:

@@ -37,10 +37,11 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidParameterError, StorageError
+from ..errors import CorruptionError, InvalidParameterError, StorageError
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
     "Partition",
     "PartitionManifest",
     "copy_store_into",
+    "install_json",
+    "read_json",
+    "manifest_field",
 ]
 
 #: The four physical feature tables every store holds.
@@ -81,6 +85,88 @@ PARTITION_FLUSH_ROWS = REGISTRY.histogram(
     "Feature rows flushed per partition seal",
     buckets=ROWS_BUCKETS,
 )
+
+
+def install_json(fs, path: str, obj) -> None:
+    """Atomically install ``obj`` as the JSON file ``path``.
+
+    Write-to-temp + fsync + ``replace`` + directory fsync: a crash — or
+    an ENOSPC anywhere along the way — leaves either the previous file
+    or the new one on disk, never a torn one, and a *failed* install
+    cleans its temp file so retries never find stale bytes.  The temp
+    file is deliberately **left behind** on
+    :class:`~repro.storage.faults.FaultInjected` (a simulated power cut
+    gets no cleanup pass); the open-time sweep collects it.
+
+    ``fs`` is the filesystem facade (``RealFS`` / ``FaultyFS``) through
+    which the fault matrix counts every operation.
+    """
+    from .faults import FaultInjected
+
+    tmp = path + ".tmp"
+    try:
+        payload = json.dumps(obj, indent=2).encode("utf-8")
+        fh = fs.open(tmp, "wb")
+        try:
+            fh.write(payload)
+            sync = getattr(fh, "fsync", None)
+            if sync is not None:
+                sync()
+            else:
+                os.fsync(fh.fileno())
+        finally:
+            fh.close()
+        fs.replace(tmp, path)
+    except BaseException as exc:
+        if not isinstance(exc, FaultInjected):
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        raise
+    # the rename is installed; a directory-fsync failure is logged by
+    # the facade's contract (best effort) and must not be reported as a
+    # failed install — rolling back now would delete a file a durable
+    # manifest already references
+    try:
+        fs.fsync_dir(os.path.dirname(path))
+    except OSError:  # pragma: no cover - facade swallows OSError
+        pass
+
+
+def read_json(path: str, what: str):
+    """The parsed JSON manifest at ``path`` (``what`` names it in the
+    :class:`StorageError` raised when it cannot be read or parsed)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise StorageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def manifest_field(source: str, obj, key: str, kind, optional=False):
+    """``obj[key]`` as a ``kind`` (``float`` / ``int`` convert, ``str`` /
+    ``list`` must already be one), from the manifest object ``obj`` read
+    from ``source``.  Manifests are bytes from disk: valid JSON of the
+    wrong shape is a :class:`CorruptionError` naming file and field."""
+    if not isinstance(obj, dict):
+        raise CorruptionError(
+            f"{source}: expected a JSON object holding {key!r}, "
+            f"got {type(obj).__name__}"
+        )
+    value = obj.get(key)
+    if value is None:
+        if optional:
+            return None
+        raise CorruptionError(f"{source}: missing field {key!r}")
+    try:
+        if kind in (str, list) and not isinstance(value, kind):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CorruptionError(
+            f"{source}: field {key!r} is not {kind.__name__}: {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -134,20 +220,19 @@ class PartitionSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PartitionSpec":
+    def from_json(cls, obj: dict, source: str = "partition spec"
+                  ) -> "PartitionSpec":
+        get = partial(manifest_field, source, obj)
         return cls(
-            partition_id=obj["partition_id"],
-            t_min=float(obj["t_min"]),
-            t_max=float(obj["t_max"]),
-            feature_t_min=float(obj["feature_t_min"]),
-            feature_t_max=float(obj["feature_t_max"]),
-            rows=int(obj["rows"]),
-            n_segments=int(obj["n_segments"]),
-            file=obj.get("file"),
-            obs_covered=(
-                None if obj.get("obs_covered") is None
-                else int(obj["obs_covered"])
-            ),
+            partition_id=get("partition_id", str),
+            t_min=get("t_min", float),
+            t_max=get("t_max", float),
+            feature_t_min=get("feature_t_min", float),
+            feature_t_max=get("feature_t_max", float),
+            rows=get("rows", int),
+            n_segments=get("n_segments", int),
+            file=get("file", str, optional=True),
+            obs_covered=get("obs_covered", int, optional=True),
         )
 
 
@@ -403,82 +488,39 @@ class PartitionManifest:
         }
 
     def save(self, directory: str, fs=None) -> str:
-        """Atomically install this manifest as ``directory/partitions.json``.
-
-        Write-to-temp + fsync + ``os.replace`` + directory fsync: a
-        crash — or an ENOSPC anywhere along the way — leaves either the
-        previous generation or this one on disk, never a torn file, and
-        a *failed* install cleans its temp file so retries never find
-        stale bytes.  The temp file is deliberately **left behind** on
-        :class:`~repro.storage.faults.FaultInjected` (a simulated power
-        cut gets no cleanup pass); the open-time sweep collects it.
+        """Atomically install this manifest as ``directory/partitions.json``
+        (:func:`install_json`): a crash or a full disk leaves either the
+        previous generation or this one, never a torn file.
 
         ``fs`` is the filesystem facade (``RealFS`` by default) through
         which the fault matrix counts every operation.
         """
-        from .faults import FaultInjected, RealFS
+        from .faults import RealFS
 
-        if fs is None:
-            fs = RealFS()
         path = os.path.join(directory, MANIFEST_NAME)
-        tmp = path + ".tmp"
-        try:
-            payload = json.dumps(self.to_json(), indent=2).encode("utf-8")
-            fh = fs.open(tmp, "wb")
-            try:
-                fh.write(payload)
-                sync = getattr(fh, "fsync", None)
-                if sync is not None:
-                    sync()
-                else:
-                    os.fsync(fh.fileno())
-            finally:
-                fh.close()
-            fs.replace(tmp, path)
-        except BaseException as exc:
-            if not isinstance(exc, FaultInjected):
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-            raise
-        # the rename is installed; a directory-fsync failure is logged
-        # by the facade's contract (best effort) and must not be
-        # reported as a failed save — rolling back now would delete a
-        # partition file a durable manifest already references
-        try:
-            fs.fsync_dir(directory)
-        except OSError:  # pragma: no cover - facade swallows OSError
-            pass
+        install_json(fs if fs is not None else RealFS(), path, self.to_json())
         return path
 
     @classmethod
     def load(cls, directory: str) -> "PartitionManifest":
         path = os.path.join(directory, MANIFEST_NAME)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StorageError(
-                f"cannot read partition manifest {path}: {exc}"
-            ) from exc
-        if obj.get("version") != MANIFEST_VERSION:
+        obj = read_json(path, "partition manifest")
+        get = partial(manifest_field, path, obj)
+        if get("version", int, optional=True) != MANIFEST_VERSION:
             raise StorageError(
                 f"{path}: unsupported manifest version {obj.get('version')!r}"
             )
         return cls(
-            epsilon=float(obj["epsilon"]),
-            window=float(obj["window"]),
-            generation=int(obj["generation"]),
-            watermark=(
-                None if obj.get("watermark") is None
-                else float(obj["watermark"])
-            ),
-            n_observations=int(obj["n_observations"]),
-            next_seq=int(obj["next_seq"]),
+            epsilon=get("epsilon", float),
+            window=get("window", float),
+            generation=get("generation", int),
+            watermark=get("watermark", float, optional=True),
+            n_observations=get("n_observations", int),
+            next_seq=get("next_seq", int),
             finalized=bool(obj.get("finalized", False)),
             partitions=tuple(
-                PartitionSpec.from_json(p) for p in obj["partitions"]
+                PartitionSpec.from_json(p, path)
+                for p in get("partitions", list)
             ),
         )
 

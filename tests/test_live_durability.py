@@ -298,6 +298,45 @@ class TestManifestFaults:
         gen1.save(d)
         assert PartitionManifest.load(d).finalized
 
+    @pytest.mark.parametrize("mode", ["crash", "torn", "enospc"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_shard_manifest_install_is_atomic(self, tmp_path, mode, fail_at):
+        """The shard ``manifest.json`` goes through the same install: a
+        fault at any counted op of ``save_manifest`` (write, fsync,
+        replace, directory fsync) leaves the previous manifest or the
+        new one — never a torn file beside intact replicas."""
+        from repro.datagen.series import TimeSeries
+        from repro.engine import ShardedIndex
+
+        d, elsewhere = str(tmp_path / "shards.d"), str(tmp_path / "new.d")
+        os.makedirs(d)
+        os.makedirs(elsewhere)
+        ts = np.concatenate([np.arange(50.0), 5000.0 + np.arange(50.0)])
+        vs = np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 100))
+        with ShardedIndex.build(
+            TimeSeries(times=ts, values=vs), EPS, WINDOW, n_shards=2,
+            max_gap=100.0, backend="sqlite", directory=d,
+        ) as sharded:
+            manifest = sharded.save_manifest(d)
+            with open(manifest, "rb") as fh:
+                previous = fh.read()
+            # the next manifest drops a shard, so the two differ
+            smaller = ShardedIndex(sharded.shards[:1], EPS, WINDOW)
+            with open(smaller.save_manifest(elsewhere), "rb") as fh:
+                new = fh.read()
+            assert new != previous
+
+            injector = FaultInjector(FaultPolicy(fail_at=fail_at, mode=mode))
+            try:
+                smaller.save_manifest(d, _fs=FaultyFS(injector))
+            except (OSError, FaultInjected):
+                pass
+            assert injector.op_count >= fail_at, "fault never fired"
+        with open(manifest, "rb") as fh:
+            assert fh.read() in (previous, new)
+        with ShardedIndex.open(d) as reopened:
+            assert len(reopened.shards) in (1, 2)
+
     def test_enospc_mid_seal_rolls_back_and_retries(self, tmp_path):
         ts, vs = make_walk(29, n=300)
         d = str(tmp_path / "live.d")

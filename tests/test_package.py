@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import pathlib
 
 import pytest
 
@@ -114,3 +115,58 @@ class TestOneReadContract:
 
     def test_planner_alias_module_is_gone(self):
         assert importlib.util.find_spec("repro.core.planner") is None
+
+
+class TestOneScatterOneEnvelope:
+    """Structural guard: a shard is a partition — one scatter loop, one
+    gather verdict, one query envelope; no second copy may return."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def _lines_with(self, needle):
+        return [
+            (path.relative_to(self.SRC).as_posix(), line.strip())
+            for path in sorted(self.SRC.rglob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if needle in line
+        ]
+
+    def test_gather_is_the_only_merge(self):
+        calls = [
+            hit for hit in self._lines_with("_union_dedup_rows(")
+            if not hit[1].startswith("def ")
+        ]
+        assert {path for path, _ in calls} == {"engine/executor.py"}
+        # execute, execute's timeout handler, and the gather
+        assert len(calls) == 3
+        from repro.engine import executor
+
+        for fn in (executor.execute_partitioned,
+                   executor.execute_batch_partitioned):
+            assert "_union_dedup_rows" not in inspect.getsource(fn)
+        assert "_union_dedup_rows" in inspect.getsource(executor._gather)
+
+    def test_the_copies_stay_deleted(self):
+        from repro.core.live import LiveSnapshot
+        from repro.engine import QuerySession, ShardedIndex
+
+        for cls, names in (
+            (ShardedIndex, ("_merge", "_shard_call")),
+            (LiveSnapshot, ("_begin", "_observe_live", "_make_plan")),
+            (QuerySession, ("_begin_query", "_observe_query",
+                            "_finish_query")),
+        ):
+            for name in names:
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+    def test_one_slow_query_record_one_metric_family(self):
+        built = [
+            path for path, _ in self._lines_with("SlowQueryRecord(")
+            if path != "obs/slowlog.py"
+        ]
+        assert built == ["engine/session.py"]
+        registered = {
+            path
+            for path, _ in self._lines_with('"repro_engine_queries_total"')
+        }
+        assert registered == {"engine/session.py"}

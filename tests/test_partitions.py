@@ -236,3 +236,122 @@ class TestCopyStoreInto:
         for s in (half_a, half_b, merged):
             s.close()
         whole.close()
+
+
+# ---------------------------------------------------------------------- #
+# manifests are bytes from disk: valid JSON of the wrong shape
+# ---------------------------------------------------------------------- #
+
+
+def _good_partition_manifest():
+    m = PartitionManifest(epsilon=0.2, window=3600.0).with_sealed(
+        spec(file="p000000.sqlite"), watermark=100.0, n_observations=10
+    )
+    return m.to_json()
+
+
+def _good_shard_manifest():
+    return {
+        "epsilon": 0.2,
+        "window": 3600.0,
+        "shards": [{
+            "shard_id": "s0", "t_min": 0.0, "t_max": 100.0,
+            "sensor": "s0", "replicas": ["s0-r0.sqlite"],
+        }],
+    }
+
+
+def _load_partition_manifest(directory):
+    return PartitionManifest.load(directory)
+
+
+def _open_shard_manifest(directory):
+    from repro.engine import ShardedIndex
+
+    return ShardedIndex.open(directory)
+
+
+def _drop(*path):
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    return mutate
+
+
+def _put(value, *path):
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+MALFORMED = [
+    # (manifest, case, mutation or replacement, what the error names)
+    ("partitions", "top-level list", lambda obj: [], "object"),
+    ("partitions", "missing key", _drop("generation"), "generation"),
+    ("partitions", "wrong type", _put([1], "epsilon"), "epsilon"),
+    ("partitions", "partitions not a list", _put(5, "partitions"),
+     "partitions"),
+    ("partitions", "entry not an object", _put([7], "partitions"),
+     "partition_id"),
+    ("partitions", "entry missing a bound", _drop("partitions", 0, "t_min"),
+     "t_min"),
+    ("partitions", "entry bound mistyped",
+     _put("soon", "partitions", 0, "feature_t_max"), "feature_t_max"),
+    ("shards", "top-level list", lambda obj: [], "object"),
+    ("shards", "missing key", _drop("shards"), "shards"),
+    ("shards", "wrong type", _put("wide", "window"), "window"),
+    ("shards", "no shards", _put([], "shards"), "shards"),
+    ("shards", "entry missing a bound", _drop("shards", 0, "t_min"),
+     "t_min"),
+    ("shards", "replicas not a list",
+     _put("s0-r0.sqlite", "shards", 0, "replicas"), "replicas"),
+    ("shards", "replica not a file name", _put([3], "shards", 0, "replicas"),
+     "replicas"),
+    ("shards", "no replicas", _put([], "shards", 0, "replicas"),
+     "replicas"),
+]
+
+
+class TestMalformedManifests:
+    """ROADMAP "Fix first": a manifest of the wrong shape used to escape
+    as ``AttributeError`` / ``KeyError`` / ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "which,case,mutate,named", MALFORMED,
+        ids=[f"{m[0]}-{m[1].replace(' ', '_')}" for m in MALFORMED],
+    )
+    def test_wrong_shape_is_a_corruption_error(
+        self, tmp_path, which, case, mutate, named
+    ):
+        from repro.errors import CorruptionError
+
+        if which == "partitions":
+            name, obj, load = (
+                MANIFEST_NAME, _good_partition_manifest(),
+                _load_partition_manifest,
+            )
+        else:
+            name, obj, load = (
+                "manifest.json", _good_shard_manifest(),
+                _open_shard_manifest,
+            )
+        replaced = mutate(obj)
+        path = os.path.join(str(tmp_path), name)
+        with open(path, "w") as fh:
+            json.dump(obj if replaced is None else replaced, fh)
+        with pytest.raises(CorruptionError) as err:
+            load(str(tmp_path))
+        # the error names the file and the offending field
+        assert path in str(err.value)
+        assert named in str(err.value)
+
+    def test_good_manifests_still_load(self, tmp_path):
+        path = os.path.join(str(tmp_path), MANIFEST_NAME)
+        with open(path, "w") as fh:
+            json.dump(_good_partition_manifest(), fh)
+        loaded = PartitionManifest.load(str(tmp_path))
+        assert loaded.partitions[0].file == "p000000.sqlite"
+        assert loaded.watermark == 100.0

@@ -386,6 +386,67 @@ class TestLiveTierSlowlog:
             slowlog.clear()
 
 
+class TestOneEnvelope:
+    """Every query API reports through the one ``QueryEnvelope``: the
+    hand-written copies had drifted (slow live queries never bumped
+    ``repro_query_slow_total`` / ``repro_query_pairs``; a sharded
+    fan-out was in no counter, histogram or slow-log record at all)."""
+
+    @staticmethod
+    def _count(name, labels=None):
+        metric = obs.REGISTRY.get(name, labels)
+        if metric is None:
+            return 0
+        return metric.count if hasattr(metric, "count") else metric.value
+
+    @pytest.fixture()
+    def everything_is_slow(self):
+        prev = slowlog.default_threshold()
+        slowlog.set_default_threshold(0.0)
+        slowlog.clear()
+        yield
+        slowlog.set_default_threshold(prev)
+        slowlog.clear()
+
+    def test_a_slow_live_query_counts_like_any_other(
+        self, everything_is_slow
+    ):
+        rng = np.random.default_rng(7)
+        with LiveIndex(0.8, 300.0, seal_rows=50) as live:
+            live.append_array(
+                np.cumsum(rng.uniform(0.5, 3.0, 600)),
+                np.cumsum(rng.normal(0.0, 1.0, 600)), batch_size=40,
+            )
+            slow = self._count("repro_query_slow_total")
+            pairs = self._count("repro_query_pairs")
+            with live.snapshot() as snap:
+                snap.execute(DropQuery(30.0, -1.0), mode="auto")
+        assert self._count("repro_query_slow_total") == slow + 1
+        assert self._count("repro_query_pairs") == pairs + 1
+
+    def test_the_fan_out_is_counted_and_timed(self, sharded4):
+        api = {"api": "shard_search"}
+        queries = self._count("repro_engine_queries_total", api)
+        seconds = self._count("repro_query_seconds", api)
+        sharded4.search_outcome("drop", T, V)
+        assert self._count("repro_engine_queries_total", api) == queries + 1
+        assert self._count("repro_query_seconds", api) == seconds + 1
+
+    def test_the_fan_out_leaves_one_record_of_its_own(
+        self, sharded4, everything_is_slow
+    ):
+        outcome = sharded4.search_outcome("drop", T, V)
+        # beside the per-shard "search" records it fanned out to
+        recs = [r for r in slowlog.recent() if r.api == "shard_search"]
+        assert len(recs) == 1
+        assert recs[0].query_id == outcome.query_id
+        assert recs[0].status == "complete"
+        assert recs[0].n_pairs == len(outcome.pairs)
+        assert {cell.get("shard") for cell in recs[0].shards} >= {
+            shard.spec.shard_id for shard in sharded4.shards
+        }
+
+
 class TestLatencyBuckets:
     """Satellite (c): repro_query_seconds uses the re-tuned edges."""
 
@@ -396,12 +457,13 @@ class TestLatencyBuckets:
         assert list(edges) == sorted(edges)
 
     def test_query_histograms_use_the_retuned_edges(self):
-        from repro.core import live as live_mod
         from repro.engine import session as session_mod
 
+        # one family for every query API, live tier and fan-out included
+        assert {"search", "live_search", "shard_search"} <= set(
+            session_mod._QUERY_SECONDS
+        )
         for hist in session_mod._QUERY_SECONDS.values():
-            assert hist.bounds == obs.QUERY_LATENCY_BUCKETS
-        for hist in live_mod._LIVE_QUERY_SECONDS.values():
             assert hist.bounds == obs.QUERY_LATENCY_BUCKETS
 
 
