@@ -553,11 +553,10 @@ def _fsck_live_dir(directory: str) -> int:
     """Integrity-check a live partition directory: manifest, sealed
     partitions (against their persisted checksum trees), and WAL."""
     import os
-    import re
 
-    from .storage.checksum import diff_trees, load_trees, store_trees
+    from .core.live import partition_damage, stale_file
     from .storage.livewal import LiveWAL, WAL_NAME
-    from .storage.partitions import MANIFEST_NAME, PartitionManifest
+    from .storage.partitions import PartitionManifest
 
     try:
         manifest = PartitionManifest.load(directory)
@@ -566,63 +565,16 @@ def _fsck_live_dir(directory: str) -> int:
         return 2
 
     problems: List[str] = []
-    notes: List[str] = []
-    referenced = set()
     for spec in manifest.partitions:
-        if spec.file is None:
-            problems.append(
-                f"{spec.partition_id}: no backing file recorded"
-            )
-            continue
-        referenced.add(spec.file)
-        path = os.path.join(directory, spec.file)
-        if not os.path.exists(path):
-            problems.append(f"{spec.partition_id}: {spec.file} missing")
-            continue
-        try:
-            from .core.index import SegDiffIndex
-
-            store = SegDiffIndex._open_store(path)
-        except Exception as exc:
-            problems.append(f"{spec.partition_id}: unreadable ({exc})")
-            continue
-        try:
-            trees = load_trees(store)
-            if trees is None:
-                notes.append(
-                    f"{spec.partition_id}: no checksum trees "
-                    "(sealed before WAL support); readability probed"
-                )
-                for table in (
-                    "drop_points", "drop_lines",
-                    "jump_points", "jump_lines",
-                ):
-                    store.read_table_rows(table)
-            else:
-                fresh = store_trees(store)
-                for table, tree in trees.items():
-                    ranges, _ = diff_trees(tree, fresh[table])
-                    if ranges:
-                        problems.append(
-                            f"{spec.partition_id}: checksum mismatch "
-                            f"in {table} ({len(ranges)} range(s))"
-                        )
-        except Exception as exc:
-            problems.append(
-                f"{spec.partition_id}: verification failed ({exc})"
-            )
-        finally:
-            store.close()
-
-    for fname in sorted(os.listdir(directory)):
-        if fname in referenced or fname in (
-            MANIFEST_NAME, WAL_NAME, "quarantine",
-        ):
-            continue
-        if fname.endswith(".tmp") or re.match(
-            r"^p\d+\.(sqlite|minidb)$", fname
-        ):
-            notes.append(f"{fname}: unreferenced (swept on next open)")
+        why = partition_damage(directory, spec)
+        if why is not None:
+            problems.append(f"{spec.partition_id}: {why}")
+    referenced = set(manifest.listed_files())
+    notes = [
+        f"{fname}: unreferenced (swept on next open)"
+        for fname in sorted(os.listdir(directory))
+        if stale_file(fname, referenced)
+    ]
 
     wal_path = os.path.join(directory, WAL_NAME)
     if os.path.exists(wal_path):

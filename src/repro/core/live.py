@@ -64,6 +64,7 @@ from ..engine.plan import build_plan
 from ..engine.resilience import ResultStatus
 from ..engine.session import QueryEnvelope
 from ..errors import (
+    CorruptionError,
     InvalidParameterError,
     QueryError,
     StorageError,
@@ -78,7 +79,7 @@ from ..storage.checksum import (
     store_trees,
     tree_meta,
 )
-from ..storage.faults import FaultInjected, RealFS
+from ..storage.durable import RealFS
 from ..storage.livewal import WAL_NAME, LiveWAL
 from ..storage.memory_store import MemoryFeatureStore
 from ..storage.partitions import (
@@ -123,7 +124,17 @@ _EST_SEGMENT_BYTES = 32
 
 _MODES = ("auto", "index", "scan", "grid")
 
-_PARTITION_FILE_RE = re.compile(r"^p\d+\.(sqlite|minidb)$")
+#: A partition file, or the page WAL a MiniDB partition keeps beside it.
+_PARTITION_FILE_RE = re.compile(r"^(p\d+\.(?:sqlite|minidb))(?:\.wal)?$")
+
+
+def stale_file(fname: str, referenced) -> bool:
+    """Whether ``fname`` is a crash leftover: a partition file (or its
+    page WAL) the manifest does not name, or a temp file of an install."""
+    m = _PARTITION_FILE_RE.match(fname)
+    return (m is not None and m.group(1) not in referenced) or fname in (
+        MANIFEST_NAME + ".tmp", WAL_NAME + ".tmp"
+    )
 
 
 def _batch_feature_bounds(batch) -> Optional[Tuple[float, float]]:
@@ -201,6 +212,51 @@ class _HotWriter:
         bounds = _batch_feature_bounds(batch)
         if bounds is not None:
             hot.widen(*bounds)
+
+
+def partition_damage(directory: str, spec: PartitionSpec) -> Optional[str]:
+    """Why the sealed partition ``spec`` of ``directory`` fails
+    verification, or ``None`` when intact (scrub and ``segdiff fsck``).
+
+    Partitions carry persisted checksum trees; verification recomputes
+    them from the rows and diffs them
+    (:func:`~repro.storage.checksum.diff_trees`).  Partitions sealed
+    before the trees existed get a full readability probe instead.
+    """
+    from .index import SegDiffIndex  # late: avoids an import cycle
+
+    if spec.file is None:
+        return "no backing file recorded"
+    path = os.path.join(directory, spec.file)
+    if not os.path.exists(path):
+        return "backing file missing"
+    try:
+        store = SegDiffIndex._open_store(path)
+    except Exception as exc:
+        return f"unreadable: {exc}"
+    try:
+        persisted = load_trees(store)
+        if persisted is None:
+            for table in FEATURE_TABLES:
+                store.read_table_rows(table)
+            store.load_segments()
+            return None
+        fresh = store_trees(store)
+        for table in FEATURE_TABLES:
+            ranges, _ = diff_trees(persisted[table], fresh[table])
+            if ranges:
+                return (
+                    f"checksum mismatch in {table}: "
+                    f"{len(ranges)} divergent range(s)"
+                )
+        return None
+    except Exception as exc:
+        return f"verification failed: {exc}"
+    finally:
+        try:
+            store.close()
+        except Exception:
+            pass
 
 
 class LiveIndex:
@@ -348,10 +404,8 @@ class LiveIndex:
                 wal_path = os.path.join(directory, WAL_NAME)
                 if os.path.exists(wal_path):
                     # stale log from a wiped index (no manifest, old WAL)
-                    os.remove(wal_path)
-                self._wal = LiveWAL(
-                    wal_path, sync_obs=self.wal_sync_obs, fs=self._fs
-                )
+                    self._fs.remove(wal_path)
+                self._open_and_replay_wal()
         else:
             self._manifest = _manifest
             if _scrub:
@@ -422,21 +476,23 @@ class LiveIndex:
 
         assert self.directory is not None
         referenced = set(self._manifest.listed_files())
-        for fname in os.listdir(self.directory):
-            if fname == MANIFEST_NAME:
-                continue
-            is_orphan_partition = (
-                _PARTITION_FILE_RE.match(fname) and fname not in referenced
+        missing = sorted(
+            f for f in referenced
+            if not os.path.exists(os.path.join(self.directory, f))
+        )
+        if missing:
+            # never sweep (or recreate) anything on a manifest that names
+            # files the directory lacks: scrub=True rolls it back instead
+            raise CorruptionError(
+                f"{self.directory}: the manifest names missing partition "
+                f"file(s) {missing}; open with scrub=True to roll back"
             )
-            if (
-                is_orphan_partition
-                or fname == MANIFEST_NAME + ".tmp"
-                or fname == WAL_NAME + ".tmp"
-            ):
+        for fname in os.listdir(self.directory):
+            if stale_file(fname, referenced):
                 # a crash mid-seal/compact/rotation left the file
                 # unreferenced — its data is past the watermark and will
                 # be replayed (from the WAL or the producer)
-                os.remove(os.path.join(self.directory, fname))
+                self._fs.remove(os.path.join(self.directory, fname))
         for spec in self._manifest.partitions:
             if spec.file is None:
                 raise StorageError(
@@ -573,50 +629,8 @@ class LiveIndex:
         while os.path.exists(dst):
             dst = os.path.join(qdir, f"{fname}.{n}")
             n += 1
-        os.replace(os.path.join(self.directory, fname), dst)
+        self._fs.replace(os.path.join(self.directory, fname), dst)
         _SCRUB_QUARANTINED.inc()
-
-    def _partition_damaged(self, path: str) -> Optional[str]:
-        """Why ``path`` fails verification, or ``None`` when intact.
-
-        Partitions sealed by this PR carry persisted checksum trees;
-        verification recomputes them from the rows and diffs
-        (:func:`~repro.storage.checksum.diff_trees`).  Older partitions
-        without trees get a full readability probe instead.
-        """
-        from .index import SegDiffIndex  # late: avoids an import cycle
-
-        try:
-            store = SegDiffIndex._open_store(path)
-        except FaultInjected:
-            raise
-        except Exception as exc:
-            return f"unreadable: {exc}"
-        try:
-            persisted = load_trees(store)
-            if persisted is None:
-                for table in FEATURE_TABLES:
-                    store.read_table_rows(table)
-                store.load_segments()
-                return None
-            fresh = store_trees(store)
-            for table in FEATURE_TABLES:
-                ranges, _ = diff_trees(persisted[table], fresh[table])
-                if ranges:
-                    return (
-                        f"checksum mismatch in {table}: "
-                        f"{len(ranges)} divergent range(s)"
-                    )
-            return None
-        except FaultInjected:
-            raise
-        except Exception as exc:
-            return f"verification failed: {exc}"
-        finally:
-            try:
-                store.close()
-            except Exception:
-                pass
 
     def _scrub_directory(self) -> None:
         """Self-heal the partition directory before any store is opened.
@@ -636,31 +650,14 @@ class LiveIndex:
         quarantined: List[str] = []
         referenced = set(self._manifest.listed_files())
         for fname in sorted(os.listdir(self.directory)):
-            if fname in (MANIFEST_NAME, WAL_NAME, QUARANTINE_DIR):
-                continue
-            is_orphan = (
-                _PARTITION_FILE_RE.match(fname)
-                and fname not in referenced
-            )
-            if (
-                is_orphan
-                or fname == MANIFEST_NAME + ".tmp"
-                or fname == WAL_NAME + ".tmp"
-            ):
+            if stale_file(fname, referenced):
                 self._quarantine(fname)
                 quarantined.append(fname)
 
         bad_at: Optional[int] = None
         reason = ""
         for i, spec in enumerate(self._manifest.partitions):
-            if spec.file is None:
-                bad_at, reason = i, "no backing file recorded"
-                break
-            path = os.path.join(self.directory, spec.file)
-            if not os.path.exists(path):
-                bad_at, reason = i, "backing file missing"
-                break
-            why = self._partition_damaged(path)
+            why = partition_damage(self.directory, spec)
             if why is not None:
                 bad_at, reason = i, why
                 break
@@ -828,17 +825,53 @@ class LiveIndex:
                 raise StorageError("live index is closed")
             return self._seal_locked()
 
-    def _sealed_store_for(self, fname: Optional[str]):
+    def _write_partition(self, part_id: str, sources, fields: dict,
+                         transition):
+        """Write ``sources`` into a new partition file and install the
+        manifest ``transition(spec)`` that names it — the body a seal
+        and a compaction merge share.
+
+        The file is complete and fsynced BEFORE the manifest points at
+        it; a crash in between leaves an orphan file (swept on open) and
+        the previous generation.  Any other failure closes the store and
+        removes the file.  Returns ``(store, path, spec, manifest)``.
+        """
         if self.directory is None:
-            return MemoryFeatureStore(), None
-        path = os.path.join(self.directory, fname)
-        if self.backend == "minidb":
-            from ..storage.minidb import MiniDbFeatureStore
+            store, fname, path = MemoryFeatureStore(), None, None
+        else:
+            # the backend is "sqlite" or "minidb" (checked at init)
+            fname = f"{part_id}.{self.backend}"
+            path = os.path.join(self.directory, fname)
+            if self.backend == "minidb":
+                from ..storage.minidb import MiniDbFeatureStore
 
-            return MiniDbFeatureStore(path), path
-        from ..storage.sqlite_store import SqliteFeatureStore
+                store = MiniDbFeatureStore(path, _fs=self._fs)
+            else:
+                from ..storage.sqlite_store import SqliteFeatureStore
 
-        return SqliteFeatureStore(path), path
+                store = SqliteFeatureStore(path)
+        try:
+            rows = copy_store_into(sources, store)
+            # checksum trees travel inside the partition file so scrub
+            # can verify it without any external state
+            store.set_meta_many({
+                "epsilon": self.epsilon, "window": self.window,
+                "sealed": 1.0, **tree_meta(store_trees(store)),
+            })
+            spec = PartitionSpec(
+                partition_id=part_id, rows=rows, file=fname, **fields
+            )
+            manifest = transition(spec)
+            if path is not None:
+                self._fs.fsync_file(path)
+                manifest.save(self.directory, fs=self._fs)
+        except Exception:
+            store.close()
+            for leftover in (path, f"{path}.wal") if path else ():
+                if os.path.exists(leftover):
+                    self._fs.remove(leftover)
+            raise
+        return store, path, spec, manifest
 
     def _seal_locked(self) -> Optional[Partition]:
         hot = self._hot
@@ -850,21 +883,9 @@ class LiveIndex:
             sp.set_attribute("partition", part_id)
             sp.set_attribute("rows", hot.rows)
             hot.store.finalize()
-            fname = (
-                f"{part_id}.{'minidb' if self.backend == 'minidb' else 'sqlite'}"
-                if self.directory is not None else None
-            )
-            store, path = self._sealed_store_for(fname)
-            try:
-                rows = copy_store_into([hot.store], store)
-                # checksum trees travel inside the partition file so
-                # scrub can verify it without any external state
-                store.set_meta_many({
-                    "epsilon": self.epsilon, "window": self.window,
-                    "sealed": 1.0, **tree_meta(store_trees(store)),
-                })
-                spec = PartitionSpec(
-                    partition_id=part_id,
+            store, path, spec, manifest = self._write_partition(
+                part_id, [hot.store],
+                dict(
                     t_min=hot.segments[0].t_start,
                     t_max=watermark,
                     feature_t_min=(
@@ -874,33 +895,13 @@ class LiveIndex:
                     feature_t_max=(
                         hot.fmax if hot.fmax is not None else watermark
                     ),
-                    rows=rows,
                     n_segments=hot.n_segments,
-                    file=fname,
                     obs_covered=self._n_obs_covered,
-                )
-                # the store file is complete and durable BEFORE the
-                # manifest points at it; a crash in between leaves an
-                # orphan file and the previous generation
-                manifest = self._manifest.with_sealed(
+                ),
+                lambda spec: self._manifest.with_sealed(
                     spec, watermark, self._n_obs_covered
-                )
-                if path is not None:
-                    self._fs.fsync_file(path)
-                if self.directory is not None:
-                    manifest.save(self.directory, fs=self._fs)
-            except BaseException as exc:
-                store.close()
-                # a simulated power cut gets no cleanup pass: the
-                # orphan stays on disk for the open-time sweep, exactly
-                # as a real crash would leave it
-                if (
-                    not isinstance(exc, FaultInjected)
-                    and path is not None
-                    and os.path.exists(path)
-                ):
-                    os.remove(path)
-                raise
+                ),
+            )
             self._manifest = manifest
             part = Partition(spec, store, path=path, counted=True)
             self._sealed.append(part)
@@ -914,8 +915,6 @@ class LiveIndex:
                 # old log; a simulated power cut still propagates.
                 try:
                     self._wal.rewrite(watermark)
-                except FaultInjected:
-                    raise
                 except OSError as rot_exc:
                     logger.warning(
                         "WAL rotation after seal %s failed (%s); "
@@ -987,44 +986,20 @@ class LiveIndex:
         with span("partition.compact") as sp:
             sp.set_attribute("partition", part_id)
             sp.set_attribute("merged", len(run))
-            fname = (
-                f"{part_id}.{'minidb' if self.backend == 'minidb' else 'sqlite'}"
-                if self.directory is not None else None
-            )
-            store, path = self._sealed_store_for(fname)
-            try:
-                rows = copy_store_into([p.store for p in run], store)
-                store.set_meta_many({
-                    "epsilon": self.epsilon, "window": self.window,
-                    "sealed": 1.0, **tree_meta(store_trees(store)),
-                })
-                spec = PartitionSpec(
-                    partition_id=part_id,
+            store, path, spec, manifest = self._write_partition(
+                part_id, [p.store for p in run],
+                dict(
                     t_min=run[0].spec.t_min,
                     t_max=run[-1].spec.t_max,
                     feature_t_min=min(p.spec.feature_t_min for p in run),
                     feature_t_max=max(p.spec.feature_t_max for p in run),
-                    rows=rows,
                     n_segments=sum(p.spec.n_segments for p in run),
-                    file=fname,
                     obs_covered=run[-1].spec.obs_covered,
-                )
-                manifest = self._manifest.with_replaced(
+                ),
+                lambda spec: self._manifest.with_replaced(
                     [p.partition_id for p in run], spec
-                )
-                if path is not None:
-                    self._fs.fsync_file(path)
-                if self.directory is not None:
-                    manifest.save(self.directory, fs=self._fs)
-            except BaseException as exc:
-                store.close()
-                if (
-                    not isinstance(exc, FaultInjected)
-                    and path is not None
-                    and os.path.exists(path)
-                ):
-                    os.remove(path)
-                raise
+                ),
+            )
             self._manifest = manifest
             merged = Partition(spec, store, path=path, counted=True)
             lo = idxs[0]
@@ -1040,7 +1015,7 @@ class LiveIndex:
             COMPACTIONS.inc()
             flight.record(
                 "compaction", part_id,
-                merged=len(run), rows=rows,
+                merged=len(run), rows=spec.rows,
                 replaced=",".join(p.partition_id for p in run),
             )
 
@@ -1267,10 +1242,7 @@ class LiveIndex:
                 return
             self._closed = True
             if self._wal is not None:
-                try:
-                    self._wal.close()
-                except FaultInjected:
-                    pass  # closing after a simulated crash is teardown
+                self._wal.close()
                 self._wal = None
             for p in self._sealed:
                 p.close()

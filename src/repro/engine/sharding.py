@@ -61,7 +61,6 @@ from ..errors import (
 from ..obs import context as obs_context
 from ..obs import recorder as flight
 from ..obs.metrics import REGISTRY
-from ..storage.faults import RealFS
 from ..storage.partitions import install_json, manifest_field, read_json
 from ..types import SegmentPair
 from .executor import _gather, _scatter
@@ -400,11 +399,18 @@ class ShardedIndex:
                 t_max=get(entry, "t_max", float),
                 sensor=get(entry, "sensor", str, optional=True),
             )
+            if any(s.shard_id == spec.shard_id for s in shards):
+                raise CorruptionError(f"{path}: shard {spec.shard_id!r} "
+                                      "is listed twice")
             fnames = get(entry, "replicas", list)
-            if not fnames or not all(isinstance(f, str) for f in fnames):
+            if not fnames or not all(
+                isinstance(f, str) and os.path.basename(f) == f
+                and os.path.isfile(os.path.join(directory, f))
+                for f in fnames
+            ):
                 raise CorruptionError(
                     f"{path}: shard {spec.shard_id!r} field 'replicas' "
-                    f"must list >= 1 file name, got {fnames!r}"
+                    f"must list >= 1 file of the directory, got {fnames!r}"
                 )
             replicas = [
                 SegDiffIndex.open(
@@ -452,7 +458,7 @@ class ShardedIndex:
             "shards": entries,
         }
         path = os.path.join(directory, "manifest.json")
-        install_json(_fs if _fs is not None else RealFS(), path, manifest)
+        install_json(_fs, path, manifest)
         return path
 
     # ------------------------------------------------------------------ #

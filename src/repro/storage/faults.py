@@ -1,14 +1,17 @@
 """Deterministic I/O fault injection for durability testing.
 
-The MiniDB pager and WAL accept an ``opener`` hook; a
-:class:`FaultInjector` provides one that wraps every file it opens in a
-:class:`FaultyFile`.  All wrapped files share one operation counter, so a
-:class:`FaultPolicy` can say "fail the Nth write across the whole
-database" — the precision needed to enumerate every crash point of a
-workload::
+:class:`FaultInjector` is the faulty twin of the file facade
+(:class:`~repro.storage.durable.RealFS`): pass it wherever storage code
+takes an ``fs`` — the MiniDB pager and its WAL, a
+:class:`~repro.storage.minidb.MiniDbFeatureStore`, the live index, its
+WAL and the manifests — and every file it opens is wrapped in a
+:class:`FaultyFile`.  Files and facade calls share one operation
+counter, so a :class:`FaultPolicy` can say "fail the Nth write across
+the whole workload" — the precision needed to enumerate every crash
+point::
 
     injector = FaultInjector(FaultPolicy(fail_at=17, mode="crash"))
-    db = MiniDatabase(path, opener=injector.open)
+    db = MiniDatabase(path, fs=injector)
     try:
         workload(db)
     except FaultInjected:
@@ -17,31 +20,23 @@ workload::
     db = MiniDatabase(path)        # recovery replays the WAL
     assert db.check() == []
 
-Fault modes:
+Counted operations are ``write``, ``truncate``, ``fsync`` (of a file,
+a file by path, or a directory) and ``replace``.  Fault modes:
 
 * ``"crash"`` — the op does nothing; this and every later I/O raises
   :class:`FaultInjected`.  Because files are opened unbuffered, the disk
   state is frozen exactly at the preceding operation, like a power cut.
-* ``"torn"`` — the write persists only its first ``torn_bytes`` bytes,
-  then the file freezes as for ``"crash"`` — a partial sector write.
+* ``"torn"`` — as ``"crash"``, but a write persists its first
+  ``torn_bytes`` bytes (a partial sector write) and an fsync of a file
+  by path leaves it truncated to ``torn_bytes`` (a torn partition).
 * ``"error"`` — the op raises :class:`OSError` once and the file keeps
   working; a transient fault the caller may retry or roll back.
 * ``"enospc"`` — the op raises ``OSError(ENOSPC)`` once and the file
   keeps working; a full disk the caller must roll back from without
   losing the previous durable state.
 
-The live tier does its I/O through whole-file operations rather than an
-``opener`` hook, so it is faulted one level up: :class:`RealFS` is the
-filesystem facade (open / replace / remove / fsync) the live index and
-its WAL call for every counted operation, and :class:`FaultyFS` is the
-drop-in that routes those calls through a :class:`FaultInjector` — one
-shared op counter across WAL appends, partition seal writes, and
-manifest installs, so the crash matrix can enumerate every fault point
-of an ingest workload.
-
-:class:`FaultInjected` deliberately does **not** derive from
-``ReproError``: library code must never accidentally swallow a simulated
-power cut.
+:class:`FaultInjected` (defined by the durability kernel) is a
+``BaseException``: library code never swallows a simulated power cut.
 """
 
 from __future__ import annotations
@@ -51,24 +46,19 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..errors import StorageError
+from .durable import FaultInjected, RealFS
 
 __all__ = [
     "FaultInjected",
     "FaultPolicy",
     "FaultInjector",
     "FaultyFile",
-    "RealFS",
-    "FaultyFS",
     "ReadFaultPolicy",
     "FaultyStoreWrapper",
 ]
-
-
-class FaultInjected(Exception):
-    """A simulated I/O fault (crash, torn write, or transient error)."""
 
 
 @dataclass
@@ -87,10 +77,7 @@ class FaultPolicy:
         For ``"torn"``: how many bytes of the failing write reach disk.
         A deliberately odd default lands mid-record in every structure.
     ops:
-        Which operations count toward ``fail_at``.  ``"replace"`` is
-        only issued by the filesystem facade (:class:`FaultyFS`);
-        including it by default is harmless for opener-hook users like
-        MiniDB, which never perform one.
+        Which operations count toward ``fail_at``.
     """
 
     fail_at: Optional[int] = None
@@ -103,8 +90,8 @@ class FaultPolicy:
             raise ValueError(f"unknown fault mode {self.mode!r}")
 
 
-class FaultInjector:
-    """Shared op counter + policy for a set of :class:`FaultyFile` s.
+class FaultInjector(RealFS):
+    """The faulty file facade: shared op counter + policy.
 
     Use :attr:`op_count` after a fault-free run to learn how many crash
     points a workload exposes, then re-run once per point.
@@ -116,105 +103,112 @@ class FaultInjector:
         self.crashed = False
         self._files: List[FaultyFile] = []
 
-    def open(self, path: str, mode: str) -> "FaultyFile":
-        """The ``opener`` hook: open ``path`` unbuffered and wrap it."""
-        if self.crashed:
-            raise FaultInjected("cannot open files after a crash")
-        raw = open(path, mode, buffering=0)
-        wrapped = FaultyFile(raw, self)
-        self._files.append(wrapped)
-        return wrapped
-
     def arm(self, policy: FaultPolicy) -> None:
         """Swap in a new policy (counter keeps running)."""
         self.policy = policy
 
-    def _account(self, op: str) -> Optional[str]:
-        """Count one op; return the fault mode to apply, if any."""
+    def _fail(self, op: str, what: str,
+              tear: Optional[Callable[[int], None]] = None) -> None:
+        """Count ``op`` on ``what`` and apply the armed fault if this is
+        its turn: the one fault dispatch of every failable operation.
+        ``tear(n)`` leaves the torn ``n``-byte remains of the op."""
         if self.crashed:
-            raise FaultInjected(f"{op} after simulated crash")
+            raise FaultInjected(f"{op} of {what} after simulated crash")
         if op not in self.policy.ops:
-            return None
+            return
         self.op_count += 1
-        if self.policy.fail_at is not None and self.op_count == self.policy.fail_at:
-            return self.policy.mode
-        return None
+        if self.policy.fail_at != self.op_count:
+            return
+        mode = self.policy.mode
+        if mode == "error":
+            raise OSError(f"injected transient I/O error in {op} of {what}")
+        if mode == "enospc":
+            raise OSError(errno.ENOSPC, f"injected disk-full {op} of {what}")
+        if mode == "torn" and tear is not None:
+            tear(self.policy.torn_bytes)
+        self.crashed = True
+        raise FaultInjected(f"injected {mode} during {op} of {what}")
+
+    # -- the facade ----------------------------------------------------- #
+
+    def open(self, path: str, mode: str, buffering: int = 0) -> "FaultyFile":
+        """Open ``path`` unbuffered (whatever ``buffering`` asks) and wrap
+        it, so the disk state freezes at the last completed op."""
+        self._fail("open", path)
+        wrapped = FaultyFile(open(path, mode, buffering=0), path, self)
+        self._files.append(wrapped)
+        return wrapped
+
+    def fsync(self, fh) -> None:
+        self._fail("fsync", getattr(fh, "path", "file"))
+        super().fsync(fh)
+
+    def replace(self, src: str, dst: str) -> None:
+        self._fail("replace", dst)
+        super().replace(src, dst)
+
+    def remove(self, path: str) -> None:
+        self._fail("remove", path)
+        super().remove(path)
+
+    def fsync_file(self, path: str) -> None:
+        def tear(n: int) -> None:
+            # a crash while flushing a freshly written file: it survives
+            # only as a prefix — the torn partition scrub must quarantine
+            with open(path, "r+b") as fh:
+                fh.truncate(n)
+
+        self._fail("fsync", path, tear)
+        super().fsync_file(path)
+
+    def fsync_dir(self, directory: str) -> None:
+        try:
+            self._fail("fsync", directory)
+        except OSError:
+            # best effort by contract (the rename is already installed):
+            # transient modes are a no-op here, as in RealFS
+            return
+        super().fsync_dir(directory)
 
     def close_all(self) -> None:
         """Release every OS handle (safe after a crash)."""
         for f in self._files:
-            f._raw_close()
+            f.close()
         self._files = []
 
 
 class FaultyFile:
     """An unbuffered binary file that fails on command (see module doc)."""
 
-    def __init__(self, raw, injector: FaultInjector) -> None:
+    def __init__(self, raw, path: str, injector: FaultInjector) -> None:
         self._raw = raw
+        self.path = path
         self._injector = injector
 
     # -- counted, failable operations ---------------------------------- #
 
     def write(self, data: bytes) -> int:
-        fault = self._injector._account("write")
-        if fault == "crash":
-            self._injector.crashed = True
-            raise FaultInjected("injected crash during write")
-        if fault == "torn":
-            self._raw.write(data[: self._injector.policy.torn_bytes])
-            self._injector.crashed = True
-            raise FaultInjected(
-                f"injected torn write ({self._injector.policy.torn_bytes}"
-                f"/{len(data)} bytes reached disk)"
-            )
-        if fault == "error":
-            raise OSError("injected transient I/O error")
-        if fault == "enospc":
-            raise OSError(errno.ENOSPC, "injected disk-full write")
+        self._injector._fail(
+            "write", self.path, lambda n: self._raw.write(data[:n])
+        )
         return self._raw.write(data)
 
     def truncate(self, size: Optional[int] = None) -> int:
-        fault = self._injector._account("truncate")
-        if fault in ("crash", "torn"):
-            self._injector.crashed = True
-            raise FaultInjected("injected crash during truncate")
-        if fault == "error":
-            raise OSError("injected transient I/O error")
-        if fault == "enospc":
-            raise OSError(errno.ENOSPC, "injected disk-full truncate")
+        self._injector._fail("truncate", self.path)
         return self._raw.truncate(size)
 
-    def fsync(self) -> None:
-        fault = self._injector._account("fsync")
-        if fault in ("crash", "torn"):
-            self._injector.crashed = True
-            raise FaultInjected("injected crash during fsync")
-        if fault == "error":
-            raise OSError("injected transient I/O error")
-        if fault == "enospc":
-            raise OSError(errno.ENOSPC, "injected disk-full fsync")
-        os.fsync(self._raw.fileno())
-
-    # -- pass-through operations --------------------------------------- #
+    # -- uncounted operations (they still fail after a crash) ---------- #
 
     def read(self, n: int = -1) -> bytes:
-        if self._injector.crashed:
-            raise FaultInjected("read after simulated crash")
+        self._injector._fail("read", self.path)
         return self._raw.read(n)
 
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
-        if self._injector.crashed:
-            raise FaultInjected("seek after simulated crash")
+        self._injector._fail("seek", self.path)
         return self._raw.seek(offset, whence)
 
-    def tell(self) -> int:
-        return self._raw.tell()
-
     def flush(self) -> None:
-        if self._injector.crashed:
-            raise FaultInjected("flush after simulated crash")
-        # unbuffered: nothing to do
+        self._injector._fail("flush", self.path)  # unbuffered: no-op
 
     def fileno(self) -> int:
         return self._raw.fileno()
@@ -222,9 +216,6 @@ class FaultyFile:
     def close(self) -> None:
         # closing is always allowed — the state on disk stays frozen
         # because writes are unbuffered
-        self._raw_close()
-
-    def _raw_close(self) -> None:
         try:
             self._raw.close()
         except OSError:
@@ -233,127 +224,6 @@ class FaultyFile:
     @property
     def closed(self) -> bool:
         return self._raw.closed
-
-
-# ---------------------------------------------------------------------- #
-# filesystem facade (live-tier write path)
-# ---------------------------------------------------------------------- #
-
-
-class RealFS:
-    """The live tier's filesystem facade: the whole-file operations the
-    live index, its WAL, and the partition manifest issue — each one an
-    injection point when a :class:`FaultyFS` stands in.
-
-    Files are opened **unbuffered**, so under injection the disk state
-    freezes exactly at the last completed operation (a power cut), and
-    in production a completed ``write`` has at least reached the kernel.
-    """
-
-    def open(self, path: str, mode: str):
-        return open(path, mode, buffering=0)
-
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
-    def remove(self, path: str) -> None:
-        os.remove(path)
-
-    def fsync_file(self, path: str) -> None:
-        """fsync a closed file by path (seal write barrier)."""
-        fd = os.open(path, os.O_RDWR)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def fsync_dir(self, directory: str) -> None:
-        """Best-effort directory fsync (makes a rename durable).
-
-        Swallows ``OSError``: some filesystems refuse directory fsync,
-        and by the time it runs the rename is already *installed* — a
-        failure here must not trick the caller into rolling back a
-        commit that readers can see.
-        """
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-
-class FaultyFS(RealFS):
-    """A :class:`RealFS` whose every operation is counted and failable.
-
-    Shares the :class:`FaultInjector`'s op counter with any opener-hook
-    files the same injector wraps, so ``fail_at`` enumerates the crash
-    points of the *whole* ingest path — WAL appends, seal writes,
-    manifest installs — with one sweep.
-    """
-
-    def __init__(self, injector: FaultInjector) -> None:
-        self.injector = injector
-
-    def open(self, path: str, mode: str) -> FaultyFile:
-        return self.injector.open(path, mode)
-
-    def replace(self, src: str, dst: str) -> None:
-        fault = self.injector._account("replace")
-        if fault in ("crash", "torn"):
-            self.injector.crashed = True
-            raise FaultInjected(f"injected crash during replace -> {dst}")
-        if fault == "error":
-            raise OSError("injected transient I/O error in replace")
-        if fault == "enospc":
-            raise OSError(errno.ENOSPC, "injected disk-full replace")
-        os.replace(src, dst)
-
-    def remove(self, path: str) -> None:
-        if self.injector.crashed:
-            raise FaultInjected("remove after simulated crash")
-        os.remove(path)
-
-    def fsync_file(self, path: str) -> None:
-        fault = self.injector._account("fsync")
-        if fault == "crash":
-            self.injector.crashed = True
-            raise FaultInjected(f"injected crash during fsync of {path}")
-        if fault == "torn":
-            # a crash while flushing a freshly-written file: model the
-            # file surviving only as a partial prefix — the torn
-            # partition the scrub pass must quarantine
-            try:
-                with open(path, "r+b") as fh:
-                    fh.truncate(self.injector.policy.torn_bytes)
-            except OSError:
-                pass
-            self.injector.crashed = True
-            raise FaultInjected(
-                f"injected torn file during fsync of {path}"
-            )
-        if fault == "error":
-            raise OSError("injected transient I/O error in fsync")
-        if fault == "enospc":
-            raise OSError(errno.ENOSPC, "injected disk-full fsync")
-        super().fsync_file(path)
-
-    def fsync_dir(self, directory: str) -> None:
-        fault = self.injector._account("fsync")
-        if fault in ("crash", "torn"):
-            self.injector.crashed = True
-            raise FaultInjected(
-                f"injected crash during directory fsync of {directory}"
-            )
-        if fault in ("error", "enospc"):
-            # RealFS.fsync_dir swallows OSError by contract (the rename
-            # is already installed), so transient modes are a no-op here
-            return
-        super().fsync_dir(directory)
 
 
 # ---------------------------------------------------------------------- #
@@ -415,6 +285,21 @@ class ReadFaultPolicy:
             raise ValueError(
                 f"unknown corrupt mode {self.corrupt_mode!r}"
             )
+
+
+def _intercepted(name: str, pass_guard: bool = True):
+    """The wrapped store's read primitive ``name``, behind the fault
+    schedule (the store's own arguments pass through unchanged)."""
+
+    def call(self, *args, guard=None, **kwargs):
+        corrupt = self._inject(name, guard)
+        if pass_guard:
+            kwargs["guard"] = guard
+        rows = getattr(self._store, name)(*args, **kwargs)
+        return self._corrupt(rows) if corrupt else rows
+
+    call.__name__ = name
+    return call
 
 
 class FaultyStoreWrapper:
@@ -513,48 +398,9 @@ class FaultyStoreWrapper:
 
     # -- intercepted read primitives ------------------------------------ #
 
-    def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
-                          cache="warm", guard=None):
-        corrupt = self._inject("scan_points_array", guard)
-        rows = self._store.scan_points_array(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, guard=guard,
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
-                                cache="warm", guard=None):
-        corrupt = self._inject("probe_point_index_array", guard)
-        rows = self._store.probe_point_index_array(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            guard=guard,
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def scan_lines_array(self, kind, t_threshold=None, v_threshold=None,
-                         cache="warm", guard=None):
-        corrupt = self._inject("scan_lines_array", guard)
-        rows = self._store.scan_lines_array(
-            kind, t_threshold=t_threshold, v_threshold=v_threshold,
-            cache=cache, guard=guard,
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def probe_line_index_array(self, kind, t_threshold, v_threshold=None,
-                               cache="warm", guard=None):
-        corrupt = self._inject("probe_line_index_array", guard)
-        rows = self._store.probe_line_index_array(
-            kind, t_threshold, v_threshold=v_threshold, cache=cache,
-            guard=guard,
-        )
-        return self._corrupt(rows) if corrupt else rows
-
-    def probe_point_grid(self, kind, t_threshold, v_threshold, guard=None):
-        corrupt = self._inject("probe_point_grid", guard)
-        rows = self._store.probe_point_grid(kind, t_threshold, v_threshold)
-        return self._corrupt(rows) if corrupt else rows
-
-    def read_table_rows(self, table, start=0, stop=None, guard=None):
-        corrupt = self._inject("read_table_rows", guard)
-        rows = self._store.read_table_rows(table, start, stop)
-        return self._corrupt(rows) if corrupt else rows
+    scan_points_array = _intercepted("scan_points_array")
+    probe_point_index_array = _intercepted("probe_point_index_array")
+    scan_lines_array = _intercepted("scan_lines_array")
+    probe_line_index_array = _intercepted("probe_line_index_array")
+    probe_point_grid = _intercepted("probe_point_grid", pass_guard=False)
+    read_table_rows = _intercepted("read_table_rows", pass_guard=False)

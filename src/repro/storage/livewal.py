@@ -12,31 +12,30 @@ bit-for-bit batch ≡ live), replaying the logged suffix through the
 ordinary ingest path on reopen reproduces the lost hot partition
 exactly, and resume needs **no source replay**.
 
-File layout (little-endian), modeled on ``storage/minidb/wal.py``::
+The file is a framed log of the durability kernel
+(:class:`~repro.storage.durable.FramedLog`, docs/durability.md §2)
+behind the header ``8s magic "SDLWAL02"``, with two record kinds::
 
-    header:  8s magic "SDLWAL01"
-    frame:   u8 kind | u32 count | u32 crc32(payload) | payload
-      kind=1 OBS:  count = n observations, payload = n x 16 bytes of
-                   interleaved (t, v) float64 pairs
-      kind=2 GAP:  count = 0, payload = 8 bytes float64 — the time of
-                   the last observation before ``mark_gap`` (NaN when
-                   the gap preceded any observation)
+    OBS  arg = n observations   payload = n x 16 bytes of interleaved
+                                (t, v) float64 pairs
+    GAP  arg = 0                payload = 8 bytes float64 — the time of
+                                the last observation before ``mark_gap``
+                                (NaN when the gap preceded any)
 
-Every frame is written with a **single** unbuffered ``write`` call, so a
-torn frame is always a prefix of one record; recovery scans from the
-header and truncates at the first short read, CRC mismatch, or unknown
-kind — exactly the un-fsynced tail, never committed data.
+Every frame is one unbuffered ``write``, so a torn frame is always a
+prefix of one record; recovery keeps the intact prefix the kernel
+decodes and truncates the rest — exactly the un-fsynced tail, never
+committed data.
 
 Durability contract: ``fsync`` is batched (every ``sync_obs``
-observations, on gap frames, on close, and before a rotation), so a
-power cut loses at most the observations appended since the last sync.
-At each seal the log is **rotated atomically** (rewrite the frames past
-the new watermark into a temp file, fsync, ``os.replace``) — rotation
-is pure garbage collection: stale frames are skipped on replay by the
-resume watermark, so a crash at any point of the rotation is safe.
-
-All file I/O goes through a filesystem facade
-(:class:`~repro.storage.faults.RealFS`), so the disk-fault injection
+observations, on gap frames, and on close), so a power cut loses at
+most the observations appended since the last sync.  At each seal the
+log is **rotated** by the kernel's atomic install (the frames past the
+new watermark go to a temp file, fsync, rename) —
+rotation is pure garbage collection: stale frames are skipped on replay
+by the resume watermark, so a crash at any point of the rotation is
+safe.  All file I/O goes through the file facade
+(:class:`~repro.storage.durable.RealFS`), so the disk-fault injection
 harness can crash, tear, or ENOSPC any counted operation.
 """
 
@@ -46,14 +45,22 @@ import logging
 import math
 import os
 import struct
-import zlib
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import StorageError
 from ..obs.metrics import REGISTRY
-from .faults import FaultInjected, RealFS
+from .durable import (
+    RECORD,
+    TEARDOWN_ERRORS,
+    FramedLog,
+    RealFS,
+    atomic_replace,
+    check_header,
+    read_records,
+    write_log,
+)
 
 __all__ = ["LiveWAL", "WAL_NAME"]
 
@@ -62,9 +69,7 @@ logger = logging.getLogger("repro.storage")
 #: The hot-partition WAL's file name inside a partition directory.
 WAL_NAME = "hot.wal"
 
-_MAGIC = b"SDLWAL01"
-_HEADER = struct.Struct("<8s")
-_RECORD = struct.Struct("<BII")  # kind, count, crc32(payload)
+_MAGIC = b"SDLWAL02"
 _OBS = 1
 _GAP = 2
 _OBS_BYTES = 16  # one float64 (t, v) pair
@@ -108,12 +113,32 @@ Frame = Union[
 ]
 
 
-def _fsync_fh(fh) -> None:
-    sync = getattr(fh, "fsync", None)
-    if sync is not None:
-        sync()
-    else:
-        os.fsync(fh.fileno())
+def _obs_payload(ts: np.ndarray, vs: np.ndarray) -> bytes:
+    arr = np.empty((ts.shape[0], 2), dtype="<f8")
+    arr[:, 0] = ts
+    arr[:, 1] = vs
+    return arr.tobytes()
+
+
+def _frames(fh, start: int) -> Tuple[List[Frame], int]:
+    """Decode the intact OBS/GAP frames of ``fh`` from ``start``;
+    returns them and the offset just past the last one."""
+    frames: List[Frame] = []
+    end = start
+    for offset, kind, arg, payload in read_records(fh, start):
+        if kind == _OBS and len(payload) == arg * _OBS_BYTES:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(arg, 2)
+            frames.append(
+                ("obs",
+                 np.ascontiguousarray(arr[:, 0]),
+                 np.ascontiguousarray(arr[:, 1]))
+            )
+        elif kind == _GAP and len(payload) == _GAP_PAYLOAD.size:
+            frames.append(("gap", _GAP_PAYLOAD.unpack(payload)[0]))
+        else:
+            break  # a record no writer of this format produces
+        end = offset + RECORD.size + len(payload)
+    return frames, end
 
 
 class LiveWAL:
@@ -126,10 +151,10 @@ class LiveWAL:
         (torn tail truncated) if present.
     sync_obs:
         fsync once at least this many observations accumulated since the
-        last barrier (plus on gaps, close, and rotation).
+        last barrier (plus on gaps and close).
     fs:
-        Filesystem facade (:class:`~repro.storage.faults.RealFS` by
-        default) so the fault harness can interpose on every file op.
+        File facade (:class:`~repro.storage.durable.RealFS` by default)
+        so the fault harness can interpose on every file op.
     """
 
     def __init__(
@@ -142,110 +167,40 @@ class LiveWAL:
             raise StorageError("sync_obs must be >= 1")
         self.path = path
         self.sync_obs = int(sync_obs)
-        self._fs = fs or RealFS()
         self._unsynced_obs = 0
         self.n_frames = 0
         self.n_observations = 0
         #: Torn/garbage tail bytes discarded by the last recovery.
         self.discarded_bytes = 0
         self._recovered: List[Frame] = []
-        fresh = not os.path.exists(path)
-        if fresh:
-            self._fs.open(path, "xb").close()
-        self._file = self._fs.open(path, "r+b")
-        if fresh:
-            self._file.write(_HEADER.pack(_MAGIC))
-            self._end = _HEADER.size
-        else:
-            self._recover()
-
-    # ------------------------------------------------------------------ #
-    # recovery
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _scan_frames(fh) -> Tuple[List[Frame], int, int, bool]:
-        """Parse ``fh`` from the start.
-
-        Returns ``(frames, good_end, file_size, header_ok)`` where
-        ``good_end`` is the offset just past the last intact frame.
-        ``header_ok`` is False for a short/absent header (reinitialize)
-        — a *wrong* header raises :class:`StorageError` instead.
-        """
-        fh.seek(0, os.SEEK_END)
-        file_size = fh.tell()
-        fh.seek(0)
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            return [], 0, file_size, False
-        (magic,) = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise StorageError("not a live-index WAL file")
-        pos = _HEADER.size
-        frames: List[Frame] = []
-        while True:
-            rec = fh.read(_RECORD.size)
-            if len(rec) < _RECORD.size:
-                break
-            kind, count, crc = _RECORD.unpack(rec)
-            if kind == _OBS:
-                need = count * _OBS_BYTES
-            elif kind == _GAP:
-                need = _GAP_PAYLOAD.size
-            else:
-                break  # garbage
-            if need > file_size - pos - _RECORD.size:
-                break  # torn frame: the header claims more than the file holds
-            payload = fh.read(need)
-            if len(payload) < need or zlib.crc32(payload) != crc:
-                break  # torn frame
-            if kind == _OBS:
-                arr = np.frombuffer(payload, dtype="<f8").reshape(count, 2)
-                frames.append(
-                    ("obs",
-                     np.ascontiguousarray(arr[:, 0]),
-                     np.ascontiguousarray(arr[:, 1]))
-                )
-            else:
-                frames.append(("gap", _GAP_PAYLOAD.unpack(payload)[0]))
-            pos += _RECORD.size + need
-        return frames, pos, file_size, True
-
-    def _recover(self) -> None:
-        try:
-            frames, good_end, file_size, header_ok = self._scan_frames(
-                self._file
-            )
-        except StorageError as exc:
-            raise StorageError(f"{self.path}: {exc}") from exc
-        if not header_ok:
+        self._log = FramedLog(fs or RealFS(), path, _MAGIC)
+        size = self._log.size_at_open
+        if self._log.torn_header:
             logger.warning(
                 "live WAL recovery: %s has a torn header (%d bytes), "
-                "reinitializing", self.path, file_size,
+                "reinitializing", path, size,
             )
-            self._file.seek(0)
-            self._file.truncate(0)
-            self._file.write(_HEADER.pack(_MAGIC))
-            self._end = _HEADER.size
-            self.discarded_bytes = file_size
-            if file_size:
-                _WAL_TORN_BYTES.inc(file_size)
-            return
-        discarded = file_size - good_end
+            self.discarded_bytes = size
+            if size:
+                _WAL_TORN_BYTES.inc(size)
+        elif size:
+            self._recover(size)
+
+    def _recover(self, size: int) -> None:
+        frames, good_end = _frames(self._log.file, len(_MAGIC))
+        discarded = size - good_end
         if discarded > 0:
             logger.warning(
                 "live WAL recovery: %s discarding %d byte(s) of torn "
                 "tail after offset %d", self.path, discarded, good_end,
             )
-            self._file.truncate(good_end)
+            self._log.truncate(good_end)
             _WAL_TORN_BYTES.inc(discarded)
         self.discarded_bytes = discarded
         self._recovered = frames
-        self._end = good_end
+        self._log.end = good_end
         self.n_frames = len(frames)
-        self.n_observations = sum(
-            f[1].shape[0] for f in frames if f[0] == "obs"
-        )
+        self.n_observations = _n_obs(frames)
 
     def replay_frames(self) -> List[Frame]:
         """The intact frames recovered at open, oldest first."""
@@ -264,15 +219,7 @@ class LiveWAL:
         n = int(ts.shape[0])
         if n == 0:
             return
-        payload_arr = np.empty((n, 2), dtype="<f8")
-        payload_arr[:, 0] = ts
-        payload_arr[:, 1] = vs
-        payload = payload_arr.tobytes()
-        self._file.seek(self._end)
-        self._file.write(
-            _RECORD.pack(_OBS, n, zlib.crc32(payload)) + payload
-        )
-        self._end += _RECORD.size + len(payload)
+        self._log.append(_OBS, n, _obs_payload(ts, vs))
         self.n_frames += 1
         self.n_observations += n
         self._unsynced_obs += n
@@ -284,14 +231,8 @@ class LiveWAL:
     def log_gap(self, t: Optional[float]) -> None:
         """Log a GAP frame (episode break) and sync immediately —
         gaps are rare and an episode boundary is worth a barrier."""
-        payload = _GAP_PAYLOAD.pack(
-            float(t) if t is not None else math.nan
-        )
-        self._file.seek(self._end)
-        self._file.write(
-            _RECORD.pack(_GAP, 0, zlib.crc32(payload)) + payload
-        )
-        self._end += _RECORD.size + len(payload)
+        payload = _GAP_PAYLOAD.pack(float(t) if t is not None else math.nan)
+        self._log.append(_GAP, 0, payload)
         self.n_frames += 1
         self._unsynced_obs += 1
         _WAL_FRAMES.inc()
@@ -301,7 +242,7 @@ class LiveWAL:
         """Issue an fsync barrier if anything is un-synced."""
         if self._unsynced_obs == 0:
             return
-        _fsync_fh(self._file)
+        self._log.sync()
         self._unsynced_obs = 0
         _WAL_SYNCS.inc()
 
@@ -315,89 +256,41 @@ class LiveWAL:
         Called after a seal installs its manifest: observations at or
         before the watermark are durable in sealed partitions, so their
         frames are garbage.  Frames straddling the watermark are
-        rewritten with only their uncovered suffix.  The rotation is
-        temp-file + fsync + ``os.replace``; a crash at any point leaves
-        either the old or the new log, and replay of stale frames is
-        idempotent (the resume watermark skips them) — so rotation is
-        never on the correctness path, only the space path.
+        rewritten with only their uncovered suffix.  The rotation is the
+        kernel's :func:`~repro.storage.durable.atomic_replace`; a crash
+        at any point leaves either the old or the new log, and replay of
+        stale frames is idempotent (the resume watermark skips them) —
+        so rotation is never on the correctness path, only the space
+        path.  When the install fails the old log stays open and in use:
+        GC can retry at the next seal.
         """
-        frames, good_end, _, header_ok = self._scan_frames(self._file)
-        if not header_ok:  # pragma: no cover - header written at create
-            raise StorageError(f"{self.path}: torn header during rewrite")
-        tmp = self.path + ".tmp"
-        kept_frames = 0
-        kept_obs = 0
-        try:
-            out = self._fs.open(tmp, "wb")
-            try:
-                out.write(_HEADER.pack(_MAGIC))
-                for frame in frames:
-                    if frame[0] == "obs":
-                        ts, vs = frame[1], frame[2]
-                        start = int(
-                            np.searchsorted(ts, watermark, side="right")
-                        )
-                        if start >= ts.shape[0]:
-                            continue
-                        ts, vs = ts[start:], vs[start:]
-                        arr = np.empty((ts.shape[0], 2), dtype="<f8")
-                        arr[:, 0] = ts
-                        arr[:, 1] = vs
-                        payload = arr.tobytes()
-                        out.write(
-                            _RECORD.pack(
-                                _OBS, ts.shape[0], zlib.crc32(payload)
-                            ) + payload
-                        )
-                        kept_obs += int(ts.shape[0])
-                    else:
-                        # keep gaps at or past the watermark: a gap
-                        # logged exactly at the seal point still resets
-                        # pairing history on replay.  NaN (a gap before
-                        # any observation) compares False and is
-                        # dropped — sealed observations postdate it.
-                        t = frame[1]
-                        if not t >= watermark:
-                            continue
-                        payload = _GAP_PAYLOAD.pack(t)
-                        out.write(
-                            _RECORD.pack(_GAP, 0, zlib.crc32(payload))
-                            + payload
-                        )
-                    kept_frames += 1
-                _fsync_fh(out)
-            finally:
-                out.close()
-            self._file.close()
-            try:
-                self._fs.replace(tmp, self.path)
-            except FaultInjected:
-                raise
-            except OSError:
-                # rotation failed post-write: reopen the intact old log
-                # and keep running — GC can retry at the next seal
-                self._file = self._fs.open(self.path, "r+b")
-                self._end = good_end
-                raise
-        except BaseException as exc:
-            if not isinstance(exc, FaultInjected):
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-            raise
-        self._file = self._fs.open(self.path, "r+b")
-        self._file.seek(0, os.SEEK_END)
-        self._end = self._file.tell()
-        self.n_frames = kept_frames
-        self.n_observations = kept_obs
+        frames, _ = _frames(self._log.file, len(_MAGIC))
+        kept = []
+        for frame in frames:
+            if frame[0] == "obs":
+                ts, vs = frame[1], frame[2]
+                start = int(np.searchsorted(ts, watermark, side="right"))
+                if start < ts.shape[0]:
+                    kept.append((_OBS, ts.shape[0] - start,
+                                 _obs_payload(ts[start:], vs[start:])))
+            # keep gaps at or past the watermark: a gap logged exactly
+            # at the seal point still resets pairing history on replay.
+            # NaN (a gap before any observation) compares False and is
+            # dropped — sealed observations postdate it.
+            elif frame[1] >= watermark:
+                kept.append((_GAP, 0, _GAP_PAYLOAD.pack(frame[1])))
+        atomic_replace(
+            self._log.fs, self.path, lambda fh: write_log(fh, _MAGIC, kept)
+        )
+        self._log.reopen()
+        self.n_frames = len(kept)
+        self.n_observations = sum(arg for _kind, arg, _p in kept)
         self._unsynced_obs = 0
         _WAL_REWRITES.inc()
 
     def reset(self) -> None:
         """Empty the log (its observations are durable elsewhere)."""
-        self._file.truncate(_HEADER.size)
-        self._end = _HEADER.size
+        self._log.truncate(len(_MAGIC))
         self.n_frames = 0
         self.n_observations = 0
         self._unsynced_obs = 0
@@ -410,28 +303,24 @@ class LiveWAL:
 
     @property
     def size_bytes(self) -> int:
-        return self._end
+        return self._log.end
 
     def stats(self) -> dict:
         return {
             "path": self.path,
             "frames": self.n_frames,
             "observations": self.n_observations,
-            "bytes": self._end,
+            "bytes": self._log.end,
             "sync_obs": self.sync_obs,
         }
 
     def close(self, delete: bool = False) -> None:
         """Sync (best effort) and close; ``delete=True`` on finalize."""
         try:
-            try:
-                self.sync()
-            except Exception:
-                pass  # teardown after a (simulated) crash stays silent
-            self._file.close()
-        finally:
-            if delete and os.path.exists(self.path):
-                os.unlink(self.path)
+            self.sync()
+        except TEARDOWN_ERRORS:
+            pass  # teardown after a (simulated) crash stays silent
+        self._log.close(delete)
 
     # ------------------------------------------------------------------ #
     # read-only inspection (fsck)
@@ -442,18 +331,21 @@ class LiveWAL:
         """Parse ``path`` without mutating it (the ``segdiff fsck``
         probe).  Raises :class:`StorageError` on a wrong magic."""
         with open(path, "rb") as fh:
-            frames, good_end, file_size, header_ok = cls._scan_frames(fh)
-        if not header_ok:
-            return {
-                "frames": 0, "observations": 0, "gaps": 0,
-                "torn_bytes": file_size, "header_ok": False,
-            }
+            size = fh.seek(0, os.SEEK_END)
+            if not check_header(fh, _MAGIC, path):
+                return {
+                    "frames": 0, "observations": 0, "gaps": 0,
+                    "torn_bytes": size, "header_ok": False,
+                }
+            frames, good_end = _frames(fh, len(_MAGIC))
         return {
             "frames": len(frames),
-            "observations": sum(
-                f[1].shape[0] for f in frames if f[0] == "obs"
-            ),
+            "observations": _n_obs(frames),
             "gaps": sum(1 for f in frames if f[0] == "gap"),
-            "torn_bytes": file_size - good_end,
+            "torn_bytes": size - good_end,
             "header_ok": True,
         }
+
+
+def _n_obs(frames: List[Frame]) -> int:
+    return sum(f[1].shape[0] for f in frames if f[0] == "obs")

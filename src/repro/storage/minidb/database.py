@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from ...errors import (
     InvalidParameterError,
     StorageError,
 )
+from ..durable import RealFS
 from .btree import BPlusTree
 from .columnar import decode_heap_chain
 from .heapfile import RID, HeapFile
@@ -173,29 +174,19 @@ class MiniDatabase:
         Backing page file.
     cache_pages:
         Buffer-pool capacity.
-    checksums / wal / fsync / opener:
-        Durability knobs, passed through to :class:`Pager`.  With the
-        defaults every :meth:`transaction` is atomic and crash recovery
-        runs automatically on open.
+    fsync / fs:
+        Passed through to :class:`Pager`.  Every :meth:`transaction` is
+        atomic and crash recovery runs automatically on open.
     """
 
     def __init__(
         self,
         path: str,
         cache_pages: int = 256,
-        checksums: bool = True,
-        wal: bool = True,
         fsync: bool = False,
-        opener: Optional[Callable] = None,
+        fs: Optional[RealFS] = None,
     ) -> None:
-        self.pager = Pager(
-            path,
-            cache_pages=cache_pages,
-            checksums=checksums,
-            wal=wal,
-            fsync=fsync,
-            opener=opener,
-        )
+        self.pager = Pager(path, cache_pages=cache_pages, fsync=fsync, fs=fs)
         self._tables: Dict[str, Table] = {}
         self._catalog: Dict = {"tables": {}, "meta": {}}
         self._txn_depth = 0

@@ -17,10 +17,10 @@ Durability (docs/durability.md):
 * every page reserves its last 4 bytes for a CRC32 **trailer**, stamped
   on each write to the main file and verified on each read from it —
   callers may only use the first ``PAGE_CAPACITY`` bytes;
-* with ``wal=True`` dirty pages are appended to ``<path>.wal`` instead of
-  being written in place; :meth:`commit` seals them atomically and
-  :meth:`flush` transfers committed frames into the main file.  Opening a
-  file with a leftover WAL replays its committed prefix first.
+* dirty pages are appended to ``<path>.wal`` instead of being written in
+  place; :meth:`commit` seals them atomically and :meth:`flush`
+  transfers committed frames into the main file.  Opening a file with a
+  leftover WAL replays its committed prefix first.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ...errors import CorruptionError, InvalidParameterError, StorageError
 from ...obs.metrics import REGISTRY
+from ..durable import RealFS
 from .wal import WriteAheadLog
 
 __all__ = ["PAGE_SIZE", "PAGE_CAPACITY", "Pager", "PagerStats"]
@@ -81,7 +82,7 @@ _pager_seq = itertools.count(1)
 
 #: Process-wide durability counters (always on: corruption and replay
 #: must be countable even with metrics disabled).
-_CHECKSUM_FAILURES = REGISTRY.counter(
+CHECKSUM_FAILURES = REGISTRY.counter(
     "repro_minidb_checksum_failures_total",
     "Page or WAL-frame CRC32 verification failures",
     always_on=True,
@@ -104,41 +105,33 @@ class Pager:
     Parameters
     ----------
     path:
-        Backing file; created if missing.  With ``wal=True`` a sibling
-        ``<path>.wal`` file holds in-flight transactions; it is replayed
-        (committed prefix only) when reopening after a crash and removed
-        on clean :meth:`close`.
+        Backing file; created if missing.  A sibling ``<path>.wal`` file
+        holds in-flight transactions; it is replayed (committed prefix
+        only) when reopening after a crash and removed on clean
+        :meth:`close`.
     cache_pages:
         Buffer-pool capacity in pages (>= 1).
-    checksums:
-        Stamp/verify the CRC32 page trailer (on by default).
-    wal:
-        Route write-backs through the write-ahead log so multi-page
-        operations can :meth:`commit` atomically (on by default).
     fsync:
         Issue real ``fsync`` barriers at commit/flush points.
-    opener:
-        ``(path, mode) -> file`` hook used for both files, so the fault
-        harness (:mod:`repro.storage.faults`) can fail, tear, or freeze
-        any I/O.
+    fs:
+        File facade for both files (:class:`~repro.storage.durable.RealFS`
+        by default), so the fault harness (:mod:`repro.storage.faults`)
+        can fail, tear, or freeze any I/O.
     """
 
     def __init__(
         self,
         path: str,
         cache_pages: int = 256,
-        checksums: bool = True,
-        wal: bool = True,
         fsync: bool = False,
-        opener: Optional[Callable] = None,
+        fs: Optional[RealFS] = None,
     ) -> None:
         if cache_pages < 1:
             raise InvalidParameterError("cache_pages must be >= 1")
         self.path = path
         self.cache_pages = cache_pages
-        self.checksums = checksums
         self.fsync = fsync
-        self._opener = opener or _default_opener
+        self._fs = fs or RealFS()
         # counters live in the metrics registry (one labeled series per
         # pager instance); ``self.stats`` synthesizes PagerStats from
         # them.  always_on: these double as functional state — EXPLAIN
@@ -167,66 +160,56 @@ class Pager:
         # "r+b" (not "a+b"!) — append mode would force every write-back
         # to the end of the file regardless of the seek position
         if not os.path.exists(path):
-            self._opener(path, "xb").close()
-        self._file = self._opener(path, "r+b")
+            self._fs.open(path, "xb").close()
+        # the main file is buffered (pages are read back often); the WAL
+        # is unbuffered, one OS write per record
+        self._file = self._fs.open(path, "r+b", buffering=-1)
         self.wal: Optional[WriteAheadLog] = None
-        if wal:
-            try:
-                self.wal = WriteAheadLog(
-                    path + ".wal", PAGE_SIZE, fsync=fsync, opener=self._opener
-                )
-            except BaseException:
-                self._file.close()
-                raise
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
-        if size % PAGE_SIZE != 0:
-            # a torn append at the end of the main file: recoverable when
-            # the WAL holds the page's committed image, fatal otherwise
-            if self.wal is not None and not self.wal.is_empty:
+        try:
+            self.wal = WriteAheadLog(
+                path + ".wal", PAGE_SIZE, fsync=fsync, fs=self._fs
+            )
+            size = self._file.seek(0, os.SEEK_END)
+            if size % PAGE_SIZE != 0:
+                # a torn append at the end of the main file: recoverable
+                # when the WAL holds the page's committed image
+                if self.wal.is_empty:
+                    raise StorageError(
+                        f"{path}: size {size} is not a multiple of the "
+                        "page size"
+                    )
                 size -= size % PAGE_SIZE
                 self._file.truncate(size)
-            else:
-                self._file.close()
-                if self.wal is not None:
-                    # don't leave behind the (empty) WAL just created
-                    # for a file that is not a page file at all
-                    self.wal.close(delete=self.wal.is_empty)
-                raise StorageError(
-                    f"{path}: size {size} is not a multiple of the page size"
-                )
-        self._n_pages = size // PAGE_SIZE
-        if self.wal is not None:
-            self._n_pages = max(self._n_pages, self.wal.max_committed_page + 1)
+            self._n_pages = self.wal.page_bound(size // PAGE_SIZE)
+        except BaseException:
+            self._file.close()
+            if self.wal is not None:
+                # don't leave behind an (empty) WAL just created for a
+                # file that is not a page file at all
+                self.wal.close(delete=self.wal.is_empty)
+            raise
         # page_id -> bytearray; OrderedDict used as the LRU queue
         self._pool: "OrderedDict[int, bytearray]" = OrderedDict()
         self._dirty: set = set()
         self._closed = False
         self._stable_n_pages = self._n_pages
-        if self.wal is not None and not self.wal.is_empty:
+        if not self.wal.is_empty:
             self._replay_wal()
 
     def _replay_wal(self) -> None:
-        """Transfer committed WAL frames into the main file (idempotent:
-        the WAL is only truncated after the main file is safely updated)."""
-        pages = list(self.wal.committed_pages())
+        """Transfer the committed WAL frames a crash left behind."""
         logger.info(
             "WAL replay: transferring %d committed frame(s) into %s",
-            len(pages), self.path,
+            len(self.wal.committed_pages()), self.path,
         )
-        for page_id in pages:
-            self._write_main(page_id, self.wal.read(page_id))
-        self._file.flush()
-        if self.fsync:
-            self._fsync(self._file)
-        self.wal.reset()
+        pages = self._transfer()
         _WAL_REPLAYS.inc()
-        _WAL_FRAMES_REPLAYED.inc(len(pages))
+        _WAL_FRAMES_REPLAYED.inc(pages)
         from ...obs import recorder as flight
 
         flight.record(
             "wal_replay", os.path.basename(self.path),
-            frames=len(pages),
+            frames=pages,
         )
 
     # ------------------------------------------------------------------ #
@@ -325,7 +308,7 @@ class Pager:
             return self._pool[page_id]
         self._c_misses.inc()
         self._c_disk_reads.inc()
-        if self.wal is not None and page_id in self.wal:
+        if page_id in self.wal:
             data = bytearray(self.wal.read(page_id))
         else:
             self._file.seek(page_id * PAGE_SIZE)
@@ -346,10 +329,7 @@ class Pager:
 
     def _write_back(self, page_id: int, data: bytearray) -> None:
         self._c_disk_writes.inc()
-        if self.wal is not None:
-            self.wal.append(page_id, bytes(data))
-        else:
-            self._write_main(page_id, data)
+        self.wal.append(page_id, bytes(data))
         self._dirty.discard(page_id)
 
     def _write_main(self, page_id: int, data) -> None:
@@ -362,22 +342,18 @@ class Pager:
 
     def _stamp(self, data) -> bytes:
         """Return ``data`` with the CRC32 trailer filled in."""
-        if not self.checksums:
-            return bytes(data)
         buf = bytearray(data)
         crc = zlib.crc32(bytes(buf[:PAGE_CAPACITY]))
         _TRAILER.pack_into(buf, PAGE_CAPACITY, crc)
         return bytes(buf)
 
     def _verify(self, page_id: int, data: bytearray) -> None:
-        if not self.checksums:
-            return
         if not any(data):
             return  # a hole / never-written page: all zeros is valid
         (stored,) = _TRAILER.unpack_from(data, PAGE_CAPACITY)
         actual = zlib.crc32(bytes(data[:PAGE_CAPACITY]))
         if stored != actual:
-            _CHECKSUM_FAILURES.inc()
+            CHECKSUM_FAILURES.inc()
             logger.error(
                 "checksum mismatch: file=%s page=%d stored=%#010x "
                 "computed=%#010x", self.path, page_id, stored, actual,
@@ -392,30 +368,21 @@ class Pager:
     # ------------------------------------------------------------------ #
 
     def commit(self) -> None:
-        """Make everything written so far durable and atomic.
-
-        With a WAL: append every dirty pool page as a frame and seal the
-        batch with a commit record.  Without one: degrade to writing the
-        dirty pages to the main file (no atomicity).
-        """
+        """Make everything written so far durable and atomic: append
+        every dirty pool page as a frame and seal the batch with a
+        commit record."""
         self._check_open()
         for page_id in sorted(self._dirty):
             if page_id in self._pool:
                 self._write_back(page_id, self._pool[page_id])
         self._dirty.clear()
-        if self.wal is not None:
-            self.wal.commit()
-        else:
-            self._file.flush()
-            if self.fsync:
-                self._fsync(self._file)
+        self.wal.commit()
         self._stable_n_pages = self._n_pages
 
     def rollback(self) -> None:
         """Discard all uncommitted page changes (pool and WAL tail)."""
         self._check_open()
-        if self.wal is not None:
-            self.wal.rollback()
+        self.wal.rollback()
         # drop the pool wholesale: any page may hold uncommitted bytes
         self._pool.clear()
         self._dirty.clear()
@@ -427,31 +394,30 @@ class Pager:
 
     def flush(self) -> None:
         """Commit, then transfer committed WAL frames to the main file
-        (pool keeps its contents).  Without a WAL this just writes back
-        every dirty page, as before."""
+        (pool keeps its contents)."""
         self._check_open()
-        if self.wal is None:
-            for page_id in sorted(self._dirty):
-                self._write_back(page_id, self._pool[page_id])
-            self._file.flush()
-            return
         if not self._dirty and self.wal.is_empty:
             return  # nothing to persist
         self.commit()
-        for page_id in self.wal.committed_pages():
-            self._c_disk_writes.inc()
+        self._c_disk_writes.inc(self._transfer())
+
+    def _transfer(self) -> int:
+        """Copy every committed WAL frame into the main file, sync it,
+        then empty the WAL (idempotent: the WAL is only truncated after
+        the main file is safely updated).  Returns the pages copied."""
+        pages = self.wal.committed_pages()
+        for page_id in pages:
             self._write_main(page_id, self.wal.read(page_id))
         self._file.flush()
         if self.fsync:
-            self._fsync(self._file)
+            self._fs.fsync(self._file)
         self.wal.reset()
+        return len(pages)
 
     @property
     def has_uncommitted(self) -> bool:
         """True when dirty pool pages or unsealed WAL frames exist."""
-        if self._dirty:
-            return True
-        return self.wal is not None and not self.wal.is_empty
+        return bool(self._dirty) or not self.wal.is_empty
 
     def drop_cache(self) -> None:
         """Flush, then empty the buffer pool — the exact 'cold cache'."""
@@ -469,24 +435,15 @@ class Pager:
             self._file.close()
             self._pool.clear()
             self._dirty.clear()
-        if self.wal is not None:
-            # after a clean flush the WAL holds nothing: remove it so a
-            # closed database is exactly one self-contained file
-            self.wal.close(delete=clean)
+        # after a clean flush the WAL holds nothing: remove it so a
+        # closed database is exactly one self-contained file
+        self.wal.close(delete=clean)
 
     def __enter__(self) -> "Pager":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @staticmethod
-    def _fsync(file) -> None:
-        fsync = getattr(file, "fsync", None)
-        if fsync is not None:
-            fsync()
-        else:
-            os.fsync(file.fileno())
 
     def _check_open(self) -> None:
         if self._closed:
@@ -497,7 +454,3 @@ class Pager:
             raise InvalidParameterError(
                 f"page id {page_id} out of range [0, {self._n_pages})"
             )
-
-
-def _default_opener(path: str, mode: str):
-    return open(path, mode)

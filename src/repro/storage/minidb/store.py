@@ -32,6 +32,7 @@ from ...obs import context as obs_context
 from ...obs.metrics import REGISTRY, ROWS_BUCKETS
 from ...types import DataSegment, SegmentPair
 from ..base import FeatureStore, Query, StoreCounts
+from ..durable import RealFS
 from ...core.corners import FeatureSet
 from ...core.queries import line_mask, point_mask
 from .columnar import ColumnarView, probe_index_block
@@ -73,9 +74,9 @@ class MiniDbFeatureStore(FeatureStore):
 
     ``path=None`` uses a private temporary file removed on close;
     ``cache_pages`` sizes the buffer pool (warm-cache capacity).
-    ``checksums`` / ``wal`` / ``fsync`` are the durability knobs (all
-    page writes checksummed and every write batch atomic by default —
-    see docs/durability.md).
+    Every page write is checksummed and every write batch atomic (see
+    docs/durability.md); ``fsync`` adds real disk barriers, and ``_fs``
+    is the file facade the fault harness replaces.
     """
 
     BACKEND = "minidb"
@@ -86,9 +87,8 @@ class MiniDbFeatureStore(FeatureStore):
         self,
         path: Optional[str] = None,
         cache_pages: int = 256,
-        checksums: bool = True,
-        wal: bool = True,
         fsync: bool = False,
+        _fs: Optional[RealFS] = None,
     ) -> None:
         if path is None:
             fd, path = tempfile.mkstemp(prefix="segdiff-", suffix=".minidb")
@@ -98,13 +98,10 @@ class MiniDbFeatureStore(FeatureStore):
         else:
             self._owns_file = False
         self.path = path
+        self._fs = _fs or RealFS()
         self.db = _OPEN_RETRY.run(
             lambda: MiniDatabase(
-                path,
-                cache_pages=cache_pages,
-                checksums=checksums,
-                wal=wal,
-                fsync=fsync,
+                path, cache_pages=cache_pages, fsync=fsync, fs=self._fs
             ),
             catch=(StorageError, OSError),
             transient=_open_transient,
@@ -441,7 +438,7 @@ class MiniDbFeatureStore(FeatureStore):
         if self._owns_file:
             for leftover in (self.path, self.path + ".wal"):
                 if os.path.exists(leftover):
-                    os.unlink(leftover)
+                    self._fs.remove(leftover)
 
     def _check_open(self) -> None:
         if self._closed:

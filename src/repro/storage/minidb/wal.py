@@ -11,29 +11,29 @@ so a crash at any instant leaves one of two recoverable states:
 * the main file partially/fully updated plus the same WAL — replay is
   idempotent.
 
-File layout (little-endian)::
+The file is a framed log of the durability kernel
+(:class:`~repro.storage.durable.FramedLog`, docs/durability.md §2)
+behind the header ``8s magic "MDBWAL02" | i32 page_size``, with two
+record kinds::
 
-    header:  8s magic "MDBWAL01" | i32 page_size
-    frame:   u8 kind=1 | i32 page_id | u32 crc32(payload) | payload
-    commit:  u8 kind=2 | i32 sequence | u32 crc32(first 5 bytes)
+    FRAME   arg = page id    payload = the page after-image
+    COMMIT  arg = sequence   payload = empty
 
-Recovery scans the file from the header; a short read, unknown kind, or
-CRC mismatch ends the scan, and everything after the last intact commit
-record is discarded (truncated).  That tail is by construction exactly
-the uncommitted/torn suffix, so recovery never loses committed data and
+Recovery keeps the intact prefix the kernel decodes and truncates
+everything after the last COMMIT — by construction exactly the
+uncommitted/torn suffix, so recovery never loses committed data and
 never resurrects a partial transaction.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import struct
-import zlib
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...errors import CorruptionError, RecoveryError
 from ...obs.metrics import REGISTRY
+from ..durable import RECORD, FramedLog, RealFS, read_records
 
 __all__ = ["WriteAheadLog"]
 
@@ -49,23 +49,10 @@ _WAL_FRAMES = REGISTRY.counter(
     "Page after-images appended to MiniDB write-ahead logs",
     always_on=True,
 )
-_WAL_FRAME_CORRUPTION = REGISTRY.counter(
-    "repro_minidb_checksum_failures_total",
-    "Page or WAL-frame CRC32 verification failures",
-    always_on=True,
-)
 
-_MAGIC = b"MDBWAL01"
-_HEADER = struct.Struct("<8si")  # magic, page_size
-_RECORD = struct.Struct("<BiI")  # kind, page_id | sequence, crc32
+_MAGIC = b"MDBWAL02"
 _FRAME = 1
 _COMMIT = 2
-
-
-def _default_opener(path: str, mode: str):
-    # buffering=0 so every logical write is one OS write — the unit the
-    # fault-injection harness counts and tears
-    return open(path, mode, buffering=0)
 
 
 class WriteAheadLog:
@@ -81,8 +68,9 @@ class WriteAheadLog:
         Issue a real ``fsync`` after each commit record.  Off by default:
         the crash model exercised by the test harness is at the file-API
         level, and tests/benchmarks should not pay for disk barriers.
-    opener:
-        ``(path, mode) -> file`` hook so the fault harness can interpose.
+    fs:
+        File facade (:class:`~repro.storage.durable.RealFS` by default)
+        so the fault harness can interpose.
     """
 
     def __init__(
@@ -90,88 +78,50 @@ class WriteAheadLog:
         path: str,
         page_size: int,
         fsync: bool = False,
-        opener: Optional[Callable] = None,
+        fs: Optional[RealFS] = None,
     ) -> None:
         self.path = path
         self.page_size = page_size
         self.fsync = fsync
-        opener = opener or _default_opener
-        fresh = not os.path.exists(path)
-        if fresh:
-            opener(path, "xb").close()
-        self._file = opener(path, "r+b")
-        # page_id -> (payload offset, crc) for frames sealed by a commit
-        self._committed: Dict[int, Tuple[int, int]] = {}
+        self._log = FramedLog(
+            fs or RealFS(), path, _MAGIC + struct.pack("<i", page_size),
+            RecoveryError,
+        )
+        # page_id -> offset of its latest frame sealed by a commit
+        self._committed: Dict[int, int] = {}
         # same, for frames of the in-flight transaction
-        self._pending: Dict[int, Tuple[int, int]] = {}
+        self._pending: Dict[int, int] = {}
         self._sequence = 0
-        if fresh:
-            self._file.write(_HEADER.pack(_MAGIC, page_size))
-            self._commit_end = self._end = _HEADER.size
-        else:
+        self._commit_end = self._log.end
+        if self._log.torn_header:
+            # the log never held a commit: it starts over
+            logger.warning(
+                "WAL recovery: %s has a torn header (%d bytes), "
+                "reinitializing", path, self._log.size_at_open,
+            )
+        elif self._log.size_at_open:
             self._recover()
-
-    # ------------------------------------------------------------------ #
-    # recovery
-    # ------------------------------------------------------------------ #
 
     def _recover(self) -> None:
         """Rebuild the committed index; truncate the uncommitted tail."""
-        self._file.seek(0, os.SEEK_END)
-        file_size = self._file.tell()
-        self._file.seek(0)
-        header = self._file.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            # torn header: the log never held a commit, start over
-            logger.warning(
-                "WAL recovery: %s has a torn header (%d bytes), "
-                "reinitializing", self.path, len(header),
-            )
-            self._file.seek(0)
-            self._file.truncate(0)
-            self._file.write(_HEADER.pack(_MAGIC, self.page_size))
-            self._commit_end = self._end = _HEADER.size
-            return
-        magic, page_size = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise RecoveryError(f"{self.path}: not a MiniDB WAL file")
-        if page_size != self.page_size:
-            raise RecoveryError(
-                f"{self.path}: WAL page size {page_size} does not match "
-                f"pager page size {self.page_size}"
-            )
-        pos = _HEADER.size
-        commit_end = pos
-        pending: Dict[int, Tuple[int, int]] = {}
-        while True:
-            rec = self._file.read(_RECORD.size)
-            if len(rec) < _RECORD.size:
-                break
-            kind, field, crc = _RECORD.unpack(rec)
-            if kind == _FRAME:
-                payload = self._file.read(self.page_size)
-                if len(payload) < self.page_size:
-                    break  # torn frame
-                if zlib.crc32(payload) != crc:
-                    break  # torn/corrupt frame
-                pending[field] = (pos + _RECORD.size, crc)
-                pos += _RECORD.size + self.page_size
-            elif kind == _COMMIT:
-                if zlib.crc32(rec[:5]) != crc:
-                    break  # torn commit record
+        pending: Dict[int, int] = {}
+        log = self._log
+        for offset, kind, arg, payload in read_records(log.file, log.end):
+            if kind == _FRAME and len(payload) == self.page_size:
+                pending[arg] = offset
+            elif kind == _COMMIT and not payload:
                 self._committed.update(pending)
                 pending.clear()
-                self._sequence = field
-                pos += _RECORD.size
-                commit_end = pos
+                self._sequence = arg
+                self._commit_end = offset + RECORD.size
             else:
-                break  # garbage
-        discarded = file_size - commit_end
+                break  # a record no writer of this format produces
+        discarded = self._log.size_at_open - self._commit_end
         if discarded > 0:
             logger.warning(
                 "WAL recovery: %s discarding %d byte(s) of uncommitted/"
                 "torn tail after offset %d", self.path, discarded,
-                commit_end,
+                self._commit_end,
             )
         if self._committed:
             logger.info(
@@ -179,8 +129,26 @@ class WriteAheadLog:
                 "(sequence %d)", self.path, len(self._committed),
                 self._sequence,
             )
-        self._file.truncate(commit_end)
-        self._commit_end = self._end = commit_end
+        self._log.truncate(self._commit_end)
+
+    def page_bound(self, main_pages: int) -> int:
+        """Pages the database holds: the main file's ``main_pages`` plus
+        any the committed frames append.
+
+        Every page past the main file's end got a frame before its
+        commit, so a committed frame's page id lies in ``[0, main_pages
+        + committed frames)``; one outside it is corruption, raised
+        before replay writes anything.
+        """
+        limit = main_pages + len(self._committed)
+        for page_id, offset in self._committed.items():
+            if page_id >= limit:
+                raise CorruptionError(
+                    f"{self.path}: committed frame at offset {offset} "
+                    f"names page {page_id}, outside the [0, {limit}) the "
+                    "main file and the log can hold"
+                )
+        return max([main_pages, *(p + 1 for p in self._committed)])
 
     # ------------------------------------------------------------------ #
     # logging
@@ -192,28 +160,18 @@ class WriteAheadLog:
             raise RecoveryError(
                 f"WAL frame must be {self.page_size} bytes, got {len(data)}"
             )
-        crc = zlib.crc32(data)
-        self._file.seek(self._end)
-        # one write call per frame: a torn frame is a prefix of this record
-        self._file.write(_RECORD.pack(_FRAME, page_id, crc) + data)
-        self._pending[page_id] = (self._end + _RECORD.size, crc)
-        self._end += _RECORD.size + self.page_size
+        self._pending[page_id] = self._log.append(_FRAME, page_id, data)
         _WAL_FRAMES.inc()
 
     def commit(self) -> None:
         """Seal every pending frame with a commit record (+ optional fsync)."""
         if not self._pending:
             return
-        self._sequence += 1
-        rec = _RECORD.pack(_COMMIT, self._sequence, 0)
-        rec = rec[:5] + struct.pack("<I", zlib.crc32(rec[:5]))
-        self._file.seek(self._end)
-        self._file.write(rec)
-        self._file.flush()
+        self._log.append(_COMMIT, self._sequence + 1)
         if self.fsync:
-            self._fsync()
-        self._end += _RECORD.size
-        self._commit_end = self._end
+            self._log.sync()
+        self._sequence += 1
+        self._commit_end = self._log.end
         self._committed.update(self._pending)
         self._pending.clear()
         _WAL_COMMITS.inc()
@@ -221,22 +179,14 @@ class WriteAheadLog:
     def rollback(self) -> None:
         """Discard the in-flight transaction's frames."""
         self._pending.clear()
-        self._file.truncate(self._commit_end)
-        self._end = self._commit_end
+        self._log.truncate(self._commit_end)
 
     def reset(self) -> None:
         """Empty the log (after its pages were transferred + fsynced)."""
         self._pending.clear()
         self._committed.clear()
-        self._file.truncate(_HEADER.size)
-        self._commit_end = self._end = _HEADER.size
-
-    def _fsync(self) -> None:
-        fsync = getattr(self._file, "fsync", None)
-        if fsync is not None:
-            fsync()
-        else:
-            os.fsync(self._file.fileno())
+        self._commit_end = len(self._log.header)
+        self._log.truncate(self._commit_end)
 
     # ------------------------------------------------------------------ #
     # reads
@@ -247,44 +197,29 @@ class WriteAheadLog:
 
     def read(self, page_id: int) -> bytes:
         """Latest logged image of a page (pending wins over committed)."""
-        entry = self._pending.get(page_id) or self._committed.get(page_id)
-        if entry is None:
+        offset = self._pending.get(page_id, self._committed.get(page_id))
+        if offset is None:
             raise RecoveryError(f"page {page_id} is not in the WAL")
-        offset, crc = entry
-        self._file.seek(offset)
-        data = self._file.read(self.page_size)
-        if len(data) < self.page_size or zlib.crc32(data) != crc:
-            _WAL_FRAME_CORRUPTION.inc()
+        try:
+            return self._log.read(offset)
+        except CorruptionError:
+            from .pager import CHECKSUM_FAILURES
+
+            CHECKSUM_FAILURES.inc()
             logger.error(
                 "WAL frame corrupt: file=%s page=%d offset=%d",
                 self.path, page_id, offset,
             )
-            raise CorruptionError(
-                f"{self.path}: WAL frame for page {page_id} is corrupt"
-            )
-        return data
+            raise
 
-    def committed_pages(self) -> Iterable[int]:
+    def committed_pages(self) -> List[int]:
         """Page ids with a committed frame (checkpoint-transfer work list)."""
         return sorted(self._committed)
-
-    @property
-    def max_committed_page(self) -> int:
-        """Highest committed page id, or -1 when the log is empty."""
-        return max(self._committed) if self._committed else -1
 
     @property
     def is_empty(self) -> bool:
         return not self._committed and not self._pending
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
     def close(self, delete: bool = False) -> None:
         """Close the log file; ``delete=True`` after a clean checkpoint."""
-        try:
-            self._file.close()
-        finally:
-            if delete and os.path.exists(self.path):
-                os.unlink(self.path)
+        self._log.close(delete)

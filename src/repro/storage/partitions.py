@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CorruptionError, InvalidParameterError, StorageError
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
+from .durable import RealFS, atomic_replace
 
 __all__ = [
     "FEATURE_TABLES",
@@ -88,50 +89,17 @@ PARTITION_FLUSH_ROWS = REGISTRY.histogram(
 
 
 def install_json(fs, path: str, obj) -> None:
-    """Atomically install ``obj`` as the JSON file ``path``.
-
-    Write-to-temp + fsync + ``replace`` + directory fsync: a crash — or
-    an ENOSPC anywhere along the way — leaves either the previous file
-    or the new one on disk, never a torn one, and a *failed* install
-    cleans its temp file so retries never find stale bytes.  The temp
-    file is deliberately **left behind** on
-    :class:`~repro.storage.faults.FaultInjected` (a simulated power cut
-    gets no cleanup pass); the open-time sweep collects it.
-
-    ``fs`` is the filesystem facade (``RealFS`` / ``FaultyFS``) through
-    which the fault matrix counts every operation.
-    """
-    from .faults import FaultInjected
-
-    tmp = path + ".tmp"
-    try:
-        payload = json.dumps(obj, indent=2).encode("utf-8")
-        fh = fs.open(tmp, "wb")
-        try:
-            fh.write(payload)
-            sync = getattr(fh, "fsync", None)
-            if sync is not None:
-                sync()
-            else:
-                os.fsync(fh.fileno())
-        finally:
-            fh.close()
-        fs.replace(tmp, path)
-    except BaseException as exc:
-        if not isinstance(exc, FaultInjected):
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-        raise
-    # the rename is installed; a directory-fsync failure is logged by
-    # the facade's contract (best effort) and must not be reported as a
-    # failed install — rolling back now would delete a file a durable
-    # manifest already references
-    try:
-        fs.fsync_dir(os.path.dirname(path))
-    except OSError:  # pragma: no cover - facade swallows OSError
-        pass
+    """Atomically install ``obj`` as the JSON file ``path`` through the
+    file facade ``fs`` (:class:`~repro.storage.durable.RealFS` when
+    ``None``): :func:`~repro.storage.durable.atomic_replace` — a crash or
+    a full disk leaves either the previous file or the new one — then a
+    directory fsync, since the manifest is a commit point.  A failing
+    directory fsync is not a failed install (the facade swallows it):
+    the rename is already visible."""
+    fs = fs or RealFS()
+    payload = json.dumps(obj, indent=2).encode("utf-8")
+    atomic_replace(fs, path, lambda fh: fh.write(payload))
+    fs.fsync_dir(os.path.dirname(path))
 
 
 def read_json(path: str, what: str):
@@ -223,7 +191,7 @@ class PartitionSpec:
     def from_json(cls, obj: dict, source: str = "partition spec"
                   ) -> "PartitionSpec":
         get = partial(manifest_field, source, obj)
-        return cls(
+        spec = cls(
             partition_id=get("partition_id", str),
             t_min=get("t_min", float),
             t_max=get("t_max", float),
@@ -234,6 +202,11 @@ class PartitionSpec:
             file=get("file", str, optional=True),
             obs_covered=get("obs_covered", int, optional=True),
         )
+        if spec.file is not None and os.path.basename(spec.file) != spec.file:
+            raise CorruptionError(
+                f"{source}: partition file {spec.file!r} is not a file name"
+            )
+        return spec
 
 
 class Partition:
@@ -492,13 +465,11 @@ class PartitionManifest:
         (:func:`install_json`): a crash or a full disk leaves either the
         previous generation or this one, never a torn file.
 
-        ``fs`` is the filesystem facade (``RealFS`` by default) through
-        which the fault matrix counts every operation.
+        ``fs`` is the file facade (``RealFS`` by default) through which
+        the fault matrix counts every operation.
         """
-        from .faults import RealFS
-
         path = os.path.join(directory, MANIFEST_NAME)
-        install_json(fs if fs is not None else RealFS(), path, self.to_json())
+        install_json(fs, path, self.to_json())
         return path
 
     @classmethod
@@ -510,9 +481,14 @@ class PartitionManifest:
             raise StorageError(
                 f"{path}: unsupported manifest version {obj.get('version')!r}"
             )
+        epsilon, window = get("epsilon", float), get("window", float)
+        if not (epsilon >= 0 and window > 0):
+            raise CorruptionError(
+                f"{path}: epsilon {epsilon} / window {window} out of range"
+            )
         return cls(
-            epsilon=get("epsilon", float),
-            window=get("window", float),
+            epsilon=epsilon,
+            window=window,
             generation=get("generation", int),
             watermark=get("watermark", float, optional=True),
             n_observations=get("n_observations", int),

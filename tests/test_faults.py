@@ -40,7 +40,7 @@ class TestOpCounting:
         for _ in range(5):
             f.write(b"x")
         f.truncate(3)
-        f.fsync()
+        inj.fsync(f)
         inj.close_all()
         assert inj.op_count == 7
 
@@ -57,7 +57,7 @@ class TestOpCounting:
         inj = FaultInjector(FaultPolicy(ops=("write",)))
         f = inj.open(target, "w+b")
         f.write(b"x")
-        f.fsync()
+        inj.fsync(f)
         f.truncate(0)
         inj.close_all()
         assert inj.op_count == 1

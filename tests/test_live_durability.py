@@ -12,6 +12,8 @@ hand-picked.
 
 import os
 import sqlite3
+import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from repro.storage.faults import (
     FaultInjected,
     FaultInjector,
     FaultPolicy,
-    FaultyFS,
 )
 from repro.storage.livewal import WAL_NAME, LiveWAL
 from repro.storage.partitions import MANIFEST_NAME, PartitionManifest
+
+from .crashmatrix import crash_at, fault_points
 
 EPS = 0.8
 WINDOW = 300.0
@@ -221,6 +224,17 @@ class TestLiveWAL:
         with pytest.raises(StorageError):
             LiveWAL(path)
 
+    def test_wal_refuses_version_1(self, tmp_path):
+        """A v1 log only survives a crash of the old build: refused,
+        naming the version, never misread as v2 records."""
+        path = str(tmp_path / "old.wal")
+        with open(path, "wb") as fh:
+            fh.write(b"SDLWAL01" + b"\x00" * 64)
+        with pytest.raises(StorageError, match="version-1"):
+            LiveWAL(path)
+        with pytest.raises(StorageError, match="version-1"):
+            LiveWAL.scan(path)
+
 
 # ---------------------------------------------------------------------- #
 # size-aware seal policy
@@ -285,7 +299,7 @@ class TestManifestFaults:
         injector = FaultInjector(FaultPolicy(fail_at=fail_at, mode=mode))
         gen1 = gen0.with_finalized()
         with pytest.raises(OSError):
-            gen1.save(d, fs=FaultyFS(injector))
+            gen1.save(d, fs=injector)
 
         # previous generation intact, temp file cleaned up
         loaded = PartitionManifest.load(d)
@@ -328,7 +342,7 @@ class TestManifestFaults:
 
             injector = FaultInjector(FaultPolicy(fail_at=fail_at, mode=mode))
             try:
-                smaller.save_manifest(d, _fs=FaultyFS(injector))
+                smaller.save_manifest(d, _fs=injector)
             except (OSError, FaultInjected):
                 pass
             assert injector.op_count >= fail_at, "fault never fired"
@@ -343,7 +357,7 @@ class TestManifestFaults:
         injector = FaultInjector()
         live = LiveIndex(
             EPS, WINDOW, directory=d, seal_rows=10**9,
-            _fs=FaultyFS(injector),
+            _fs=injector,
         )
         live.append_array(ts, vs)
         gen_before = live.generation
@@ -379,7 +393,7 @@ MATRIX_SEAL_ROWS = 150
 MATRIX_SYNC_OBS = 64
 
 
-def _matrix_workload(directory, fs, progress=None):
+def _matrix_workload(directory, backend, fs, progress=None):
     """The reference ingest whose every file op becomes a crash point.
 
     ``progress["fed"]`` tracks how many observations the producer
@@ -388,7 +402,7 @@ def _matrix_workload(directory, fs, progress=None):
     """
     ts, vs = make_walk(7, n=MATRIX_N)
     live = LiveIndex(
-        EPS, WINDOW, directory=directory,
+        EPS, WINDOW, directory=directory, backend=backend,
         seal_rows=MATRIX_SEAL_ROWS, wal_sync_obs=MATRIX_SYNC_OBS,
         _fs=fs,
     )
@@ -407,44 +421,50 @@ def _matrix_workload(directory, fs, progress=None):
     return ts, vs
 
 
-def _matrix_points():
+def _matrix_points(backend):
     """Every fault point of the workload (strided unless
     ``REPRO_CRASH_MATRIX=full``), learned from one fault-free run."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
-        injector = FaultInjector()
-        _matrix_workload(os.path.join(tmp, "probe.d"), FaultyFS(injector))
-        n_ops = injector.op_count
-    assert n_ops >= 10, f"workload exposes only {n_ops} fault points"
-    if os.environ.get("REPRO_CRASH_MATRIX") == "full":
-        stride = 1
-    else:
-        stride = max(1, n_ops // 12)
-    return list(range(1, n_ops + 1, stride)) + [n_ops]
+        points = fault_points(
+            partial(_matrix_workload, os.path.join(tmp, "probe.d"), backend),
+            samples=12,
+        )
+    assert points[-1] >= 10, f"workload exposes only {points[-1]} points"
+    return points
 
 
-MATRIX_FAIL_POINTS = _matrix_points()
+MATRIX_FAIL_POINTS = _matrix_points("sqlite")
+# with the file facade reaching partition stores, every pager write of
+# a MiniDB seal is a crash point too
+MINIDB_FAIL_POINTS = _matrix_points("minidb")
+MATRIX_MODES = ["crash", "torn", "enospc"]
 
 
 class TestCrashMatrix:
-    @pytest.mark.parametrize("mode", ["crash", "torn", "enospc"])
+    def test_the_workload_keeps_its_fault_points(self):
+        # one write per WAL record and the same fsync points as before
+        # the record format changed
+        assert MATRIX_FAIL_POINTS[-1] == 107
+
+    @pytest.mark.parametrize("mode", MATRIX_MODES)
     @pytest.mark.parametrize("fail_at", MATRIX_FAIL_POINTS)
     def test_recovery_at_every_fault_point(self, tmp_path, mode, fail_at):
+        self._recover_at(tmp_path, "sqlite", fail_at, mode)
+
+    @pytest.mark.parametrize("mode", MATRIX_MODES)
+    @pytest.mark.parametrize("fail_at", MINIDB_FAIL_POINTS)
+    def test_recovery_on_minidb_partitions(self, tmp_path, mode, fail_at):
+        self._recover_at(tmp_path, "minidb", fail_at, mode)
+
+    def _recover_at(self, tmp_path, backend, fail_at, mode):
         d = str(tmp_path / "live.d")
-        injector = FaultInjector(
-            FaultPolicy(fail_at=fail_at, mode=mode)
-        )
         progress = {"fed": 0}
-        try:
-            ts, vs = _matrix_workload(
-                d, FaultyFS(injector), progress=progress
-            )
+        if crash_at(
+            partial(_matrix_workload, d, backend, progress=progress),
+            fail_at, mode,
+        ) is None:
             progress["fed"] = MATRIX_N
-        except (FaultInjected, OSError):
-            ts, vs = make_walk(7, n=MATRIX_N)
-        finally:
-            injector.close_all()
+        ts, vs = make_walk(7, n=MATRIX_N)
         fed = progress["fed"]
 
         if not os.path.exists(os.path.join(d, MANIFEST_NAME)):
@@ -452,7 +472,8 @@ class TestCrashMatrix:
             # was ever committed, so the producer starts a fresh index
             # and feeds the stream from scratch
             fresh = LiveIndex(
-                EPS, WINDOW, directory=d, seal_rows=MATRIX_SEAL_ROWS
+                EPS, WINDOW, directory=d, backend=backend,
+                seal_rows=MATRIX_SEAL_ROWS,
             )
             fresh.append_array(ts, vs)
             fresh.finalize()
@@ -681,7 +702,7 @@ class LiveCrashMachine(RuleBasedStateMachine):
         self.live = LiveIndex(
             EPS, WINDOW, directory=self.dir,
             seal_rows=140, wal_sync_obs=48,
-            _fs=FaultyFS(self.injector),
+            _fs=self.injector,
         )
 
     def _recover(self):
@@ -694,7 +715,7 @@ class LiveCrashMachine(RuleBasedStateMachine):
         self.live = LiveIndex.open(
             self.dir, scrub=True,
             seal_rows=140, wal_sync_obs=48,
-            _fs=FaultyFS(self.injector),
+            _fs=self.injector,
         )
         horizon = recovery_horizon(self.live)
         k = assert_prefix_equivalent(
@@ -758,7 +779,7 @@ class LiveCrashMachine(RuleBasedStateMachine):
         self.injector = FaultInjector()
         self.live = LiveIndex.open(
             self.dir, seal_rows=140, wal_sync_obs=48,
-            _fs=FaultyFS(self.injector),
+            _fs=self.injector,
         )
         # a clean close loses nothing at all
         horizon = recovery_horizon(self.live)

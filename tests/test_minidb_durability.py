@@ -9,11 +9,14 @@ a partial transaction, never corrupt data.
 """
 
 import os
+import struct
 import threading
+from functools import partial
 
 import pytest
 
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError, RecoveryError, StorageError
+from repro.storage.durable import encode_record
 from repro.storage.faults import FaultInjected, FaultInjector, FaultPolicy
 from repro.storage.minidb import (
     PAGE_CAPACITY,
@@ -22,6 +25,8 @@ from repro.storage.minidb import (
     MiniDbFeatureStore,
     Pager,
 )
+
+from .crashmatrix import count_ops, crash_at, fault_points
 
 # ---------------------------------------------------------------------- #
 # the workload under test: one DDL transaction (create table, bulk
@@ -39,8 +44,8 @@ def row(i: int):
     return tuple(float(i * 10 + c) for c in range(WIDTH))
 
 
-def workload(path: str, opener=None) -> None:
-    db = MiniDatabase(path, cache_pages=3, opener=opener)
+def workload(path: str, fs=None) -> None:
+    db = MiniDatabase(path, cache_pages=3, fs=fs)
     with db.transaction():
         t = db.create_table("events", WIDTH)
         for i in range(BATCH):
@@ -55,14 +60,6 @@ def workload(path: str, opener=None) -> None:
             db.set_meta("count", n + BATCH)
         n += BATCH
     db.close()
-
-
-def count_write_ops(tmp_path) -> int:
-    """Fault-free run: how many crash points does the workload expose?"""
-    inj = FaultInjector()
-    workload(str(tmp_path / "count.mdb"), opener=inj.open)
-    inj.close_all()
-    return inj.op_count
 
 
 def assert_recovered_state_valid(path: str, crash_point) -> None:
@@ -98,53 +95,38 @@ def assert_recovered_state_valid(path: str, crash_point) -> None:
 class TestCrashMatrix:
     def test_every_crash_point_recovers(self, tmp_path):
         """Simulate a power cut at EVERY write op of the workload."""
-        n_ops = count_write_ops(tmp_path)
-        assert n_ops >= 50, (
-            f"workload exposes only {n_ops} crash points; the matrix "
-            "must cover at least 50"
-        )
+        n_ops = count_ops(partial(workload, str(tmp_path / "count.mdb")))
+        # one write per WAL record, same fsync points: the record format
+        # must not change how many crash points the workload has
+        assert n_ops == 87, n_ops
         for k in range(1, n_ops + 1):
-            d = tmp_path / f"crash_{k}"
-            d.mkdir()
-            path = str(d / "w.mdb")
-            inj = FaultInjector(FaultPolicy(fail_at=k, mode="crash"))
-            with pytest.raises(FaultInjected):
-                workload(path, opener=inj.open)
-            inj.close_all()
+            path = str(tmp_path / f"crash_{k}.mdb")
+            fault = crash_at(partial(workload, path), k)
+            assert isinstance(fault, FaultInjected), k
             assert_recovered_state_valid(path, k)
 
     def test_torn_write_points_recover(self, tmp_path):
         """Partial-sector writes: only a prefix of the failing write
         reaches disk.  Every third op, with two different tear sizes."""
-        n_ops = count_write_ops(tmp_path)
+        points = fault_points(
+            partial(workload, str(tmp_path / "count.mdb")), stride=3
+        )
         for torn_bytes in (3, 97):
-            for k in range(1, n_ops + 1, 3):
-                d = tmp_path / f"torn_{torn_bytes}_{k}"
-                d.mkdir()
-                path = str(d / "w.mdb")
-                inj = FaultInjector(
-                    FaultPolicy(fail_at=k, mode="torn", torn_bytes=torn_bytes)
+            for k in points:
+                path = str(tmp_path / f"torn_{torn_bytes}_{k}.mdb")
+                fault = crash_at(
+                    partial(workload, path), k, "torn", torn_bytes
                 )
-                with pytest.raises(FaultInjected):
-                    workload(path, opener=inj.open)
-                inj.close_all()
+                assert isinstance(fault, FaultInjected), k
                 assert_recovered_state_valid(path, f"{k} (torn {torn_bytes})")
 
     def test_double_crash_during_recovery(self, tmp_path):
         """A second power cut while recovery itself is replaying the WAL
         must leave the file recoverable (replay is idempotent)."""
         path = str(tmp_path / "w.mdb")
-        inj = FaultInjector(FaultPolicy(fail_at=40, mode="crash"))
-        with pytest.raises(FaultInjected):
-            workload(path, opener=inj.open)
-        inj.close_all()
+        assert isinstance(crash_at(partial(workload, path), 40), FaultInjected)
         for k in range(1, 6):  # crash early in the recovery's own writes
-            inj2 = FaultInjector(FaultPolicy(fail_at=k, mode="crash"))
-            try:
-                MiniDatabase(path, opener=inj2.open).close()
-            except FaultInjected:
-                pass
-            inj2.close_all()
+            crash_at(lambda fs: MiniDatabase(path, fs=fs).close(), k)
         assert_recovered_state_valid(path, "double crash")
 
 
@@ -154,7 +136,7 @@ class TestTransientErrors:
         the database consistent and the retry succeeds."""
         path = str(tmp_path / "w.mdb")
         inj = FaultInjector()
-        db = MiniDatabase(path, cache_pages=3, opener=inj.open)
+        db = MiniDatabase(path, cache_pages=3, fs=inj)
         with db.transaction():
             t = db.create_table("events", WIDTH)
             for i in range(BATCH):
@@ -231,16 +213,6 @@ class TestChecksums:
         finally:
             db.close()
 
-    def test_checksums_off_skips_verification(self, tmp_path):
-        """The ablation/benchmark configuration must keep working."""
-        path = str(tmp_path / "nochk.mdb")
-        with MiniDatabase(path, checksums=False, wal=False) as db:
-            t = db.create_table("t", 2)
-            for i in range(100):
-                t.insert((float(i), 0.0))
-        with MiniDatabase(path, checksums=False, wal=False) as db:
-            assert db.table("t").n_rows == 100
-
 
 class TestFsckStructural:
     def test_catalog_rowcount_mismatch_reported(self, tmp_path):
@@ -303,6 +275,52 @@ class TestHeapChainBounds:
             assert "cycle" in str(raised[0])
         finally:
             store.close()
+
+
+class TestWalPageIdBound:
+    """A committed frame with a valid CRC may still name a page the
+    database cannot hold: replay must refuse it before writing a byte
+    (not raise EINVAL on a negative seek, not grow a sparse file)."""
+
+    @pytest.mark.parametrize("page_id", [-5, 2**30])
+    def test_out_of_range_frame_is_corruption(self, tmp_path, page_id):
+        path = str(tmp_path / "db.mdb")
+        with MiniDatabase(path) as db:
+            t = db.create_table("t", 2)
+            for i in range(10):
+                t.insert((float(i), 0.0))
+        size = os.path.getsize(path)
+        header = b"MDBWAL02" + struct.pack("<i", PAGE_SIZE)
+        # the frame's u32 arg carries the id's bit pattern
+        frame = encode_record(
+            len(header), 1, page_id & 0xFFFFFFFF, bytes(PAGE_SIZE)
+        )
+        commit = encode_record(len(header) + len(frame), 2, 1, b"")
+        with open(path + ".wal", "wb") as fh:
+            fh.write(header + frame + commit)
+        raised = []
+
+        def reopen():
+            try:
+                MiniDatabase(path).close()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
+
+        opener = threading.Thread(target=reopen, daemon=True)
+        opener.start()
+        opener.join(timeout=10.0)
+        assert not opener.is_alive(), "WAL replay never ended"
+        assert len(raised) == 1 and isinstance(raised[0], CorruptionError)
+        assert "offset 12" in str(raised[0])
+        assert os.path.getsize(path) == size
+
+    def test_version_1_log_is_refused(self, tmp_path):
+        path = str(tmp_path / "db.mdb")
+        MiniDatabase(path).close()
+        with open(path + ".wal", "wb") as fh:
+            fh.write(b"MDBWAL01" + struct.pack("<i", PAGE_SIZE) + b"\x00" * 9)
+        with pytest.raises(RecoveryError, match="version-1"):
+            MiniDatabase(path)
 
 
 class TestLifecycle:

@@ -147,7 +147,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         self.path = os.path.join(self.dir, "db.mdb")
         self.injector = FaultInjector()
         self.db = MiniDatabase(
-            self.path, cache_pages=3, opener=self.injector.open
+            self.path, cache_pages=3, fs=self.injector
         )
         with self.db.transaction():
             self.db.create_table("t", self.WIDTH)
@@ -172,7 +172,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         self.injector.close_all()
         self.injector = FaultInjector()
         self.db = MiniDatabase(
-            self.path, cache_pages=3, opener=self.injector.open
+            self.path, cache_pages=3, fs=self.injector
         )
         assert self.db.check() == []
         rows_now = [r for _rid, r in self.db.table("t").scan()]
@@ -224,7 +224,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         self.injector.close_all()
         self.injector = FaultInjector()
         self.db = MiniDatabase(
-            self.path, cache_pages=3, opener=self.injector.open
+            self.path, cache_pages=3, fs=self.injector
         )
 
     @rule()

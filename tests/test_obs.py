@@ -398,13 +398,13 @@ class TestExport:
 
 class TestStorageLogging:
     @staticmethod
-    def _crashing_workload(path, opener):
+    def _crashing_workload(path, fs):
         """Multi-transaction workload crashed mid-flight; a small page
         cache forces evictions through the WAL so committed frames are
         pending transfer at many crash points."""
         from repro.storage.minidb import MiniDatabase
 
-        db = MiniDatabase(path, cache_pages=3, opener=opener)
+        db = MiniDatabase(path, cache_pages=3, fs=fs)
         with db.transaction():
             t = db.create_table("events", 16)
             for i in range(50):
@@ -420,28 +420,26 @@ class TestStorageLogging:
         db.close()
 
     def test_wal_replay_emits_info_record(self, tmp_path, caplog):
-        from repro.storage.faults import (
-            FaultInjected,
-            FaultInjector,
-            FaultPolicy,
-        )
+        from functools import partial
+
+        from repro.storage.faults import FaultInjected
         from repro.storage.minidb import MiniDatabase
+
+        from .crashmatrix import crash_at, fault_points
 
         # crash the workload at every 7th write op; at least one crash
         # point must land between a WAL commit and its transfer, making
         # the subsequent reopen replay (and log) the committed frames
-        inj = FaultInjector()
-        self._crashing_workload(str(tmp_path / "count.mdb"), inj.open)
-        inj.close_all()
-        n_ops = inj.op_count
+        workload = self._crashing_workload
+        points = fault_points(
+            partial(workload, str(tmp_path / "count.mdb")), stride=7, start=5
+        )
         saw_replay = False
         with caplog.at_level(logging.INFO, logger="repro.storage"):
-            for k in range(5, n_ops, 7):
+            for k in points:
                 path = str(tmp_path / f"w{k}.mdb")
-                inj = FaultInjector(FaultPolicy(fail_at=k, mode="crash"))
-                with pytest.raises(FaultInjected):
-                    self._crashing_workload(path, inj.open)
-                inj.close_all()
+                fault = crash_at(partial(workload, path), k)
+                assert isinstance(fault, FaultInjected), k
                 MiniDatabase(path).close()
                 if any(
                     "WAL replay" in r.message and r.name == "repro.storage"

@@ -170,3 +170,54 @@ class TestOneScatterOneEnvelope:
             for path, _ in self._lines_with('"repro_engine_queries_total"')
         }
         assert registered == {"engine/session.py"}
+
+
+class TestOneDurabilityKernel:
+    """Structural guard: one file facade, one framed log, one install and
+    one injector (``repro.storage.durable`` / ``storage.faults``) — no
+    second fsync, rename, CRC framing or fault dispatch may return."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+    KERNEL = {"storage/durable.py", "storage/faults.py"}
+
+    def _files_with(self, needle):
+        return {
+            path.relative_to(self.SRC).as_posix()
+            for path in sorted(self.SRC.rglob("*.py"))
+            if needle in path.read_text(encoding="utf-8")
+        }
+
+    def test_fsync_and_replace_only_in_the_kernel(self):
+        for needle in ("os.fsync(", "os.replace(", "FaultInjected"):
+            assert self._files_with(needle) <= self.KERNEL, needle
+
+    def test_logs_frame_through_the_kernel(self):
+        crc = self._files_with("zlib.crc32")
+        assert not crc & {"storage/livewal.py", "storage/minidb/wal.py"}
+
+    def test_the_old_hooks_stay_deleted(self):
+        for needle in ("opener", "class FaultyFS", "_fsync_fh",
+                       "def _fsync", "_default_opener"):
+            assert not self._files_with(needle), needle
+        assert not self._files_with('"repro_minidb_checksum_failures_total"'
+                                    ) - {"storage/minidb/pager.py"}
+
+    def test_no_durability_knobs(self):
+        from repro.storage.minidb import (
+            MiniDatabase,
+            MiniDbFeatureStore,
+            Pager,
+        )
+
+        for cls in (Pager, MiniDatabase, MiniDbFeatureStore):
+            params = inspect.signature(cls.__init__).parameters
+            assert not {"checksums", "wal", "opener"} & set(params), cls
+            assert "fsync" in params, cls
+
+    def test_one_atomic_install(self):
+        from repro.storage import durable, livewal, partitions
+
+        assert "atomic_replace" in inspect.getsource(partitions.install_json)
+        assert "atomic_replace" in inspect.getsource(livewal.LiveWAL.rewrite)
+        assert issubclass(durable.FaultInjected, BaseException)
+        assert not issubclass(durable.FaultInjected, Exception)

@@ -211,7 +211,7 @@ class TestMidStreamCrash:
                 break
         # crash: drop the raw file handles without any flush/commit
         index.store.db.pager._file.close()
-        index.store.db.pager.wal._file.close()
+        index.store.db.pager.wal._log.file.close()
 
         resumed = SegDiffIndex.resume(path, backend="minidb")
         resumed.ingest(series)

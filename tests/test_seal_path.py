@@ -15,6 +15,7 @@ Three equivalences and one cost bound:
 """
 
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.core.live import LiveIndex
 from repro.errors import InvalidParameterError
 from repro.storage import checksum as cks
 from repro.storage.base import FeatureStore
-from repro.storage.faults import FaultInjected, FaultInjector, FaultPolicy
+from repro.storage.faults import FaultInjected
 from repro.storage.memory_store import MemoryFeatureStore
 from repro.storage.minidb import (
     PAGE_SIZE,
@@ -34,10 +35,11 @@ from repro.storage.minidb import (
     Pager,
     RID,
 )
-from repro.storage.minidb import pager as pager_mod
 from repro.storage.minidb.btree import _INT_HEADER, _LEAF_HEADER
 from repro.storage.partitions import copy_store_into
 from repro.storage.sqlite_store import SqliteFeatureStore
+
+from .crashmatrix import count_ops, crash_at
 
 # ---------------------------------------------------------------------- #
 # the oracle: bulk_load as it was before the array path replaced it
@@ -474,10 +476,10 @@ class TestSealCost:
 # ---------------------------------------------------------------------- #
 
 
-def _seal_store_writes(source, path):
+def _seal_store_writes(source, path, fs=None):
     """What ``LiveIndex._seal_locked`` writes into a partition file:
     the copy (ending in the finalize checkpoint), then one meta commit."""
-    store = MiniDbFeatureStore(path)
+    store = MiniDbFeatureStore(path, _fs=fs)
     copy_store_into([source], store)
     store.set_meta_many({
         "epsilon": 0.3, "window": 4 * 3600.0, "sealed": 1.0,
@@ -487,9 +489,7 @@ def _seal_store_writes(source, path):
 
 
 class TestSealCrashMatrix:
-    def test_sealed_implies_trees_at_every_crash_point(
-        self, tmp_path, monkeypatch
-    ):
+    def test_sealed_implies_trees_at_every_crash_point(self, tmp_path):
         from repro.core.index import SegDiffIndex
         from repro.datagen import random_walk_series
 
@@ -501,11 +501,9 @@ class TestSealCrashMatrix:
         )
         want = source.store.counts()
 
-        probe = FaultInjector()
-        monkeypatch.setattr(pager_mod, "_default_opener", probe.open)
-        _seal_store_writes(source.store, str(tmp_path / "probe.minidb"))
-        probe.close_all()
-        n_ops = probe.op_count
+        n_ops = count_ops(partial(
+            _seal_store_writes, source.store, str(tmp_path / "probe.minidb")
+        ))
         # two checkpoints of the file, not one per digest
         pages = os.path.getsize(tmp_path / "probe.minidb") // PAGE_SIZE
         assert 2 * pages <= n_ops <= 4 * pages, (n_ops, pages)
@@ -513,12 +511,8 @@ class TestSealCrashMatrix:
         sealed_seen = 0
         for k in range(1, n_ops + 1):
             path = str(tmp_path / f"crash_{k}.minidb")
-            inj = FaultInjector(FaultPolicy(fail_at=k, mode="crash"))
-            monkeypatch.setattr(pager_mod, "_default_opener", inj.open)
-            with pytest.raises(FaultInjected):
-                _seal_store_writes(source.store, path)
-            inj.close_all()
-            monkeypatch.undo()
+            fault = crash_at(partial(_seal_store_writes, source.store, path), k)
+            assert isinstance(fault, FaultInjected), k
 
             store = MiniDbFeatureStore(path)  # replays the committed WAL
             try:
