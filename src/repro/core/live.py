@@ -218,6 +218,7 @@ def partition_damage(directory: str, spec: PartitionSpec) -> Optional[str]:
     """Why the sealed partition ``spec`` of ``directory`` fails
     verification, or ``None`` when intact (scrub and ``segdiff fsck``).
 
+    A MiniDB file first gets the fsck walk (``MiniDatabase.check``).
     Partitions carry persisted checksum trees; verification recomputes
     them from the rows and diffs them
     (:func:`~repro.storage.checksum.diff_trees`).  Partitions sealed
@@ -235,6 +236,11 @@ def partition_damage(directory: str, spec: PartitionSpec) -> Optional[str]:
     except Exception as exc:
         return f"unreadable: {exc}"
     try:
+        problems = store.check() if hasattr(store, "check") else []
+        if problems:
+            return f"fsck: {problems[0]}"
+        if store.get_meta("sealed") != 1.0:
+            return "not a sealed partition"
         persisted = load_trees(store)
         if persisted is None:
             for table in FEATURE_TABLES:
@@ -834,7 +840,9 @@ class LiveIndex:
         The file is complete and fsynced BEFORE the manifest points at
         it; a crash in between leaves an orphan file (swept on open) and
         the previous generation.  Any other failure closes the store and
-        removes the file.  Returns ``(store, path, spec, manifest)``.
+        removes the file.  A MiniDB file is written once, with no page
+        WAL (:mod:`repro.storage.minidb.sealed`), then opened for reads.
+        Returns ``(store, path, spec, manifest)``.
         """
         if self.directory is None:
             store, fname, path = MemoryFeatureStore(), None, None
@@ -843,9 +851,9 @@ class LiveIndex:
             fname = f"{part_id}.{self.backend}"
             path = os.path.join(self.directory, fname)
             if self.backend == "minidb":
-                from ..storage.minidb import MiniDbFeatureStore
+                from ..storage.minidb.sealed import ClusteredSink
 
-                store = MiniDbFeatureStore(path, _fs=self._fs)
+                store = ClusteredSink(path, self._fs)
             else:
                 from ..storage.sqlite_store import SqliteFeatureStore
 
@@ -864,12 +872,15 @@ class LiveIndex:
             manifest = transition(spec)
             if path is not None:
                 self._fs.fsync_file(path)
+                if self.backend == "minidb":
+                    from ..storage.minidb import MiniDbFeatureStore
+
+                    store = MiniDbFeatureStore(path, _fs=self._fs)
                 manifest.save(self.directory, fs=self._fs)
         except Exception:
             store.close()
-            for leftover in (path, f"{path}.wal") if path else ():
-                if os.path.exists(leftover):
-                    self._fs.remove(leftover)
+            if path is not None and os.path.exists(path):
+                self._fs.remove(path)
             raise
         return store, path, spec, manifest
 

@@ -22,8 +22,9 @@ place they are written:
   the first record that is short, claims more bytes than the file has
   left, or fails its CRC; everything before it is intact.
 * **The install.**  :func:`atomic_replace` writes a temp file, fsyncs
-  it and renames it over the target: a crash leaves the old file or the
-  new one, never a torn one.
+  it, renames it over the target and fsyncs the directory: a crash
+  leaves the old file or the new one, never a torn one, and a power cut
+  after it returns cannot bring the old one back.
 
 A simulated power cut (:class:`FaultInjected`) is a ``BaseException``:
 no ``except Exception`` cleanup runs for it, so temp files and partial
@@ -276,12 +277,13 @@ def write_log(fh, header: bytes, records) -> None:
 
 def atomic_replace(fs, path: str, write: Callable) -> None:
     """Install ``path`` atomically: ``write(fh)`` fills ``path.tmp``,
-    which is fsynced and renamed over ``path``.
+    which is fsynced and renamed over ``path``; a directory fsync then
+    makes the rename itself durable.
 
     A failed install removes its temp file, so retries never find stale
     bytes; a simulated power cut leaves it for the open-time sweep.  A
-    commit point (a manifest) follows it with ``fs.fsync_dir`` to make
-    the rename itself durable.
+    failing directory fsync is not a failed install (the facade swallows
+    it): the rename is already visible.
     """
     tmp = path + ".tmp"
     try:
@@ -298,3 +300,4 @@ def atomic_replace(fs, path: str, write: Callable) -> None:
         except OSError:
             pass
         raise
+    fs.fsync_dir(os.path.dirname(path) or ".")

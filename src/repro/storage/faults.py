@@ -94,12 +94,14 @@ class FaultInjector(RealFS):
     """The faulty file facade: shared op counter + policy.
 
     Use :attr:`op_count` after a fault-free run to learn how many crash
-    points a workload exposes, then re-run once per point.
+    points a workload exposes, then re-run once per point; :attr:`op_log`
+    lists those points as ``(op, path)`` in order.
     """
 
     def __init__(self, policy: Optional[FaultPolicy] = None) -> None:
         self.policy = policy or FaultPolicy()
         self.op_count = 0
+        self.op_log: List[Tuple[str, str]] = []
         self.crashed = False
         self._files: List[FaultyFile] = []
 
@@ -117,6 +119,7 @@ class FaultInjector(RealFS):
         if op not in self.policy.ops:
             return
         self.op_count += 1
+        self.op_log.append((op, what))
         if self.policy.fail_at != self.op_count:
             return
         mode = self.policy.mode

@@ -257,8 +257,10 @@ class LiveWAL:
         before the watermark are durable in sealed partitions, so their
         frames are garbage.  Frames straddling the watermark are
         rewritten with only their uncovered suffix.  The rotation is the
-        kernel's :func:`~repro.storage.durable.atomic_replace`; a crash
-        at any point leaves either the old or the new log, and replay of
+        kernel's :func:`~repro.storage.durable.atomic_replace`, directory
+        fsync included; a crash at any point leaves either the old or the
+        new log, a power cut after it cannot bring the old one back, and
+        replay of
         stale frames is idempotent (the resume watermark skips them) —
         so rotation is never on the correctness path, only the space
         path.  When the install fails the old log stays open and in use:

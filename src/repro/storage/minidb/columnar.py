@@ -22,6 +22,9 @@ page byte layouts:
   rows are gathered **per distinct page** instead of one random read
   per row.
 
+* ``table_block(name, upto=T)`` — the probe of a *clustered* table
+  (heap in key order, no B+tree): ``Δt <= T`` is a prefix of the chain.
+
 Page accounting keeps the paper's logical cost model intact: every
 serve still charges one logical page read per chain page (cached view)
 or per matching index entry (batched gather) — see
@@ -41,19 +44,19 @@ from ...errors import CorruptionError, StorageError
 from .btree import _LEAF_HEADER
 from .heapfile import _HEADER as _HEAP_HEADER
 from .heapfile import HeapFile
-from .pager import PAGE_CAPACITY, PAGE_SIZE
+from .pager import PAGE_SIZE
 
 __all__ = ["ColumnarView", "decode_heap_chain", "probe_index_block"]
 
 
 class _CachedBlock:
-    __slots__ = ("first_page", "n_rows", "n_pages", "block")
+    __slots__ = ("first_page", "n_rows", "ends", "block")
 
-    def __init__(self, first_page: int, n_rows: int, n_pages: int,
+    def __init__(self, first_page: int, n_rows: int, ends: np.ndarray,
                  block: np.ndarray) -> None:
         self.first_page = first_page
         self.n_rows = n_rows
-        self.n_pages = n_pages
+        self.ends = ends  # cumulative rows at the end of each chain page
         self.block = block
 
 
@@ -75,15 +78,17 @@ class ColumnarView:
         """Drop every cached block (appends, checkpoints, cold cache)."""
         self._blocks.clear()
 
-    def table_block(self, name: str, guard=None) -> np.ndarray:
+    def table_block(self, name: str, guard=None,
+                    upto: Optional[float] = None) -> np.ndarray:
         """The table's full heap as an ``(n_rows, width)`` block.
 
         A cached serve charges one logical page read (pool hit) per
         chain page — identical to the ledger of a fully warm
-        buffer-pool scan.
+        buffer-pool scan.  ``upto`` (a clustered table) serves only the
+        prefix with leading key ``<= upto`` and charges the chain pages
+        up to and including the cut.
         """
-        table = self._db.table(name)
-        heap = table.heap
+        heap = self._db.table(name).heap
         cached = self._blocks.get(name)
         if (
             cached is not None
@@ -92,21 +97,32 @@ class ColumnarView:
         ):
             if guard is not None:
                 guard.tick()
-            heap.pager.note_cached_reads(cached.n_pages)
-            return cached.block
-        block, page_ids, _counts = decode_heap_chain(heap, guard)
+            block, ends = cached.block, cached.ends
+            cut = block.shape[0] if upto is None else _cut(block, upto)
+            pages = int(np.searchsorted(ends, cut, side="right")) + 1
+            heap.pager.note_cached_reads(min(pages, ends.shape[0]))
+            return block[:cut]
+        block, _page_ids, counts = decode_heap_chain(heap, guard)
         self._blocks[name] = _CachedBlock(
-            heap.first_page, heap.n_rows, len(page_ids), block
+            heap.first_page, heap.n_rows, np.cumsum(counts), block
         )
-        return block
+        return block if upto is None else block[: _cut(block, upto)]
+
+
+def _cut(block: np.ndarray, first_max: float) -> int:
+    """Rows of a key-ordered block with leading key ``<= first_max``."""
+    return int(np.searchsorted(block[:, 0], first_max, side="right"))
 
 
 def decode_heap_chain(
-    heap: HeapFile, guard=None
+    heap: HeapFile, guard=None, upto: Optional[float] = None
 ) -> Tuple[np.ndarray, List[int], List[int]]:
     """Walk one heap chain into a fresh read-only ``(n_rows, width)``
     block; also returns the chain's page ids and rows per page (row
-    ``i``'s rid follows from them).
+    ``i``'s rid follows from them).  With ``upto`` (a chain in key
+    order) the walk stops after the first page whose last leading key
+    exceeds it, and the block holds the rows with leading key
+    ``<= upto``.
 
     When the pager holds no uncommitted state every committed byte is in
     the main file, so the chain is read through an mmap (bulk I/O, no
@@ -144,6 +160,9 @@ def decode_heap_chain(
                 )
             if guard is not None:
                 guard.tick()
+            if not (0 <= page_id < pager.n_pages):
+                raise CorruptionError(f"{pager.path}: heap chain links "
+                                      f"to page {page_id}, past the file")
             if mapped is not None and page_id < file_pages:
                 off = page_id * PAGE_SIZE
                 data = mapped[off : off + PAGE_SIZE]
@@ -152,20 +171,16 @@ def decode_heap_chain(
             else:
                 data = pager.read(page_id)
             count, next_page = _HEAP_HEADER.unpack_from(data, 0)
-            if (
-                count < 0
-                or _HEAP_HEADER.size + count * width * 8 > PAGE_CAPACITY
-            ):
+            # appends fill every page but the last: with the catalog's
+            # row count, each page's count is known before it is read
+            expected = min(heap.rows_per_page, out.shape[0] - pos)
+            if count != expected:
                 raise CorruptionError(
-                    f"{pager.path}: heap page {page_id} claims {count} "
-                    f"rows of width {width}"
+                    f"{pager.path}: heap page {page_id} holds {count} rows "
+                    f"of width {width} where a chain of {out.shape[0]} "
+                    f"rows needs {expected}"
                 )
             if count:
-                if pos + count > out.shape[0]:
-                    raise StorageError(
-                        f"{pager.path}: heap chain holds more rows than "
-                        f"the catalog's {out.shape[0]}"
-                    )
                 out[pos : pos + count] = np.frombuffer(
                     data, dtype="<f8", count=count * width,
                     offset=_HEAP_HEADER.size,
@@ -174,6 +189,10 @@ def decode_heap_chain(
             page_ids.append(page_id)
             counts.append(count)
             page_id = next_page
+            if upto is not None and pos and out[pos - 1, 0] > upto:
+                out = out[: _cut(out[:pos], upto)]
+                pos = out.shape[0]
+                break
     finally:
         if mapped is not None:
             mapped.close()

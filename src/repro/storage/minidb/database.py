@@ -18,6 +18,10 @@ Durability (docs/durability.md):
   → indexes and reports every inconsistency as a structured
   :class:`~repro.errors.CorruptionError` (page checksums are verified on
   every read as a matter of course).
+
+A table marked ``"clustered": [key columns]`` is stored in key order
+with no B+tree (sealed partitions, :mod:`.sealed`); its file is
+write-once: mutations raise, and its catalog is never rewritten.
 """
 
 from __future__ import annotations
@@ -37,14 +41,43 @@ from ...errors import (
 from ..durable import RealFS
 from .btree import BPlusTree
 from .columnar import decode_heap_chain
+from .heapfile import _HEADER as _HEAP_HEADER
 from .heapfile import RID, HeapFile
 from .pager import PAGE_CAPACITY, PAGE_SIZE, Pager, PagerStats
 
-__all__ = ["MiniDatabase", "Table"]
+__all__ = ["MiniDatabase", "Table", "catalog_pages", "encode_catalog"]
 
 _MAGIC = b"MINIDB01"
 _HEAD = struct.Struct("<8sii")  # magic, total_len, next_page
 _CONT = struct.Struct("<i")  # next_page
+_HEAD_CAP = PAGE_CAPACITY - _HEAD.size
+_CONT_CAP = PAGE_CAPACITY - _CONT.size
+
+
+def catalog_pages(payload: bytes) -> int:
+    """Pages the catalog chain needs to hold ``payload``."""
+    return 1 + max(0, -(-(len(payload) - _HEAD_CAP) // _CONT_CAP))
+
+
+def encode_catalog(payload: bytes, chain: Sequence[int]) -> List[bytearray]:
+    """The catalog pages holding ``payload`` laid over ``chain`` (page 0
+    first, ``catalog_pages(payload)`` ids): the one catalog layout."""
+    pages = []
+    offset = 0
+    for i, page_id in enumerate(chain):
+        nxt = chain[i + 1] if i + 1 < len(chain) else -1
+        buf = bytearray(PAGE_SIZE)
+        if i == 0:
+            _HEAD.pack_into(buf, 0, _MAGIC, len(payload), nxt)
+            start, body = _HEAD.size, _HEAD_CAP
+        else:
+            _CONT.pack_into(buf, 0, nxt)
+            start, body = _CONT.size, _CONT_CAP
+        piece = payload[offset : offset + body]
+        buf[start : start + len(piece)] = piece
+        offset += len(piece)
+        pages.append(buf)
+    return pages
 
 
 class Table:
@@ -77,8 +110,14 @@ class Table:
     def n_rows(self) -> int:
         return self.heap.n_rows
 
+    @property
+    def clustered(self) -> Optional[List[int]]:
+        """Key columns the heap is stored in order of, or ``None``."""
+        return self._info.get("clustered")
+
     def insert(self, row: Sequence[float]) -> RID:
         """Append one row (indexes are NOT maintained; rebuild them)."""
+        self._db._check_writable()
         rid = self.heap.append(row)
         self._info["n_rows"] = self.heap.n_rows
         self._info["last_page"] = self.heap.last_page
@@ -86,6 +125,7 @@ class Table:
 
     def insert_many(self, rows) -> None:
         """Append many rows via the page-packed bulk path."""
+        self._db._check_writable()
         self.heap.append_many(rows)
         self._info["n_rows"] = self.heap.n_rows
         self._info["last_page"] = self.heap.last_page
@@ -113,6 +153,7 @@ class Table:
 
     def create_index(self, name: str, key_cols: Sequence[int]) -> BPlusTree:
         """(Re)build a B+tree on the given column positions."""
+        self._db._check_writable()
         cols = [int(c) for c in key_cols]
         if not cols or any(not (0 <= c < self.width) for c in cols):
             raise InvalidParameterError(
@@ -191,6 +232,8 @@ class MiniDatabase:
         self._catalog: Dict = {"tables": {}, "meta": {}}
         self._txn_depth = 0
         self._closed = False
+        #: A file holding clustered tables is sealed: never mutated.
+        self.write_once = False
         if self.pager.n_pages == 0:
             root = self.pager.allocate()
             assert root == 0
@@ -204,14 +247,22 @@ class MiniDatabase:
         self._tables = {}
         for name, info in self._catalog["tables"].items():
             self._tables[name] = Table(self, name, info)
+        self.write_once = any(t.clustered for t in self._tables.values())
+
+    def _check_writable(self) -> None:
+        if self.write_once:
+            raise StorageError(
+                f"{self.pager.path} is a sealed, write-once file"
+            )
 
     # ------------------------------------------------------------------ #
     # catalog persistence
     # ------------------------------------------------------------------ #
 
     def _write_catalog(self) -> None:
+        if self.write_once:
+            return  # nothing can have changed: the chain stays as written
         payload = json.dumps(self._catalog).encode()
-        total = len(payload)
         # reuse the existing chain where possible
         chain: List[int] = [0]
         page = self.pager.read(0)
@@ -220,32 +271,11 @@ class MiniDatabase:
             while next_page != -1:
                 chain.append(next_page)
                 (next_page,) = _CONT.unpack_from(self.pager.read(next_page), 0)
-
-        head_cap = PAGE_CAPACITY - _HEAD.size
-        cont_cap = PAGE_CAPACITY - _CONT.size
-        needed = 1
-        remaining = total - head_cap
-        while remaining > 0:
-            needed += 1
-            remaining -= cont_cap
+        needed = catalog_pages(payload)
         while len(chain) < needed:
             chain.append(self.pager.allocate())
-
-        offset = 0
-        for i, page_id in enumerate(chain[:needed]):
-            nxt = chain[i + 1] if i + 1 < needed else -1
-            buf = bytearray(PAGE_SIZE)
-            if i == 0:
-                _HEAD.pack_into(buf, 0, _MAGIC, total, nxt)
-                body = head_cap
-                start = _HEAD.size
-            else:
-                _CONT.pack_into(buf, 0, nxt)
-                body = cont_cap
-                start = _CONT.size
-            piece = payload[offset : offset + body]
-            buf[start : start + len(piece)] = piece
-            offset += len(piece)
+        chain = chain[:needed]
+        for page_id, buf in zip(chain, encode_catalog(payload, chain)):
             self.pager.write(page_id, bytes(buf))
 
     def _read_catalog(self) -> None:
@@ -256,6 +286,11 @@ class MiniDatabase:
         head_take = min(total, PAGE_CAPACITY - _HEAD.size)
         payload = bytearray(page[_HEAD.size : _HEAD.size + head_take])
         while len(payload) < total and next_page != -1:
+            if not (0 < next_page < self.pager.n_pages):
+                raise CorruptionError(
+                    f"{self.pager.path}: catalog chain links to page "
+                    f"{next_page}, outside the file"
+                )
             page = self.pager.read(next_page)
             (next_page,) = _CONT.unpack_from(page, 0)
             take = min(total - len(payload), PAGE_CAPACITY - _CONT.size)
@@ -321,6 +356,7 @@ class MiniDatabase:
     # ------------------------------------------------------------------ #
 
     def create_table(self, name: str, width: int) -> Table:
+        self._check_writable()
         if name in self._tables:
             raise InvalidParameterError(f"table {name!r} already exists")
         info = {
@@ -353,6 +389,7 @@ class MiniDatabase:
 
     def set_meta(self, key: str, value) -> None:
         """Store one JSON-serializable metadata value."""
+        self._check_writable()
         self._catalog["meta"][key] = value
 
     def get_meta(self, key: str):
@@ -423,14 +460,14 @@ class MiniDatabase:
         # 2. the catalog must parse (it did at open; re-verify structure)
         try:
             self._read_catalog()
+            # keep live Table objects wired to the freshly parsed catalog
+            self._load_tables()
         except CorruptionError as exc:
             problems.append(exc)
             return problems  # nothing else is walkable
         except StorageError as exc:
             problems.append(CorruptionError(str(exc)))
             return problems
-        # keep live Table objects wired to the freshly parsed catalog
-        self._load_tables()
 
         claimed: Dict[int, str] = {0: "catalog"}
         page = self.pager.read(0)
@@ -479,20 +516,23 @@ class MiniDatabase:
         claimed: Dict[int, str],
         problems: List[CorruptionError],
     ) -> Dict[int, int]:
-        """Walk one heap chain; returns {page_id: row count} for rid checks."""
+        """Walk one heap chain; returns {page_id: row count} for rid checks.
+        A clustered chain must also be in key order across its pages."""
         owner = f"table {table.name!r} heap"
         heap = table.heap
         counts: Dict[int, int] = {}
         total = 0
         page_id = heap.first_page
         last_seen = page_id
+        prev_key = None  # clustered key of the chain's last row so far
         while page_id != -1:
             if not self._claim(page_id, owner, claimed, problems):
                 break  # cycle or bad link: stop walking
             try:
-                count, next_page = heap._read_header(self.pager.read(page_id))
+                page = self.pager.read(page_id)
             except CorruptionError:
                 break  # already reported by the checksum sweep
+            count, next_page = heap._read_header(page)
             if not (0 <= count <= heap.rows_per_page):
                 problems.append(
                     CorruptionError(
@@ -501,6 +541,18 @@ class MiniDatabase:
                     )
                 )
                 break
+            if table.clustered and count:
+                keys = np.frombuffer(
+                    page, "<f8", count * heap.width, _HEAP_HEADER.size
+                ).reshape(count, heap.width)[:, table.clustered]
+                if prev_key is not None:
+                    keys = np.vstack([prev_key, keys])
+                # a stable sort of rows already in order moves none
+                if (np.lexsort(keys.T[::-1]) != np.arange(len(keys))).any():
+                    problems.append(CorruptionError(
+                        f"{owner}: page {page_id} breaks the clustered "
+                        "key order"))
+                prev_key = keys[-1]
             counts[page_id] = count
             total += count
             last_seen = page_id

@@ -9,22 +9,56 @@ Page layout (little-endian)::
 A row id (:class:`RID`) is ``(page_id, slot)``; random access costs one
 page read — exactly the cost model that makes secondary-index lookups
 expensive for large result sets (Figures 19-20).
+
+:func:`pack_rows` is the one encoder of that layout (for
+:meth:`HeapFile.append_many` and the write-once :func:`encode_chain`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import InvalidParameterError, StorageError
 from .pager import PAGE_CAPACITY, PAGE_SIZE, Pager
 
-__all__ = ["HeapFile", "RID"]
+__all__ = ["HeapFile", "RID", "encode_chain", "pack_rows", "rows_per_page"]
 
 _HEADER = struct.Struct("<ii")  # n_rows, next_page
+
+
+def rows_per_page(width: int) -> int:
+    """Rows of ``width`` floats that fit one heap page."""
+    return (PAGE_CAPACITY - _HEADER.size) // (8 * width)
+
+
+def pack_rows(page: bytearray, slot: int, rows: np.ndarray,
+              next_page: int) -> None:
+    """Lay the ``(m, width)`` block ``rows`` into ``page`` from ``slot``
+    on and set the header to ``slot + m`` rows linking to ``next_page``."""
+    raw = np.ascontiguousarray(rows, dtype="<f8")
+    off = _HEADER.size + slot * 8 * raw.shape[1]
+    page[off : off + raw.nbytes] = raw.tobytes()
+    _HEADER.pack_into(page, 0, slot + raw.shape[0], next_page)
+
+
+def encode_chain(rows: np.ndarray, first_page: int) -> List[bytearray]:
+    """The pages of a whole heap chain holding ``rows``, laid out on
+    consecutive page ids from ``first_page`` (an empty table is one
+    empty page, as :class:`HeapFile` creates it)."""
+    per = rows_per_page(rows.shape[1])
+    n_pages = max(1, -(-rows.shape[0] // per))
+    pages = []
+    for i in range(n_pages):
+        page = bytearray(PAGE_SIZE)
+        last = i + 1 == n_pages
+        pack_rows(page, 0, rows[i * per : (i + 1) * per],
+                  -1 if last else first_page + i + 1)
+        pages.append(page)
+    return pages
 
 
 @dataclass(frozen=True)
@@ -60,7 +94,7 @@ class HeapFile:
     ) -> None:
         if width < 1:
             raise InvalidParameterError("row width must be >= 1")
-        self.rows_per_page = (PAGE_CAPACITY - _HEADER.size) // (8 * width)
+        self.rows_per_page = rows_per_page(width)
         if self.rows_per_page < 1:
             raise InvalidParameterError(
                 f"row width {width} does not fit a {PAGE_SIZE}-byte page"
@@ -134,15 +168,13 @@ class HeapFile:
         n = arr.shape[0]
         if n == 0:
             return
-        row_bytes = 8 * self.width
         # top up the tail page
         page = bytearray(self.pager.read(self.last_page))
         count, next_page = self._read_header(page)
         take = min(self.rows_per_page - count, n)
         pos = 0
         if take > 0:
-            off = self._row_offset(count)
-            page[off : off + take * row_bytes] = arr[:take].tobytes()
+            pack_rows(page, count, arr[:take], next_page)
             count += take
             pos = take
         # then whole new pages, linking each into the chain
@@ -154,8 +186,7 @@ class HeapFile:
             self.last_page = new_page
             chunk = arr[pos : pos + self.rows_per_page]
             page = bytearray(self.pager.read(new_page))
-            off = self._row_offset(0)
-            page[off : off + chunk.shape[0] * row_bytes] = chunk.tobytes()
+            pack_rows(page, 0, chunk, -1)
             count, next_page = chunk.shape[0], -1
             pos += chunk.shape[0]
         _HEADER.pack_into(page, 0, count, next_page)

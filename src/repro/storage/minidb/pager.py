@@ -20,7 +20,8 @@ Durability (docs/durability.md):
 * dirty pages are appended to ``<path>.wal`` instead of being written in
   place; :meth:`commit` seals them atomically and :meth:`flush`
   transfers committed frames into the main file.  Opening a file with a
-  leftover WAL replays its committed prefix first.
+  leftover WAL replays its committed prefix first.  The WAL is created
+  on the first write-back: a file that is only read never grows one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ...obs.metrics import REGISTRY
 from ..durable import RealFS
 from .wal import WriteAheadLog
 
-__all__ = ["PAGE_SIZE", "PAGE_CAPACITY", "Pager", "PagerStats"]
+__all__ = ["PAGE_SIZE", "PAGE_CAPACITY", "Pager", "PagerStats", "stamp"]
 
 logger = logging.getLogger("repro.storage")
 
@@ -47,6 +48,13 @@ PAGE_SIZE = 4096
 _TRAILER = struct.Struct("<I")  # crc32 of the first PAGE_CAPACITY bytes
 #: Bytes of a page available to callers (the trailer is the pager's).
 PAGE_CAPACITY = PAGE_SIZE - _TRAILER.size
+
+
+def stamp(data) -> bytes:
+    """``data`` (one page) with its CRC32 trailer filled in."""
+    buf = bytearray(data)
+    _TRAILER.pack_into(buf, PAGE_CAPACITY, zlib.crc32(bytes(buf[:PAGE_CAPACITY])))
+    return bytes(buf)
 
 
 @dataclass
@@ -105,10 +113,10 @@ class Pager:
     Parameters
     ----------
     path:
-        Backing file; created if missing.  A sibling ``<path>.wal`` file
-        holds in-flight transactions; it is replayed (committed prefix
-        only) when reopening after a crash and removed on clean
-        :meth:`close`.
+        Backing file; created if missing.  A sibling ``<path>.wal`` file,
+        created on the first write-back, holds in-flight transactions;
+        it is replayed (committed prefix only) when reopening after a
+        crash and removed on clean :meth:`close`.
     cache_pages:
         Buffer-pool capacity in pages (>= 1).
     fsync:
@@ -166,35 +174,41 @@ class Pager:
         self._file = self._fs.open(path, "r+b", buffering=-1)
         self.wal: Optional[WriteAheadLog] = None
         try:
-            self.wal = WriteAheadLog(
-                path + ".wal", PAGE_SIZE, fsync=fsync, fs=self._fs
-            )
+            if os.path.exists(path + ".wal"):
+                self._open_wal()
             size = self._file.seek(0, os.SEEK_END)
             if size % PAGE_SIZE != 0:
                 # a torn append at the end of the main file: recoverable
                 # when the WAL holds the page's committed image
-                if self.wal.is_empty:
+                if self.wal is None or self.wal.is_empty:
                     raise StorageError(
                         f"{path}: size {size} is not a multiple of the "
                         "page size"
                     )
                 size -= size % PAGE_SIZE
                 self._file.truncate(size)
-            self._n_pages = self.wal.page_bound(size // PAGE_SIZE)
+            self._n_pages = size // PAGE_SIZE
+            if self.wal is not None:
+                self._n_pages = self.wal.page_bound(self._n_pages)
         except BaseException:
             self._file.close()
             if self.wal is not None:
-                # don't leave behind an (empty) WAL just created for a
-                # file that is not a page file at all
-                self.wal.close(delete=self.wal.is_empty)
+                self.wal.close()
             raise
         # page_id -> bytearray; OrderedDict used as the LRU queue
         self._pool: "OrderedDict[int, bytearray]" = OrderedDict()
         self._dirty: set = set()
         self._closed = False
         self._stable_n_pages = self._n_pages
-        if not self.wal.is_empty:
+        if self.wal is not None and not self.wal.is_empty:
             self._replay_wal()
+
+    def _open_wal(self) -> WriteAheadLog:
+        if self.wal is None:
+            self.wal = WriteAheadLog(
+                self.path + ".wal", PAGE_SIZE, fsync=self.fsync, fs=self._fs
+            )
+        return self.wal
 
     def _replay_wal(self) -> None:
         """Transfer the committed WAL frames a crash left behind."""
@@ -308,7 +322,7 @@ class Pager:
             return self._pool[page_id]
         self._c_misses.inc()
         self._c_disk_reads.inc()
-        if page_id in self.wal:
+        if self.wal is not None and page_id in self.wal:
             data = bytearray(self.wal.read(page_id))
         else:
             self._file.seek(page_id * PAGE_SIZE)
@@ -329,23 +343,16 @@ class Pager:
 
     def _write_back(self, page_id: int, data: bytearray) -> None:
         self._c_disk_writes.inc()
-        self.wal.append(page_id, bytes(data))
+        self._open_wal().append(page_id, bytes(data))
         self._dirty.discard(page_id)
 
     def _write_main(self, page_id: int, data) -> None:
         self._file.seek(page_id * PAGE_SIZE)
-        self._file.write(self._stamp(data))
+        self._file.write(stamp(data))
 
     # ------------------------------------------------------------------ #
     # checksums
     # ------------------------------------------------------------------ #
-
-    def _stamp(self, data) -> bytes:
-        """Return ``data`` with the CRC32 trailer filled in."""
-        buf = bytearray(data)
-        crc = zlib.crc32(bytes(buf[:PAGE_CAPACITY]))
-        _TRAILER.pack_into(buf, PAGE_CAPACITY, crc)
-        return bytes(buf)
 
     def _verify(self, page_id: int, data: bytearray) -> None:
         if not any(data):
@@ -376,13 +383,15 @@ class Pager:
             if page_id in self._pool:
                 self._write_back(page_id, self._pool[page_id])
         self._dirty.clear()
-        self.wal.commit()
+        if self.wal is not None:
+            self.wal.commit()
         self._stable_n_pages = self._n_pages
 
     def rollback(self) -> None:
         """Discard all uncommitted page changes (pool and WAL tail)."""
         self._check_open()
-        self.wal.rollback()
+        if self.wal is not None:
+            self.wal.rollback()
         # drop the pool wholesale: any page may hold uncommitted bytes
         self._pool.clear()
         self._dirty.clear()
@@ -396,7 +405,7 @@ class Pager:
         """Commit, then transfer committed WAL frames to the main file
         (pool keeps its contents)."""
         self._check_open()
-        if not self._dirty and self.wal.is_empty:
+        if not self.has_uncommitted:
             return  # nothing to persist
         self.commit()
         self._c_disk_writes.inc(self._transfer())
@@ -417,7 +426,9 @@ class Pager:
     @property
     def has_uncommitted(self) -> bool:
         """True when dirty pool pages or unsealed WAL frames exist."""
-        return bool(self._dirty) or not self.wal.is_empty
+        return bool(self._dirty) or (
+            self.wal is not None and not self.wal.is_empty
+        )
 
     def drop_cache(self) -> None:
         """Flush, then empty the buffer pool — the exact 'cold cache'."""
@@ -437,7 +448,8 @@ class Pager:
             self._dirty.clear()
         # after a clean flush the WAL holds nothing: remove it so a
         # closed database is exactly one self-contained file
-        self.wal.close(delete=clean)
+        if self.wal is not None:
+            self.wal.close(delete=clean)
 
     def __enter__(self) -> "Pager":
         return self

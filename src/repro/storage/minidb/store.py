@@ -10,7 +10,9 @@ Plan semantics mirror the SQLite backend:
 * ``mode="scan"`` — sequential heap scans of the point and line tables;
 * ``mode="index"`` — B+tree leading-column range scans; each *matching*
   entry pays one heap fetch for its identifying timestamps (the random
-  I/O that makes indexes lose on hard queries);
+  I/O that makes indexes lose on hard queries).  On a clustered table (a
+  sealed live partition, :mod:`.sealed`) the heap is in key order, so
+  the probe is a prefix of the chain and fetches nothing;
 * ``cache="cold"`` — the buffer pool is dropped before the query, making
   the paper's flushed-cache runs exact and deterministic.
 """
@@ -25,6 +27,7 @@ from ...engine.resilience import RetryPolicy
 from ...errors import (
     CorruptionError,
     InvalidParameterError,
+    InvalidSegmentError,
     RecoveryError,
     StorageError,
 )
@@ -35,7 +38,7 @@ from ..base import FeatureStore, Query, StoreCounts
 from ..durable import RealFS
 from ...core.corners import FeatureSet
 from ...core.queries import line_mask, point_mask
-from .columnar import ColumnarView, probe_index_block
+from .columnar import ColumnarView, decode_heap_chain, probe_index_block
 from .database import MiniDatabase
 from .pager import PAGE_SIZE, PagerStats
 
@@ -58,6 +61,14 @@ _OPEN_STORES = REGISTRY.gauge(
 _POINT_TABLES = {"drop": "drop_points", "jump": "jump_points"}
 _LINE_TABLES = {"drop": "drop_lines", "jump": "jump_lines"}
 _FEATURE_TABLES = ("drop_points", "drop_lines", "jump_points", "jump_lines")
+#: Every table of a feature store file, in creation order, with its width.
+TABLE_WIDTHS = (("drop_points", 6), ("jump_points", 6), ("drop_lines", 8),
+                ("jump_lines", 8), ("segments", 4))
+
+
+def key_cols(width: int) -> tuple:
+    """A feature table's key: (Δt, Δv) or (Δt1, Δv1, Δt2, Δv2)."""
+    return (0, 1) if width == 6 else (0, 1, 2, 3)
 
 #: Shared retry loop for transient open failures (a WAL held briefly by
 #: a finishing writer, an EINTR-style hiccup).  Corruption/recovery
@@ -107,13 +118,7 @@ class MiniDbFeatureStore(FeatureStore):
             transient=_open_transient,
         )
         with self.db.transaction():
-            for name, width in (
-                ("drop_points", 6),
-                ("jump_points", 6),
-                ("drop_lines", 8),
-                ("jump_lines", 8),
-                ("segments", 4),
-            ):
+            for name, width in TABLE_WIDTHS:
                 if not self.db.has_table(name):
                     self.db.create_table(name, width)
         self._closed = False
@@ -124,8 +129,9 @@ class MiniDbFeatureStore(FeatureStore):
             t: -1 for t in _FEATURE_TABLES
         }
         for t in _FEATURE_TABLES:
-            if self.db.table(t).has_index("by_key"):
-                self._indexed_rows[t] = self.db.table(t).n_rows
+            table = self.db.table(t)
+            if table.has_index("by_key") or table.clustered:
+                self._indexed_rows[t] = table.n_rows
         #: Pager counters accumulated by the most recent search().
         self.last_query_stats: Optional[PagerStats] = None
         _OPEN_STORES.inc()
@@ -204,8 +210,7 @@ class MiniDbFeatureStore(FeatureStore):
                 table = self.db.table(name)
                 if table.n_rows == self._indexed_rows[name]:
                     continue  # index already current
-                key_cols = (0, 1) if table.width == 6 else (0, 1, 2, 3)
-                table.create_index("by_key", key_cols)
+                table.create_index("by_key", key_cols(table.width))
                 self._indexed_rows[name] = table.n_rows
         self.db.checkpoint()
 
@@ -219,9 +224,11 @@ class MiniDbFeatureStore(FeatureStore):
 
     def load_segments(self) -> list:
         self._check_open()
-        return [
-            DataSegment(*row) for _rid, row in self.db.table("segments").scan()
-        ]
+        rows = decode_heap_chain(self.db.table("segments").heap)[0]
+        try:
+            return [DataSegment(*row) for row in rows.tolist()]
+        except InvalidSegmentError as exc:  # bytes from disk
+            raise CorruptionError(f"{self.path}: {exc}") from exc
 
     def set_meta_many(self, items: Mapping[str, float]) -> None:
         self._check_open()
@@ -288,22 +295,36 @@ class MiniDbFeatureStore(FeatureStore):
                                      t_threshold, v_threshold)]
         return block
 
-    def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
-                                cache="warm", guard=None):
+    def _probe(self, name, t_threshold, v_mask, cache, guard):
+        """``Δt <= T`` on one table, then ``v_mask`` (keys -> bool): a
+        B+tree walk and heap gather, or a clustered chain's prefix."""
         self._check_open()
-        name = _POINT_TABLES[kind]
         self._check_index_current(name)
         self._prepare_cache(cache)
+        table = self.db.table(name)
+        if table.clustered:
+            if cache == "cold":  # walk the chain head up to the cut
+                block = decode_heap_chain(table.heap, guard, t_threshold)[0]
+            else:
+                block = self._columnar.table_block(name, guard, t_threshold)
+            if v_mask is not None:
+                block = block[v_mask(block)]
+        else:
+            block = probe_index_block(table, "by_key", t_threshold,
+                                      v_mask=v_mask, guard=guard)
+        obs_context.account(rows_scanned=int(block.shape[0]),
+                            bytes_decoded=int(block.nbytes))
+        return block
+
+    def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
+                                cache="warm", guard=None):
         v_mask = None
         if v_threshold is not None:
             def v_mask(keys):
                 return point_mask(kind, keys[:, 0], keys[:, 1],
                                   t_threshold, v_threshold)
-        block = probe_index_block(self.db.table(name), "by_key",
-                                  t_threshold, v_mask=v_mask, guard=guard)
-        obs_context.account(rows_scanned=int(block.shape[0]),
-                            bytes_decoded=int(block.nbytes))
-        return block
+        return self._probe(_POINT_TABLES[kind], t_threshold, v_mask,
+                           cache, guard)
 
     def scan_lines_array(self, kind, t_threshold=None, v_threshold=None,
                          cache="warm", guard=None):
@@ -320,21 +341,14 @@ class MiniDbFeatureStore(FeatureStore):
 
     def probe_line_index_array(self, kind, t_threshold, v_threshold=None,
                                cache="warm", guard=None):
-        self._check_open()
-        name = _LINE_TABLES[kind]
-        self._check_index_current(name)
-        self._prepare_cache(cache)
         v_mask = None
         if v_threshold is not None:
             def v_mask(keys):
                 return line_mask(kind, keys[:, 0], keys[:, 1],
                                  keys[:, 2], keys[:, 3],
                                  t_threshold, v_threshold)
-        block = probe_index_block(self.db.table(name), "by_key",
-                                  t_threshold, v_mask=v_mask, guard=guard)
-        obs_context.account(rows_scanned=int(block.shape[0]),
-                            bytes_decoded=int(block.nbytes))
-        return block
+        return self._probe(_LINE_TABLES[kind], t_threshold, v_mask,
+                           cache, guard)
 
     def read_table_rows(self, table: str, start: int = 0,
                         stop: Optional[int] = None):

@@ -92,14 +92,9 @@ def install_json(fs, path: str, obj) -> None:
     """Atomically install ``obj`` as the JSON file ``path`` through the
     file facade ``fs`` (:class:`~repro.storage.durable.RealFS` when
     ``None``): :func:`~repro.storage.durable.atomic_replace` — a crash or
-    a full disk leaves either the previous file or the new one — then a
-    directory fsync, since the manifest is a commit point.  A failing
-    directory fsync is not a failed install (the facade swallows it):
-    the rename is already visible."""
-    fs = fs or RealFS()
+    a full disk leaves either the previous file or the new one."""
     payload = json.dumps(obj, indent=2).encode("utf-8")
-    atomic_replace(fs, path, lambda fh: fh.write(payload))
-    fs.fsync_dir(os.path.dirname(path))
+    atomic_replace(fs or RealFS(), path, lambda fh: fh.write(payload))
 
 
 def read_json(path: str, what: str):

@@ -31,15 +31,15 @@ def fault_points(
     samples: Optional[int] = None,
 ) -> List[int]:
     """The 1-based ops of ``workload`` to fault: every ``stride``-th from
-    ``start``, or about ``samples`` of them spread evenly (the last op
-    included).  ``REPRO_CRASH_MATRIX=full`` faults every op."""
+    ``start``, or about ``samples`` of them spread evenly; the last op is
+    always included.  ``REPRO_CRASH_MATRIX=full`` faults every op."""
     n_ops = count_ops(workload)
     if samples is not None:
         stride = max(1, n_ops // samples)
     if os.environ.get("REPRO_CRASH_MATRIX") == "full":
         stride, start = 1, 1
     points = list(range(start, n_ops + 1, stride))
-    if samples is not None and points[-1] != n_ops:
+    if points[-1] != n_ops:
         points.append(n_ops)
     return points
 

@@ -1,14 +1,17 @@
 """Byte-level fuzzing of the on-disk durability formats.
 
 Each case starts from a valid file — a MiniDB page WAL holding committed
-frames, a live ``hot.wal``, a ``partitions.json`` and a shard
-``manifest.json`` — mutates it (truncate at k, flip bit k, splice a
-range from elsewhere in the file over position k, append garbage) and
-hands it to the program's own openers.  An opener may succeed or raise a
-:class:`~repro.errors.StorageError` subclass, nothing else, and must
-return within a deadline.  A recovered log keeps a prefix of the clean
-log's records, and MiniDB replay never grows the main file past the
-pages the main file and the clean log held.
+frames, a live ``hot.wal``, a ``partitions.json``, a shard
+``manifest.json`` and a sealed (clustered, write-once) MiniDB partition
+— mutates it (truncate at k, flip bit k, splice a range from elsewhere
+in the file over position k, append garbage; for the partition also
+copy one whole page over another, which every page CRC passes) and
+hands it to the program's own openers and readers.  Each may succeed or
+raise a :class:`~repro.errors.StorageError` subclass, nothing else, and
+must return within a deadline.  A recovered log keeps a prefix of the
+clean log's records, MiniDB replay never grows the main file past the
+pages the main file and the clean log held, and a partition read never
+returns a row the clean file does not hold.
 """
 
 import os
@@ -23,12 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.live import LiveIndex
+from repro.core.live import LiveIndex, partition_damage
 from repro.errors import CorruptionError, StorageError
 from repro.storage.durable import RECORD, read_records
 from repro.storage.faults import FaultInjector
 from repro.storage.livewal import WAL_NAME, LiveWAL
-from repro.storage.minidb import PAGE_SIZE, MiniDatabase
+from repro.storage.minidb import PAGE_SIZE, MiniDatabase, MiniDbFeatureStore
 from repro.storage.minidb.wal import WriteAheadLog
 from repro.storage.partitions import MANIFEST_NAME, PartitionManifest
 
@@ -293,6 +296,127 @@ class TestLiveWal:
             bounded(lambda: LiveIndex.open(d).close())
 
         _with_mutation(live_files(), WAL_NAME, data, body)
+
+
+# ---------------------------------------------------------------------- #
+# a sealed MiniDB partition (main-file pages)
+# ---------------------------------------------------------------------- #
+
+_TABLES = ("drop_points", "drop_lines", "jump_points", "jump_lines")
+_THRESHOLDS = (0.0, 30.0, 120.0, 1e9)
+
+
+@lru_cache(maxsize=None)
+def sealed_partition():
+    """``(file name, bytes, spec)`` of one sealed MiniDB partition."""
+    d = tempfile.mkdtemp()
+    try:
+        rng = np.random.default_rng(9)
+        ts = np.cumsum(rng.uniform(0.5, 3.0, 200))
+        vs = np.cumsum(rng.normal(0.0, 1.0, 200))
+        live = LiveIndex(EPS, WINDOW, directory=d, backend="minidb",
+                         seal_rows=10**9)
+        live.append_array(ts, vs)
+        live.seal()
+        (spec,) = live.partitions
+        live.close()
+        with open(os.path.join(d, spec.file), "rb") as fh:
+            return spec.file, fh.read(), spec
+    finally:
+        shutil.rmtree(d)
+
+
+@lru_cache(maxsize=None)
+def clean_rows() -> dict:
+    """Every row the clean partition holds, per table width."""
+    fname, data, _spec = sealed_partition()
+    out = {6: set(), 8: set()}
+    with tempfile.TemporaryDirectory() as d:
+        _write_dir(d, {fname: data})
+        store = MiniDbFeatureStore(os.path.join(d, fname))
+        for table in _TABLES:
+            rows = store.read_table_rows(table)
+            out[rows.shape[1]].update(map(tuple, rows.tolist()))
+        store.close()
+    return out
+
+
+def page_spliced(clean: bytes):
+    """Strategy: one whole page of ``clean`` copied over another."""
+    pages = len(clean) // PAGE_SIZE
+    k = st.integers(0, pages - 1)
+
+    def splice(args):
+        src, dst = (i * PAGE_SIZE for i in args)
+        return (clean[:dst] + clean[src : src + PAGE_SIZE]
+                + clean[dst + PAGE_SIZE:])
+
+    return st.tuples(k, k).map(splice)
+
+
+def _read_partition(path: str) -> None:
+    """Open, scan, probe (warm and cold) and fsck one partition file;
+    every row it yields must be one the clean file holds."""
+    store = bounded(lambda: MiniDbFeatureStore(path))
+    if store is None:
+        return
+    known = clean_rows()
+    try:
+        blocks = [bounded(lambda t=t: store.read_table_rows(t))
+                  for t in _TABLES]
+        bounded(store.load_segments)
+        for kind in ("drop", "jump"):
+            for t in _THRESHOLDS:
+                for cache in ("warm", "cold"):
+                    blocks.append(bounded(
+                        lambda: store.probe_point_index_array(
+                            kind, t, cache=cache)))
+                    blocks.append(bounded(
+                        lambda: store.probe_line_index_array(
+                            kind, t, cache=cache)))
+        bounded(store.check)
+    finally:
+        bounded(store.close)
+    for block in blocks:
+        if block is not None:
+            for row in block.tolist():
+                assert tuple(row) in known[len(row)], row
+
+
+class TestSealedPartition:
+    @FUZZ
+    @given(data=st.one_of(mutated(sealed_partition()[1]),
+                          page_spliced(sealed_partition()[1])))
+    def test_reads_and_scrub_stay_typed(self, data):
+        fname, clean, spec = sealed_partition()
+
+        def body(d):
+            path = os.path.join(d, fname)
+            _read_partition(path)
+            with open(path, "wb") as fh:  # the readers may have written
+                fh.write(data)
+            why = bounded(lambda: partition_damage(d, spec))
+            if why is None and data != clean:
+                # scrub passes it: then it reads back as the clean rows
+                store = MiniDbFeatureStore(path)
+                try:
+                    for table in _TABLES:
+                        rows = store.read_table_rows(table)
+                        assert set(map(tuple, rows.tolist())) <= \
+                            clean_rows()[rows.shape[1]]
+                finally:
+                    store.close()
+
+        _with_mutation({}, fname, data, body)
+
+    def test_clean_partition_is_intact(self):
+        fname, clean, spec = sealed_partition()
+
+        def body(d):
+            assert partition_damage(d, spec) is None
+            _read_partition(os.path.join(d, fname))
+
+        _with_mutation({}, fname, clean, body)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 
 import pytest
@@ -219,5 +220,69 @@ class TestOneDurabilityKernel:
 
         assert "atomic_replace" in inspect.getsource(partitions.install_json)
         assert "atomic_replace" in inspect.getsource(livewal.LiveWAL.rewrite)
+        # the directory fsync is part of the install, not of its callers
+        assert "fsync_dir" in inspect.getsource(durable.atomic_replace)
+        assert self._files_with("fsync_dir(") == self.KERNEL
         assert issubclass(durable.FaultInjected, BaseException)
         assert not issubclass(durable.FaultInjected, Exception)
+
+
+class TestWriteOnceSeal:
+    """Structural guard: a sealed MiniDB partition is written once,
+    without a page WAL, through the engine's own page encoders — no
+    second heap, catalog or CRC layout may appear."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+    MINIDB = SRC / "storage" / "minidb"
+
+    def _files_with(self, needle):
+        return {
+            path.relative_to(self.SRC).as_posix()
+            for path in sorted(self.SRC.rglob("*.py"))
+            if needle in path.read_text(encoding="utf-8")
+        }
+
+    def test_page_layouts_are_defined_once(self):
+        assert self._files_with('struct.Struct("<ii")') == {
+            "storage/minidb/heapfile.py"
+        }
+        assert self._files_with('struct.Struct("<8sii")') == {
+            "storage/minidb/database.py"
+        }
+        assert self._files_with("zlib.crc32(bytes(buf[:PAGE_CAPACITY]))") \
+            == {"storage/minidb/pager.py"}
+        database = (self.MINIDB / "database.py").read_text(encoding="utf-8")
+        assert database.count("_HEAD.pack_into(") == 1  # encode_catalog
+        sealed = (self.MINIDB / "sealed.py").read_text(encoding="utf-8")
+        for needle in ("struct", "pack_into", "crc32", "tobytes", "Pager(",
+                       "WriteAheadLog", "transaction("):
+            assert needle not in sealed, needle
+
+    def test_the_seal_opens_no_page_wal(self, tmp_path):
+        import numpy as np
+
+        from repro.core.live import LiveIndex
+        from repro.storage.faults import FaultInjector
+
+        rng = np.random.default_rng(1)
+        ts = np.cumsum(rng.uniform(0.5, 3.0, 300))
+        vs = np.cumsum(rng.normal(0.0, 1.0, 300))
+        d = str(tmp_path / "live.d")
+        inj = FaultInjector()
+        live = LiveIndex(0.8, 300.0, directory=d, backend="minidb",
+                         seal_rows=10**9, _fs=inj)
+        try:
+            for half in (slice(0, 150), slice(150, 300)):
+                live.append_array(ts[half], vs[half])
+                live.seal()
+            assert live.compact(max_rows=10**9, min_run=2) == 1
+        finally:
+            live.close()
+            inj.close_all()
+        written = {os.path.basename(p) for op, p in inj.op_log
+                   if op == "write" and p.endswith(".minidb")}
+        assert written == {"p000000.minidb", "p000001.minidb",
+                           "p000002.minidb"}
+        assert not any(".minidb.wal" in p for _op, p in inj.op_log)
+        assert not any(f.endswith(".wal") and f != "hot.wal"
+                       for f in os.listdir(d))
