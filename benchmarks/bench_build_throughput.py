@@ -1,11 +1,12 @@
 """Bench for the fast-path index build (docs/performance.md).
 
 Measures end-to-end build throughput — points/sec and feature rows/sec —
-for the three ingest paths on synthetic CAD data:
+for the ingest paths on synthetic CAD data:
 
 * ``scalar``  — the streaming reference path (``batch_size=0``);
 * ``batched`` — vectorized segmentation + extraction + bulk store writes;
-* ``workers`` — episodes fanned out across a process pool.
+* ``episodes_batched`` — the batched path over a gapped input, with an
+  episode break at every outage.
 
 Every configuration is checked for equivalence (same segments, same
 feature-row counts; in smoke mode full row-for-row equality) before its
@@ -40,7 +41,6 @@ EPSILON = 0.5
 WINDOW = HOUR
 MAX_GAP = 2 * HOUR
 N_EPISODES = 8
-BENCH_WORKERS = 4
 
 #: Keys every configuration entry in the JSON report must carry.
 CONFIG_SCHEMA = (
@@ -100,10 +100,10 @@ def _build(series: TimeSeries, **kwargs):
 
 
 def run_bench(days: int = 350, deep_check: bool = False) -> Dict:
-    """Time the three build paths; verify equivalence before reporting.
+    """Time the build paths; verify equivalence before reporting.
 
     ``days`` sizes the single-episode series (350 days = 100,800 points,
-    the paper-scale run); the multi-worker row uses an 8-episode input of
+    the paper-scale run); the episode row uses an 8-episode input of
     comparable total size.  ``deep_check=True`` compares stored rows
     value-for-value (the smoke/CI regime) instead of by count.
     """
@@ -130,20 +130,9 @@ def run_bench(days: int = 350, deep_check: bool = False) -> Dict:
         )
     batched.close()
 
-    # the parallel row uses the episode input; its reference is the
-    # batched single-process build of the same input
     ep_batched, t_ep_batched = _build(ep_series, max_gap=MAX_GAP)
-    ep_segments = ep_batched.segments
-    ep_counts = ep_batched.stats().store_counts
-    ep_n_features = ep_counts.total
+    ep_n_features = ep_batched.stats().store_counts.total
     ep_batched.close()
-
-    parallel, t_parallel = _build(
-        ep_series, workers=BENCH_WORKERS, max_gap=MAX_GAP
-    )
-    equivalent &= parallel.segments == ep_segments
-    equivalent &= parallel.stats().store_counts == ep_counts
-    parallel.close()
 
     n = len(series)
     ep_n = len(ep_series)
@@ -151,8 +140,6 @@ def run_bench(days: int = 350, deep_check: bool = False) -> Dict:
         ("scalar", t_scalar, n, n_features, t_scalar),
         ("batched", t_batched, n, n_features, t_scalar),
         ("episodes_batched", t_ep_batched, ep_n, ep_n_features,
-         t_ep_batched),
-        (f"workers{BENCH_WORKERS}", t_parallel, ep_n, ep_n_features,
          t_ep_batched),
     ):
         configs.append(

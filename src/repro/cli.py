@@ -90,11 +90,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.checkpoint_every > 0 or args.resume:
         # checkpointed/resumed builds stream observation-by-observation:
         # durability bookkeeping is per-observation, not per-batch
-        if args.workers > 1:
-            print(
-                "note: --workers is ignored with --checkpoint-every/--resume",
-                file=sys.stderr,
-            )
         if args.checkpoint_every > 0:
             # iter_series_csv keeps memory bounded: at most one chunk of
             # the input file is materialized at a time
@@ -113,14 +108,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 index.ingest(series)
     else:
         series = load_series_csv(args.input)
-        if args.workers > 1:
-            index.ingest_parallel(
-                series,
-                max_gap=args.max_gap,
-                workers=args.workers,
-                batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
-            )
-        elif args.batch_size == 0:
+        if args.batch_size == 0:
             # scalar reference path
             if args.max_gap is not None:
                 index.ingest_episodes(series, args.max_gap)
@@ -787,9 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observations per vectorized ingest round "
                         f"(default {DEFAULT_BATCH_SIZE}; 0 forces the "
                         "scalar reference path)")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="fan episodes out across N processes (needs "
-                        "--max-gap to split the series into episodes)")
     p.add_argument("--max-gap", type=float, default=None, metavar="SECONDS",
                    help="treat sampling gaps larger than this as episode "
                         "boundaries (no pairs across them)")

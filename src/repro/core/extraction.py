@@ -145,21 +145,6 @@ class ExtractionStats:
                 if hist[k]:
                     self.corner_histogram[k] += int(hist[k])
 
-    def merge(self, other: "ExtractionStats") -> None:
-        """Fold another stats object in (multi-worker result merge)."""
-        self.n_segments += other.n_segments
-        self.n_pairs += other.n_pairs
-        self.n_self_pairs += other.n_self_pairs
-        self.n_truncated += other.n_truncated
-        self.n_drop_points += other.n_drop_points
-        self.n_drop_lines += other.n_drop_lines
-        self.n_jump_points += other.n_jump_points
-        self.n_jump_lines += other.n_jump_lines
-        for k, n in other.corner_histogram.items():
-            self.corner_histogram[k] = self.corner_histogram.get(k, 0) + n
-        for case, n in other.case_histogram.items():
-            self.case_histogram[case] = self.case_histogram.get(case, 0) + n
-
 
 class FeatureExtractor:
     """Streaming implementation of Algorithm 1.

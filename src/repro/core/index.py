@@ -24,7 +24,6 @@ or streaming::
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -37,14 +36,14 @@ from ..engine.session import ExplainReport, QuerySession
 from ..errors import InvalidParameterError, QueryError, StorageError
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import span
-from ..segmentation.sliding_window import SlidingWindowSegmenter
 from ..storage.base import FeatureStore, StoreCounts
 from ..storage.memory_store import MemoryFeatureStore
 from ..storage.sqlite_store import SqliteFeatureStore
 from ..types import DataSegment, SegmentPair
-from .extraction import ExtractionStats, FeatureExtractor
+from .extraction import ExtractionStats
 from .queries import DropQuery, JumpQuery
 from .results import SearchHit, witness_event
+from .stream import StreamWriter
 
 __all__ = ["SegDiffIndex", "IndexStats", "DEFAULT_BATCH_SIZE"]
 
@@ -54,7 +53,7 @@ DEFAULT_BATCH_SIZE = 65_536
 _EPISODE_SECONDS = REGISTRY.histogram(
     "repro_build_episode_seconds",
     "Wall time to segment and extract one gap-free episode "
-    "(serial fast path or parallel worker)",
+    "(batched build path)",
 )
 
 
@@ -112,17 +111,11 @@ class SegDiffIndex:
         #: Distinguishes this index's breaker gauge from other indexes'
         #: in a multi-index process (e.g. a shard/replica id).
         self.name = name
-        self._segmenter = SlidingWindowSegmenter(epsilon)
-        self._extractor = FeatureExtractor(
+        self._writer = StreamWriter(
             epsilon, window, self.store, emit_self_pairs=emit_self_pairs
         )
         self._segments: List[DataSegment] = []
-        self._n_observations = 0
-        # observations covered by *closed* segments — what a checkpoint
-        # can claim durably (the segmenter's open tail is memory-only)
-        self._n_obs_covered = 0
         self._sealed = False
-        self._resume_t: Optional[float] = None
         self._session: Optional[QuerySession] = None
 
     # ------------------------------------------------------------------ #
@@ -139,7 +132,6 @@ class SegDiffIndex:
         path: Optional[str] = None,
         emit_self_pairs: bool = True,
         batch_size: Optional[int] = None,
-        workers: int = 1,
         max_gap: Optional[float] = None,
         resilience=None,
         name: Optional[str] = None,
@@ -154,10 +146,9 @@ class SegDiffIndex:
 
         The build runs the batched fast path (bit-for-bit equivalent to
         streaming :meth:`append`): ``batch_size`` observations per
-        vectorized round, and — when ``workers > 1`` and ``max_gap``
-        splits the series into several episodes — episodes fanned out
-        across a process pool.  ``batch_size=0`` forces the scalar
-        reference path.
+        vectorized round, with an episode break wherever consecutive
+        samples are more than ``max_gap`` apart.  ``batch_size=0`` forces
+        the scalar reference path.
         """
         if backend == "memory":
             store: FeatureStore = MemoryFeatureStore()
@@ -178,7 +169,6 @@ class SegDiffIndex:
         )
         with span("index.build") as bs:
             bs.set_attribute("backend", backend)
-            bs.set_attribute("workers", workers)
             bs.set_attribute("observations", len(series.times))
             with span("index.ingest"):
                 if batch_size == 0:
@@ -187,13 +177,6 @@ class SegDiffIndex:
                         index.ingest_episodes(series, max_gap)
                     else:
                         index.ingest(series)
-                elif workers > 1:
-                    index.ingest_parallel(
-                        series,
-                        max_gap=max_gap,
-                        workers=workers,
-                        batch_size=batch_size or DEFAULT_BATCH_SIZE,
-                    )
                 else:
                     index.ingest_episodes_fast(
                         series,
@@ -250,7 +233,7 @@ class SegDiffIndex:
         index = cls(epsilon, window, store, resilience=resilience, name=name)
         index._segments = store.load_segments()
         n_obs = store.get_meta("n_observations")
-        index._n_observations = int(n_obs) if n_obs is not None else 0
+        index._writer.n_observations = int(n_obs) if n_obs is not None else 0
         index._sealed = True
         return index
 
@@ -278,10 +261,12 @@ class SegDiffIndex:
         The returned index has the stored segments reloaded, the
         extractor's pairing history re-primed (without re-emitting
         features), and the segmenter re-anchored at the last stored
-        segment's endpoint.  Re-feeding observations at or before the
-        checkpoint boundary is safe: :meth:`append` silently skips
-        ``t <= resume_t`` so a producer may simply replay its source from
-        a little before the crash.
+        segment's endpoint — unless the checkpoint was taken at an
+        episode break (:meth:`mark_gap`), in which case the stream
+        continues with a fresh episode.  Re-feeding observations at or
+        before the checkpoint boundary is safe: :meth:`append` silently
+        skips ``t <= resume_t`` so a producer may simply replay its
+        source from a little before the crash.
 
         Observations that arrived after the last :meth:`checkpoint` were
         only in memory and are re-ingested from the replayed stream;
@@ -313,53 +298,36 @@ class SegDiffIndex:
         index = cls(epsilon, window, store)
         index._segments = store.load_segments()
         n_obs = store.get_meta("n_observations")
-        index._n_observations = int(n_obs) if n_obs is not None else 0
-        index._n_obs_covered = index._n_observations
-        if index._segments:
-            last = index._segments[-1]
-            horizon = last.t_end - index.window
-            # only the contiguous suffix (the current gap episode) that a
-            # future window can still reach may pair with new segments
-            recent: List[DataSegment] = []
-            for seg in reversed(index._segments):
-                if seg.t_end <= horizon:
-                    break
-                if recent and (
-                    seg.t_end != recent[-1].t_start
-                    or seg.v_end != recent[-1].v_start
-                ):
-                    break
-                recent.append(seg)
-            index._extractor.prime_history(reversed(recent))
-            # re-anchor the segmenter at the stored approximation's
-            # endpoint so the next segment stays contiguous in t and v
-            index._segmenter.push(last.t_end, last.v_end)
-            index._resume_t = last.t_end
+        index._writer.resume(
+            index._segments,
+            int(n_obs) if n_obs is not None else 0,
+            break_t=store.get_meta("episode_break"),
+        )
         return index
 
     def append(self, t: float, v: float) -> None:
-        """Stream one observation into the index."""
+        """Stream one observation into the index.
+
+        Observations at or before the resume point are skipped; a
+        non-finite value or a time not after the previous observation
+        raises :class:`~repro.errors.InvalidSeriesError` and changes
+        nothing.
+        """
+        self._check_writable()
+        t, v = float(t), float(v)
+        if self._writer.admit_one(t, v):
+            self._register(self._writer.push(t, v))
+
+    def _register(self, segments: List[DataSegment]) -> None:
+        if segments:
+            self._segments.extend(segments)
+            # the store grew: selectivity samples drawn before this
+            # append must not steer post-append plan choices
+            self._invalidate_plans()
+
+    def _check_writable(self) -> None:
         if self._sealed:
             raise StorageError("index is sealed; build a new one to extend")
-        if self._resume_t is not None and t <= self._resume_t:
-            return  # replayed observation already covered by the checkpoint
-        self._n_observations += 1
-        closed = False
-        for segment in self._segmenter.push(t, v):
-            self._register_segment(segment)
-            closed = True
-        if closed:
-            # every observation before the current one lies at or before
-            # the newest closed segment's end
-            self._n_obs_covered = self._n_observations - 1
-
-    def _register_segment(self, segment: DataSegment) -> None:
-        self._segments.append(segment)
-        self.store.add_segment(segment)
-        self._extractor.add_segment(segment)
-        # the store grew: selectivity samples drawn before this append
-        # must not steer post-append plan choices
-        self._invalidate_plans()
 
     def _invalidate_plans(self) -> None:
         if self._session is not None:
@@ -381,12 +349,8 @@ class SegDiffIndex:
         future result will span the gap.  Searching is unaffected
         otherwise.
         """
-        if self._sealed:
-            raise StorageError("index is sealed")
-        for segment in self._segmenter.finish():
-            self._register_segment(segment)
-        self._n_obs_covered = self._n_observations
-        self._extractor.reset_history()
+        self._check_writable()
+        self._register(self._writer.gap())
 
     def ingest_episodes(
         self, series: TimeSeries, max_gap: float
@@ -425,41 +389,12 @@ class SegDiffIndex:
         run batched.  Assumes a gap-free stream (one episode); use
         :meth:`ingest_episodes_fast` to break on gaps.
         """
-        if self._sealed:
-            raise StorageError("index is sealed; build a new one to extend")
+        self._check_writable()
         if batch_size < 1:
             raise InvalidParameterError("batch_size must be >= 1")
-        ts = np.ascontiguousarray(ts, dtype=float)
-        vs = np.ascontiguousarray(vs, dtype=float)
-        if self._resume_t is not None:
-            # replayed observations already covered by the checkpoint:
-            # timestamps are strictly increasing, so the skip is a prefix
-            start = int(np.searchsorted(ts, self._resume_t, side="right"))
-            ts = ts[start:]
-            vs = vs[start:]
-        for i in range(0, ts.shape[0], batch_size):
-            self._ingest_chunk(ts[i : i + batch_size], vs[i : i + batch_size])
-
-    def _ingest_chunk(self, ts: np.ndarray, vs: np.ndarray) -> None:
-        n = ts.shape[0]
-        if n == 0:
-            return
-        n_before = self._n_observations
-        segments = self._segmenter.push_batch(ts, vs)
-        self._n_observations += n
-        if segments:
-            self._register_segments(segments)
-            # the batch's last segment was closed by the observation at
-            # offset last_close_offset; everything before it is covered
-            self._n_obs_covered = (
-                n_before + self._segmenter.last_close_offset
-            )
-
-    def _register_segments(self, segments: List[DataSegment]) -> None:
-        self._segments.extend(segments)
-        self.store.add_segments_bulk(segments)
-        self._extractor.add_segments_batch(segments)
-        self._invalidate_plans()
+        ts, vs = self._writer.admit(ts, vs)
+        for closed in self._writer.push_array(ts, vs, batch_size):
+            self._register(closed)
 
     def ingest_episodes_fast(
         self,
@@ -480,82 +415,6 @@ class SegDiffIndex:
             _EPISODE_SECONDS.observe(time.perf_counter() - t0)
         return len(episodes) - 1
 
-    def ingest_parallel(
-        self,
-        series: TimeSeries,
-        max_gap: Optional[float] = None,
-        workers: int = 2,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> int:
-        """Shard episodes across a process pool and merge deterministically.
-
-        The series is split into gap-free episodes (consecutive samples
-        more than ``max_gap`` apart, as :meth:`ingest_episodes`).  Because
-        feature pairs never span a gap, each episode is segmented and
-        extracted independently in a worker process; the parent replays
-        the results — segments, feature batches, stats — in episode
-        order, so the merged index is identical to a single-process
-        build regardless of worker count or scheduling.
-
-        Requires a fresh index (nothing ingested, no resume pending):
-        cross-worker pairing with pre-existing history is impossible.
-        Every episode's trailing open segment is flushed (as
-        :meth:`mark_gap` would); returns the number of gaps.
-        """
-        if self._sealed:
-            raise StorageError("index is sealed; build a new one to extend")
-        if workers < 1:
-            raise InvalidParameterError("workers must be >= 1")
-        if self._segments or self._n_observations or self._resume_t is not None:
-            raise InvalidParameterError(
-                "ingest_parallel needs a fresh index; use ingest_array() "
-                "to extend an existing stream"
-            )
-        ts = np.ascontiguousarray(series.times, dtype=float)
-        vs = np.ascontiguousarray(series.values, dtype=float)
-        episodes = _split_episodes(ts, vs, max_gap)
-
-        tasks = [
-            (
-                self.epsilon,
-                self.window,
-                self._extractor.emit_self_pairs,
-                ets,
-                evs,
-                batch_size,
-            )
-            for ets, evs in episodes
-        ]
-        with span("index.ingest_parallel") as ps:
-            ps.set_attribute("episodes", len(episodes))
-            ps.set_attribute("workers", workers)
-            if workers == 1 or len(episodes) == 1:
-                results = map(_build_episode_worker, tasks)
-            else:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(episodes))
-                )
-                try:
-                    results = list(pool.map(_build_episode_worker, tasks))
-                finally:
-                    pool.shutdown()
-
-            # workers run in separate processes and cannot reach this
-            # registry; each reports its wall time and the parent observes
-            for (ets, _evs), (segments, batches, stats, elapsed) in zip(
-                episodes, results
-            ):
-                _EPISODE_SECONDS.observe(elapsed)
-                self._n_observations += ets.shape[0]
-                self._segments.extend(segments)
-                self.store.add_segments_bulk(segments)
-                for batch in batches:
-                    self.store.add_features_bulk(batch)
-                self._extractor.stats.merge(stats)
-                self._n_obs_covered = self._n_observations
-            self._invalidate_plans()
-        return len(episodes) - 1
-
     def checkpoint(self) -> None:
         """Make everything segmented so far searchable (mid-stream).
 
@@ -573,24 +432,27 @@ class SegDiffIndex:
         if self._sealed:
             return
         with span("index.finalize"):
-            for segment in self._segmenter.finish():
-                self._register_segment(segment)
-            self._n_obs_covered = self._n_observations
+            self._register(self._writer.finish())
             self.store.finalize()
             self._sealed = True
             self._invalidate_plans()
             self._write_meta()
 
     def _write_meta(self) -> None:
-        self.store.set_meta_many({
+        meta = {
             "epsilon": self.epsilon,
             "window": self.window,
             # a checkpoint may only claim observations that closed
             # segments cover; the open tail is re-ingested from the
             # replayed stream
-            "n_observations": float(self._n_obs_covered),
+            "n_observations": float(self._writer.n_obs_covered),
             "sealed": 1.0 if self._sealed else 0.0,
-        })
+        }
+        if self._writer.break_t is not None:
+            # written only at a break; a later checkpoint leaves it stale,
+            # which resume() recognises by a segment ending after it
+            meta["episode_break"] = self._writer.break_t
+        self.store.set_meta_many(meta)
 
     # ------------------------------------------------------------------ #
     # anti-entropy checksums
@@ -841,6 +703,12 @@ class SegDiffIndex:
         """The data segments extracted so far (copy)."""
         return list(self._segments)
 
+    @property
+    def n_observations(self) -> int:
+        """Observations ingested so far (a resumed index restarts from
+        the checkpointed count)."""
+        return self._writer.n_observations
+
     def approximation(self) -> PiecewiseLinearSignal:
         """The piecewise linear approximation ``f`` built so far.
 
@@ -874,17 +742,18 @@ class SegDiffIndex:
     def stats(self) -> IndexStats:
         """Current sizes and composition counters."""
         n_segments = len(self._segments)
-        rate = self._n_observations / n_segments if n_segments else 0.0
+        n_obs = self._writer.n_observations
+        rate = n_obs / n_segments if n_segments else 0.0
         return IndexStats(
             epsilon=self.epsilon,
             window=self.window,
-            n_observations=self._n_observations,
+            n_observations=n_obs,
             n_segments=n_segments,
             compression_rate=rate,
             store_counts=self.store.counts(),
             feature_bytes=self.store.feature_bytes(),
             index_bytes=self.store.index_bytes(),
-            extraction=self._extractor.stats,
+            extraction=self._writer.extractor.stats,
         )
 
     def close(self) -> None:
@@ -910,47 +779,3 @@ def _split_episodes(
     bounds = [0, *breaks.tolist(), ts.shape[0]]
     return [(ts[a:b], vs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-
-class _FeatureBatchCollector:
-    """Store stand-in used in worker processes: collects feature batches
-    in emission order for the parent to replay into the real store."""
-
-    def __init__(self) -> None:
-        self.batches: List = []
-
-    def add_features_bulk(self, batch) -> None:
-        self.batches.append(batch)
-
-
-def _build_episode_worker(
-    task,
-) -> Tuple[List[DataSegment], List, ExtractionStats, float]:
-    """Segment + extract one gap-free episode (runs in a worker process).
-
-    Episodes never pair across a gap, so the worker needs no context
-    beyond the build parameters; its trailing open segment is flushed
-    because no later observation of this episode can extend it.  The
-    returned wall time lets the parent record per-episode timings (the
-    worker's own metrics registry dies with its process).
-    """
-    epsilon, window, emit_self_pairs, ts, vs, batch_size = task
-    t0 = time.perf_counter()
-    segmenter = SlidingWindowSegmenter(epsilon)
-    collector = _FeatureBatchCollector()
-    extractor = FeatureExtractor(
-        epsilon, window, collector, emit_self_pairs=emit_self_pairs
-    )
-    segments: List[DataSegment] = []
-    for i in range(0, ts.shape[0], batch_size):
-        closed = segmenter.push_batch(
-            ts[i : i + batch_size], vs[i : i + batch_size]
-        )
-        if closed:
-            extractor.add_segments_batch(closed)
-            segments.extend(closed)
-    tail = segmenter.finish()
-    if tail:
-        extractor.add_segments_batch(tail)
-        segments.extend(tail)
-    elapsed = time.perf_counter() - t0
-    return segments, collector.batches, extractor.stats, elapsed

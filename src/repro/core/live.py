@@ -66,13 +66,13 @@ from ..engine.session import QueryEnvelope
 from ..errors import (
     CorruptionError,
     InvalidParameterError,
+    InvalidSeriesError,
     QueryError,
     StorageError,
 )
 from ..obs import recorder as flight
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import span
-from ..segmentation.sliding_window import SlidingWindowSegmenter
 from ..storage.checksum import (
     diff_trees,
     load_trees,
@@ -95,8 +95,8 @@ from ..storage.partitions import (
     copy_store_into,
 )
 from ..types import DataSegment, SegmentPair
-from .extraction import FeatureExtractor
 from .queries import DropQuery, JumpQuery
+from .stream import StreamWriter
 
 __all__ = ["LiveIndex", "LiveSnapshot", "DEFAULT_SEAL_ROWS"]
 
@@ -179,12 +179,19 @@ class _Hot:
 
 
 class _HotWriter:
-    """The extractor's store: forwards feature writes to the *current*
-    hot partition (which changes at every seal) and tracks the row count
-    and feature-time bounds the partition manifest needs."""
+    """The stream writer's sink: forwards segment and feature writes to
+    the *current* hot partition (which changes at every seal) and tracks
+    the segments, row count, size estimate and feature-time bounds the
+    seal policy and the partition manifest need."""
 
     def __init__(self, live: "LiveIndex") -> None:
         self._live = live
+
+    def add_segments_bulk(self, segments: List[DataSegment]) -> None:
+        hot = self._live._hot
+        hot.segments.extend(segments)
+        hot.est_bytes += _EST_SEGMENT_BYTES * len(segments)
+        hot.store.add_segments_bulk(segments)
 
     def add(self, features) -> None:
         hot = self._live._hot
@@ -374,24 +381,18 @@ class LiveIndex:
         self._fs = _fs if _fs is not None else RealFS()
 
         self._mu = threading.RLock()
-        self._segmenter = SlidingWindowSegmenter(self.epsilon)
-        self._writer = _HotWriter(self)
-        self._extractor = FeatureExtractor(
-            self.epsilon, self.window, self._writer,
+        self._writer = StreamWriter(
+            self.epsilon, self.window, _HotWriter(self),
             emit_self_pairs=emit_self_pairs,
         )
         self._hot = _Hot()
         self._sealed: List[Partition] = []
-        self._n_observations = 0
-        self._n_obs_covered = 0
-        self._resume_t: Optional[float] = None
         self._finalized = False
         self._closed = False
         self._wal: Optional[LiveWAL] = None
         self._wal_replay_active = False
         self._wal_replayed_obs = 0
         self._wal_replayed_to: Optional[float] = None
-        self._last_obs_t: Optional[float] = None
 
         if _manifest is None:
             if directory is not None:
@@ -511,47 +512,24 @@ class LiveIndex:
             )
 
     def _resume_from_manifest(self) -> None:
-        """Re-prime segmenter/extractor state at the durable watermark."""
-        self._n_observations = self._manifest.n_observations
-        self._n_obs_covered = self._manifest.n_observations
-        self._finalized = self._manifest.finalized
-        if self._manifest.watermark is None or self._finalized:
-            self._resume_t = self._manifest.watermark
-            self._last_obs_t = self._resume_t
-            return
+        """Resume the stream writer at the durable watermark."""
+        manifest = self._manifest
+        self._finalized = manifest.finalized
         # gather enough trailing segments (newest partitions first) to
-        # cover the pairing window, then keep the contiguous suffix — the
-        # same episode logic as SegDiffIndex.resume()
+        # cover the pairing window
         segments: List[DataSegment] = []
-        for part in reversed(self._sealed):
-            segments = part.store.load_segments() + segments
-            if (
-                segments
-                and segments[0].t_end <= segments[-1].t_end - self.window
-            ):
-                break
-        if not segments:
-            self._resume_t = self._manifest.watermark
-            self._last_obs_t = self._resume_t
-            return
-        last = segments[-1]
-        horizon = last.t_end - self.window
-        recent: List[DataSegment] = []
-        for seg in reversed(segments):
-            if seg.t_end <= horizon:
-                break
-            if recent and (
-                seg.t_end != recent[-1].t_start
-                or seg.v_end != recent[-1].v_start
-            ):
-                break
-            recent.append(seg)
-        self._extractor.prime_history(reversed(recent))
-        self._segmenter.push(last.t_end, last.v_end)
-        self._resume_t = last.t_end
-        # the watermark is itself an observation time — a gap marked
-        # before any post-resume append must log it, not "no obs yet"
-        self._last_obs_t = self._resume_t
+        if manifest.watermark is not None and not self._finalized:
+            for part in reversed(self._sealed):
+                segments = part.store.load_segments() + segments
+                if (
+                    segments
+                    and segments[0].t_end <= segments[-1].t_end - self.window
+                ):
+                    break
+        self._writer.resume(
+            segments, manifest.n_observations,
+            watermark=manifest.watermark, break_t=manifest.episode_break,
+        )
 
     def _open_and_replay_wal(self) -> None:
         """Open ``hot.wal`` (sweeping any torn tail) and replay its
@@ -582,20 +560,21 @@ class LiveIndex:
             return
         if not frames and not discarded:
             return
-        resume_t = self._resume_t
-        n_before = self._n_observations
-        last_t: Optional[float] = None
+        writer = self._writer
+        resume_t = writer.resume_t
+        n_before = writer.n_observations
+        rejected = 0
         self._wal_replay_active = True
         try:
             for frame in frames:
                 if frame[0] == "obs":
-                    ts, vs = frame[1], frame[2]
-                    self.append_array(ts, vs)
-                    if ts.shape[0]:
-                        t_end = float(ts[-1])
-                        last_t = (
-                            t_end if last_t is None else max(last_t, t_end)
-                        )
+                    try:
+                        self.append_array(frame[1], frame[2])
+                    except InvalidSeriesError:
+                        # logged before validation by an older writer
+                        # (the call raised to its caller); a rejected
+                        # append_array changes nothing
+                        rejected += 1
                 else:
                     t = frame[1]
                     if resume_t is None or (
@@ -604,18 +583,17 @@ class LiveIndex:
                         self.mark_gap()
         finally:
             self._wal_replay_active = False
-        replayed = self._n_observations - n_before
-        if last_t is not None and (
-            self._resume_t is None or last_t > self._resume_t
-        ):
-            self._resume_t = last_t
+        replayed = writer.n_observations - n_before
+        # a producer that re-feeds its stream anyway is skipped up to the
+        # last replayed observation
+        writer.resume_t = writer.last_t
         self._wal_replayed_obs = replayed
-        self._wal_replayed_to = self._resume_t
-        self._last_obs_t = self._resume_t
+        self._wal_replayed_to = writer.resume_t
         self._wal.mark_replayed(replayed)
         flight.record(
             "wal_replay", WAL_NAME,
             frames=len(frames), observations=replayed,
+            rejected_frames=rejected,
             discarded_bytes=discarded,
             replayed_to=self._wal_replayed_to,
         )
@@ -718,22 +696,15 @@ class LiveIndex:
 
     def append(self, t: float, v: float) -> None:
         """Stream one observation in (replays at or before the watermark
-        are skipped — safe to re-feed after a crash)."""
+        are skipped — safe to re-feed after a crash).  A rejected
+        observation raises before it is logged and changes nothing."""
+        t, v = float(t), float(v)
         with self._mu:
             self._check_writable()
-            if self._resume_t is not None and t <= self._resume_t:
+            if not self._writer.admit_one(t, v):
                 return
-            if self._wal is not None and not self._wal_replay_active:
-                self._wal.append(
-                    np.asarray([t], dtype=float),
-                    np.asarray([v], dtype=float),
-                )
-            self._last_obs_t = t
-            self._n_observations += 1
-            closed = self._segmenter.push(t, v)
-            if closed:
-                self._register_segments(closed)
-                self._n_obs_covered = self._n_observations - 1
+            self._log(np.asarray([t]), np.asarray([v]))
+            if self._writer.push(t, v):
                 self._maybe_roll()
 
     def append_array(
@@ -742,32 +713,13 @@ class LiveIndex:
         """Vectorized :meth:`append` over time/value arrays (gap-free)."""
         if batch_size < 1:
             raise InvalidParameterError("batch_size must be >= 1")
-        ts = np.ascontiguousarray(ts, dtype=float)
-        vs = np.ascontiguousarray(vs, dtype=float)
         with self._mu:
             self._check_writable()
-            if self._resume_t is not None:
-                start = int(np.searchsorted(ts, self._resume_t, side="right"))
-                ts, vs = ts[start:], vs[start:]
-            if (
-                ts.shape[0]
-                and self._wal is not None
-                and not self._wal_replay_active
-            ):
-                self._wal.append(ts, vs)
+            ts, vs = self._writer.admit(ts, vs)
             if ts.shape[0]:
-                self._last_obs_t = float(ts[-1])
-            for i in range(0, ts.shape[0], batch_size):
-                chunk_t = ts[i : i + batch_size]
-                chunk_v = vs[i : i + batch_size]
-                n_before = self._n_observations
-                segments = self._segmenter.push_batch(chunk_t, chunk_v)
-                self._n_observations += chunk_t.shape[0]
-                if segments:
-                    self._register_segments(segments)
-                    self._n_obs_covered = (
-                        n_before + self._segmenter.last_close_offset
-                    )
+                self._log(ts, vs)
+            for closed in self._writer.push_array(ts, vs, batch_size):
+                if closed:
                     self._maybe_roll()
 
     def mark_gap(self) -> None:
@@ -776,20 +728,14 @@ class LiveIndex:
         with self._mu:
             self._check_writable()
             if self._wal is not None and not self._wal_replay_active:
-                self._wal.log_gap(self._last_obs_t)
-            tail = self._segmenter.finish()
-            if tail:
-                self._register_segments(tail)
-            self._n_obs_covered = self._n_observations
-            self._extractor.reset_history()
+                self._wal.log_gap(self._writer.last_t)
+            self._writer.gap()
             self._maybe_roll()
 
-    def _register_segments(self, segments: Sequence[DataSegment]) -> None:
-        hot = self._hot
-        hot.segments.extend(segments)
-        hot.est_bytes += _EST_SEGMENT_BYTES * len(segments)
-        hot.store.add_segments_bulk(list(segments))
-        self._extractor.add_segments_batch(list(segments))
+    def _log(self, ts: np.ndarray, vs: np.ndarray) -> None:
+        """Write admitted observations ahead to ``hot.wal``."""
+        if self._wal is not None and not self._wal_replay_active:
+            self._wal.append(ts, vs)
 
     def _check_writable(self) -> None:
         if self._closed:
@@ -907,10 +853,11 @@ class LiveIndex:
                         hot.fmax if hot.fmax is not None else watermark
                     ),
                     n_segments=hot.n_segments,
-                    obs_covered=self._n_obs_covered,
+                    obs_covered=self._writer.n_obs_covered,
                 ),
                 lambda spec: self._manifest.with_sealed(
-                    spec, watermark, self._n_obs_covered
+                    spec, watermark, self._writer.n_obs_covered,
+                    episode_break=self._writer.break_t,
                 ),
             )
             self._manifest = manifest
@@ -1082,10 +1029,7 @@ class LiveIndex:
                 raise StorageError("live index is closed")
             if self._finalized:
                 return
-            tail = self._segmenter.finish()
-            if tail:
-                self._register_segments(tail)
-            self._n_obs_covered = self._n_observations
+            self._writer.finish()
             self._seal_locked()
             manifest = self._manifest.with_finalized()
             if self.directory is not None:
@@ -1145,7 +1089,7 @@ class LiveIndex:
                 backend=self.backend,
                 generation=self._manifest.generation,
                 watermark=self.watermark,
-                n_observations=self._n_observations,
+                n_observations=self._writer.n_observations,
             )
 
     def search_drops(
@@ -1191,7 +1135,7 @@ class LiveIndex:
 
     @property
     def n_observations(self) -> int:
-        return self._n_observations
+        return self._writer.n_observations
 
     @property
     def generation(self) -> int:
@@ -1219,7 +1163,7 @@ class LiveIndex:
                 "generation": self._manifest.generation,
                 "finalized": self._finalized,
                 "watermark": self.watermark,
-                "n_observations": self._n_observations,
+                "n_observations": self._writer.n_observations,
                 "partitions": sealed,
                 "n_partitions": len(sealed),
                 "sealed_rows": sum(p.spec.rows for p in self._sealed),

@@ -359,13 +359,21 @@ class PartitionManifest:
     next_seq: int = 0
     finalized: bool = False
     partitions: Tuple[PartitionSpec, ...] = ()
+    #: The last observation time before an episode break, when the
+    #: sealed partitions end at one (a resume then starts a fresh
+    #: episode); ``None`` otherwise, and then left out of the file.
+    episode_break: Optional[float] = None
 
     # -------------------------------------------------------------- #
     # transitions (each bumps the generation)
     # -------------------------------------------------------------- #
 
     def with_sealed(
-        self, spec: PartitionSpec, watermark: float, n_observations: int
+        self,
+        spec: PartitionSpec,
+        watermark: float,
+        n_observations: int,
+        episode_break: Optional[float] = None,
     ) -> "PartitionManifest":
         return replace(
             self,
@@ -374,6 +382,7 @@ class PartitionManifest:
             n_observations=n_observations,
             next_seq=self.next_seq + 1,
             partitions=self.partitions + (spec,),
+            episode_break=episode_break,
         )
 
     def with_replaced(
@@ -436,6 +445,7 @@ class PartitionManifest:
             n_observations=n_observations,
             finalized=False,
             partitions=self.partitions[:count],
+            episode_break=None,
         )
 
     # -------------------------------------------------------------- #
@@ -443,7 +453,7 @@ class PartitionManifest:
     # -------------------------------------------------------------- #
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "version": MANIFEST_VERSION,
             "epsilon": self.epsilon,
             "window": self.window,
@@ -454,6 +464,9 @@ class PartitionManifest:
             "finalized": self.finalized,
             "partitions": [s.to_json() for s in self.partitions],
         }
+        if self.episode_break is not None:
+            obj["episode_break"] = self.episode_break
+        return obj
 
     def save(self, directory: str, fs=None) -> str:
         """Atomically install this manifest as ``directory/partitions.json``
@@ -493,6 +506,7 @@ class PartitionManifest:
                 PartitionSpec.from_json(p, path)
                 for p in get("partitions", list)
             ),
+            episode_break=get("episode_break", float, optional=True),
         )
 
     @classmethod

@@ -1,11 +1,10 @@
-"""Equivalence tests for the batched/parallel index-build fast path.
+"""Equivalence tests for the batched index-build fast path.
 
 The contract under test is strict: ``ingest_array`` /
-``ingest_episodes_fast`` / ``ingest_parallel`` must be **bit-for-bit**
-equivalent to the streaming :meth:`SegDiffIndex.append` reference path —
-identical segments, identical stored feature rows in identical order,
-identical :class:`ExtractionStats` — for every batch size and worker
-count, on every backend.
+``ingest_episodes_fast`` must be **bit-for-bit** equivalent to the
+streaming :meth:`SegDiffIndex.append` reference path — identical
+segments, identical stored feature rows in identical order, identical
+:class:`ExtractionStats` — for every batch size, on every backend.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.index import SegDiffIndex
 from repro.datagen import TimeSeries
-from repro.errors import InvalidParameterError, InvalidSeriesError
+from repro.errors import InvalidSeriesError
 from repro.segmentation import SlidingWindowSegmenter
 
 HOUR = 3600.0
@@ -126,65 +125,12 @@ class TestBatchedEquivalence:
             scalar.close()
             fast.close()
 
-
-class TestParallelEquivalence:
-    def test_workers_match_streaming(self):
-        series = make_walk(5, n=240, gaps=True)
-        scalar = SegDiffIndex.build(
-            series, 0.4, 2 * HOUR, batch_size=0, max_gap=HOUR
-        )
-        par = SegDiffIndex.build(
-            series, 0.4, 2 * HOUR, workers=2, max_gap=HOUR
-        )
-        try:
-            assert_identical(scalar, par)
-        finally:
-            scalar.close()
-            par.close()
-
-    def test_single_episode_parallel_build(self):
-        # no gaps: one episode, the pool path degenerates to in-process
-        series = make_walk(6, n=100)
-        scalar = SegDiffIndex.build(series, 0.4, 2 * HOUR, batch_size=0)
-        par = SegDiffIndex.build(series, 0.4, 2 * HOUR, workers=4)
-        try:
-            assert_identical(scalar, par)
-        finally:
-            scalar.close()
-            par.close()
-
-    def test_parallel_minidb(self, tmp_path):
-        series = make_walk(7, n=200, gaps=True)
-        scalar = SegDiffIndex.build(
-            series, 0.4, 2 * HOUR, backend="minidb",
-            path=str(tmp_path / "s.idx"), batch_size=0, max_gap=HOUR,
-        )
-        par = SegDiffIndex.build(
-            series, 0.4, 2 * HOUR, backend="minidb",
-            path=str(tmp_path / "p.idx"), workers=3, max_gap=HOUR,
-        )
-        try:
-            assert_identical(scalar, par)
-            assert par.store.check() == []
-        finally:
-            scalar.close()
-            par.close()
-
-    def test_parallel_requires_fresh_index(self):
-        series = make_walk(8, n=60)
-        index = SegDiffIndex(0.4, 2 * HOUR)
-        index.append(100.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            index.ingest_parallel(series, max_gap=HOUR, workers=2)
-
     def test_gap_counts_agree(self):
         series = make_walk(9, n=120, gaps=True)
         a = SegDiffIndex(0.4, 2 * HOUR)
         b = SegDiffIndex(0.4, 2 * HOUR)
-        c = SegDiffIndex(0.4, 2 * HOUR)
         assert a.ingest_episodes(series, HOUR) == 2
         assert b.ingest_episodes_fast(series, max_gap=HOUR) == 2
-        assert c.ingest_parallel(series, max_gap=HOUR, workers=2) == 2
 
 
 class TestSegmenterBatchAPI:

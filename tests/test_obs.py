@@ -558,8 +558,7 @@ class TestPipelineMetrics:
             np.concatenate(parts_t), np.concatenate(parts_v)
         )
         index = SegDiffIndex.build(
-            series, epsilon=0.2, window=3600.0,
-            workers=2, max_gap=7200.0,
+            series, epsilon=0.2, window=3600.0, max_gap=7200.0
         )
         index.close()
         assert episode.count == before + 3  # one observation per episode

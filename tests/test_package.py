@@ -286,3 +286,37 @@ class TestWriteOnceSeal:
         assert not any(".minidb.wal" in p for _op, p in inj.op_log)
         assert not any(f.endswith(".wal") and f != "hot.wal"
                        for f in os.listdir(d))
+
+
+class TestOneStreamWriter:
+    """Structural guard: the batch and live indexes share one write path
+    (``repro.core.stream``) — no second segmenter, extractor or re-prime,
+    and no process-pool build, may return."""
+
+    CORE = pathlib.Path(repro.__file__).parent / "core"
+
+    def _files_with(self, needle):
+        return {
+            path.name
+            for path in sorted(self.CORE.rglob("*.py"))
+            if needle in path.read_text(encoding="utf-8")
+        }
+
+    def test_segmenter_and_extractor_built_only_by_the_writer(self):
+        for needle in ("SlidingWindowSegmenter(", "FeatureExtractor("):
+            assert self._files_with(needle) == {"stream.py"}, needle
+
+    def test_reprime_lives_only_in_the_writer(self):
+        calls = self._files_with(".prime_history(")
+        assert calls == {"stream.py"}
+
+    def test_no_process_pool_build(self, capsys):
+        from repro.cli import build_parser
+        from repro.core.index import SegDiffIndex
+
+        assert not self._files_with("ProcessPoolExecutor")
+        assert "workers" not in inspect.signature(SegDiffIndex.build).parameters
+        assert not hasattr(SegDiffIndex, "ingest_parallel")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["build", "--help"])
+        assert "--workers" not in capsys.readouterr().out

@@ -7,11 +7,14 @@ duplicated or missing pairs.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.index import SegDiffIndex
+from repro.core.live import LiveIndex
 from repro.datagen.series import TimeSeries
 from repro.errors import StorageError
+from repro.storage.partitions import FEATURE_TABLES
 from repro.storage.sqlite_store import SqliteFeatureStore
 
 EPS = 0.2
@@ -42,6 +45,47 @@ def build_interrupted(path, series, stop_at):
     index.store._conn.close()
 
 
+#: Observation index the gapped stream breaks an episode before.
+GAP_AT = 600
+
+
+def gapped_events(series):
+    """The stream as ``(t, v)`` events with one ``None`` (``mark_gap``)
+    before observation ``GAP_AT``, after which times jump 6 h."""
+    events = []
+    for i, (t, v) in enumerate(zip(series.times, series.values)):
+        if i == GAP_AT:
+            events.append(None)
+        events.append((float(t) + (6 * 3600.0 if i >= GAP_AT else 0.0),
+                       float(v)))
+    return events
+
+
+def play(index, events, cut=0):
+    """Feed ``events``; a gap marker before ``cut`` was already
+    delivered before the interruption and is not repeated."""
+    for i, event in enumerate(events):
+        if event is None:
+            if i >= cut:
+                index.mark_gap()
+        else:
+            index.append(*event)
+
+
+def sorted_rows(stores):
+    """Every feature row of ``stores``, per table, in a canonical order
+    (sealed MiniDB partitions store rows key-ordered)."""
+    out = {}
+    for table in FEATURE_TABLES:
+        rows = np.concatenate(
+            [np.asarray(s.read_table_rows(table), dtype=float).reshape(
+                -1, 6 if table.endswith("points") else 8)
+             for s in stores]
+        )
+        out[table] = rows[np.lexsort(rows.T[::-1])]
+    return out
+
+
 class TestResume:
     @pytest.mark.parametrize("stop_at", [100, 700, 1400])
     def test_resumed_equals_uninterrupted(self, tmp_path, series, stop_at):
@@ -62,9 +106,56 @@ class TestResume:
         try:
             assert resumed.segments == ref_segments
             assert set(resumed.search_drops(3600.0, -3.0)) == ref_pairs
-            assert resumed._n_observations == len(series)
+            assert resumed.n_observations == len(series)
         finally:
             resumed.close()
+
+    @pytest.mark.parametrize("cut", [100, 700, 1400, "gap"])
+    @pytest.mark.parametrize("owner", ["segdiff", "live-wal", "live-nowal"])
+    def test_every_owner_resumes_like_uninterrupted(
+        self, tmp_path, series, owner, cut
+    ):
+        """Both owners of the stream writer, checkpointed (or sealed)
+        at the same cut points and at an episode break, resume to
+        exactly the uninterrupted run's segments and feature rows."""
+        events = gapped_events(series)
+        # event index of the cut: past the gap marker once beyond it
+        cut = GAP_AT + 1 if cut == "gap" else cut + (cut >= GAP_AT)
+        ref = SegDiffIndex(EPS, WINDOW)
+        play(ref, events)
+        ref.finalize()
+
+        if owner == "segdiff":
+            path = str(tmp_path / "c.sqlite")
+            index = SegDiffIndex(EPS, WINDOW, SqliteFeatureStore(path))
+            play(index, events[:cut])
+            index.checkpoint()
+            index.store._conn.close()  # crash
+            resumed = SegDiffIndex.resume(path)
+            play(resumed, events, cut)
+            resumed.finalize()
+            segments, stores = resumed.segments, [resumed.store]
+        else:
+            d = str(tmp_path / "live.d")
+            wal = owner == "live-wal"
+            live = LiveIndex(EPS, WINDOW, directory=d, wal=wal)
+            play(live, events[:cut])
+            live.seal()
+            live.close()
+            resumed = LiveIndex.open(d, wal=wal)
+            play(resumed, events, cut)
+            resumed.finalize()
+            stores = [p.store for p in resumed._sealed]
+            segments = [seg for s in stores for seg in s.load_segments()]
+        try:
+            assert segments == ref.segments
+            assert resumed.n_observations == ref.n_observations
+            got, want = sorted_rows(stores), sorted_rows([ref.store])
+            for table in FEATURE_TABLES:
+                assert np.array_equal(got[table], want[table]), table
+        finally:
+            resumed.close()
+            ref.close()
 
     def test_resume_then_open(self, tmp_path, series):
         path = str(tmp_path / "c.sqlite")
@@ -142,7 +233,7 @@ class TestResumeGuards:
         resumed.ingest(series)
         resumed.finalize()
         try:
-            assert resumed._n_observations == len(series)
+            assert resumed.n_observations == len(series)
         finally:
             resumed.close()
 
@@ -185,7 +276,7 @@ class TestMidStreamCrash:
         resumed.finalize()
         try:
             assert resumed.segments == ref_segments
-            assert resumed._n_observations == len(series)
+            assert resumed.n_observations == len(series)
             assert resumed.store.counts().total == ref_counts
             assert set(resumed.search_drops(3600.0, -3.0)) == ref_pairs
         finally:
@@ -218,7 +309,7 @@ class TestMidStreamCrash:
         resumed.finalize()
         try:
             assert resumed.segments == ref_segments
-            assert resumed._n_observations == len(series)
+            assert resumed.n_observations == len(series)
             assert resumed.store.counts().total == ref_counts
             assert set(resumed.search_drops(3600.0, -3.0)) == ref_pairs
         finally:
