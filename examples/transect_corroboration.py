@@ -4,8 +4,8 @@
 A genuine cold-air-drainage event pools cold air along the canyon floor,
 so several sensors record the drop at roughly the same time; an isolated
 single-sensor drop is more likely local turbulence or an artifact.  This
-example builds one SegDiff index per sensor and asks the transect-level
-question directly:
+example builds the transect as a sharded index (one shard per sensor)
+and asks the transect-level question directly:
 
     "when did at least three sensors see a >= 2.5 C drop within an hour,
      ending within 30 minutes of each other?"
@@ -15,8 +15,8 @@ Run with::
     python examples/transect_corroboration.py
 """
 
-from repro import TransectIndex
 from repro.datagen import CADConfig, CADTransectGenerator, robust_loess
+from repro.engine import ShardedIndex
 
 HOUR = 3600.0
 
@@ -32,17 +32,18 @@ def main() -> None:
         for name, series in gen.generate_all().items()
     }
 
-    transect = TransectIndex.build(data, epsilon=0.2, window=8 * HOUR)
-    stats = transect.stats()
+    transect = ShardedIndex.build_transect(data, epsilon=0.2, window=8 * HOUR)
+    stats = [shard.primary.stats() for shard in transect.shards]
     print(
-        f"Indexed {stats['observations']} observations into "
-        f"{stats['segments']} segments ({stats['feature_rows']} feature rows)"
+        f"Indexed {sum(s.n_observations for s in stats)} observations into "
+        f"{sum(s.n_segments for s in stats)} segments "
+        f"({sum(s.store_counts.total for s in stats)} feature rows)"
     )
 
-    per_sensor = transect.search_drops(1 * HOUR, -2.5)
-    print(f"\nPer-sensor hits (>= 2.5 C drop within 1 h):")
+    print("\nPer-sensor hits (>= 2.5 C drop within 1 h):")
     for i, name in enumerate(gen.sensor_names()):
-        bar = "#" * min(len(per_sensor.get(name, [])), 60)
+        hits = transect.search_drops(1 * HOUR, -2.5, sensors=[name])
+        bar = "#" * min(len(hits), 60)
         depth = gen.depth_factor(i)
         print(f"  {name}  depth={depth:.2f}  {bar}")
 

@@ -60,7 +60,6 @@ from .core import (
     SearchHit,
     SegDiffIndex,
     TieredIndex,
-    TransectIndex,
     audit_completeness,
     audit_soundness,
     collect_features,
@@ -116,7 +115,6 @@ __all__ = [
     "LiveSnapshot",
     "LiveTieredIndex",
     "TieredIndex",
-    "TransectIndex",
     "CorroboratedEvent",
     "FeatureExtractor",
     "Parallelogram",

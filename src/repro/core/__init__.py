@@ -20,7 +20,7 @@ from .extraction import FeatureExtractor, ExtractionStats
 from .index import SegDiffIndex, IndexStats
 from .live import LiveIndex, LiveSnapshot
 from .tiered import TieredIndex, LiveTieredIndex
-from .transect import TransectIndex, CorroboratedEvent
+from .transect import CorroboratedEvent
 from .reporting import HitSummary, render_summary, summarize_hits
 from .results import SearchHit, witness_event
 from .guarantees import (
@@ -47,7 +47,6 @@ __all__ = [
     "LiveSnapshot",
     "TieredIndex",
     "LiveTieredIndex",
-    "TransectIndex",
     "CorroboratedEvent",
     "SearchHit",
     "witness_event",

@@ -24,6 +24,7 @@ or streaming::
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -167,7 +168,8 @@ class SegDiffIndex:
             epsilon, window, store, emit_self_pairs=emit_self_pairs,
             resilience=resilience, name=name,
         )
-        with span("index.build") as bs:
+        with ExitStack() as failed, span("index.build") as bs:
+            failed.callback(index.close)
             bs.set_attribute("backend", backend)
             bs.set_attribute("observations", len(series.times))
             with span("index.ingest"):
@@ -185,6 +187,7 @@ class SegDiffIndex:
                     )
             index.finalize()
             bs.set_attribute("segments", len(index._segments))
+            failed.pop_all()
         return index
 
     @staticmethod

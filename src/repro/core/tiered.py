@@ -8,7 +8,8 @@ most demanding future query to pay for every query.  A
 spaced tolerances and routes each query to the *coarsest* tier whose
 ``2ε`` false-positive tolerance the caller accepts — deep-drop queries
 run against an index an order of magnitude smaller and faster, while
-precise queries still have the fine tier.
+precise queries still have the fine tier.  :class:`LiveTieredIndex` is
+the same router over :class:`~repro.core.live.LiveIndex` tiers.
 
 Every tier individually satisfies Theorem 1, so routing never loses a
 true event; only the false-positive tolerance changes, and it is the
@@ -18,6 +19,7 @@ caller's explicit choice.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence
 
 from ..datagen.series import TimeSeries
@@ -28,6 +30,11 @@ from .index import SegDiffIndex
 __all__ = ["TieredIndex", "LiveTieredIndex"]
 
 
+def _tier_label(epsilon: float) -> str:
+    """A tier's name: its breaker label and its live subdirectory."""
+    return f"tier-{epsilon:g}"
+
+
 class TieredIndex:
     """A ladder of SegDiff indexes over the same series.
 
@@ -35,6 +42,9 @@ class TieredIndex:
     ----------
     epsilons:
         Build tolerances, e.g. ``(0.1, 0.4, 1.6)``.  Sorted internally.
+        Each tier is labelled ``tier-{eps:g}`` (its breaker name, and
+        its subdirectory in a live ladder); tolerances whose labels
+        collide are rejected.
     window:
         Shared query-span bound ``w``.
     """
@@ -50,13 +60,19 @@ class TieredIndex:
             raise InvalidParameterError("need at least one tolerance tier")
         if eps[0] < 0:
             raise InvalidParameterError("tolerances must be >= 0")
+        for lo, hi in zip(eps, eps[1:]):
+            if _tier_label(lo) == _tier_label(hi):
+                raise InvalidParameterError(
+                    f"tolerances {lo!r} and {hi!r} share the tier label "
+                    f"{_tier_label(lo)!r}"
+                )
         self.epsilons = eps
         self.window = float(window)
         #: Optional :class:`repro.engine.ResiliencePolicy` applied to
         #: every tier's query session (each tier gets its own breaker,
         #: labelled by tier).
         self.resilience = resilience
-        self._tiers: Dict[float, SegDiffIndex] = {}
+        self._tiers: Dict[float, object] = {}
 
     @classmethod
     def build(
@@ -69,12 +85,21 @@ class TieredIndex:
     ) -> "TieredIndex":
         """Build and finalize every tier over the same series."""
         tiered = cls(epsilons, window, resilience=resilience)
-        for eps in tiered.epsilons:
-            tiered._tiers[eps] = SegDiffIndex.build(
+        tiered._open_tiers(
+            lambda eps: SegDiffIndex.build(
                 series, eps, window, backend=backend,
-                resilience=resilience, name=f"tier-{eps:g}",
+                resilience=resilience, name=_tier_label(eps),
             )
+        )
         return tiered
+
+    def _open_tiers(self, make) -> None:
+        """``make(eps)`` every tier; on an error, close the tiers already
+        made and re-raise it."""
+        with ExitStack() as made:
+            for eps in self.epsilons:
+                self._tiers[eps] = made.enter_context(make(eps))
+            made.pop_all()
 
     # ------------------------------------------------------------------ #
     # routing
@@ -96,13 +121,17 @@ class TieredIndex:
         admissible = [e for e in self.epsilons if 2.0 * e <= max_tolerance]
         return admissible[-1] if admissible else self.epsilons[0]
 
-    def tier(self, epsilon: float) -> SegDiffIndex:
+    def tier(self, epsilon: float):
         """Direct access to one tier's index."""
         if epsilon not in self._tiers:
             raise InvalidParameterError(
                 f"no tier at epsilon={epsilon}; tiers: {self.epsilons}"
             )
         return self._tiers[epsilon]
+
+    def route(self, max_tolerance: Optional[float]):
+        """The tier a query accepting ``max_tolerance`` runs on."""
+        return self._tiers[self.choose_tier(max_tolerance)]
 
     # ------------------------------------------------------------------ #
     # search
@@ -114,20 +143,18 @@ class TieredIndex:
         v_threshold: float,
         max_tolerance: Optional[float] = None,
         mode: str = "index",
-        cache: str = "warm",
+        **kw,
     ) -> List[SegmentPair]:
         """Drop search routed to the coarsest admissible tier.
 
         A natural ``max_tolerance`` is a fraction of the drop magnitude,
         e.g. ``abs(v_threshold) * 0.2`` — "I accept periods whose deepest
-        drop is within 20 % of what I asked for".  ``mode`` and ``cache``
-        are the engine plan options of
-        :meth:`SegDiffIndex.search_drops` (``"auto"`` included), passed
-        through to the chosen tier unchanged.
+        drop is within 20 % of what I asked for".  ``mode`` and the
+        remaining keywords (``cache``, ...) are the tier's own search
+        options, passed through to the chosen tier unchanged.
         """
-        eps = self.choose_tier(max_tolerance)
-        return self._tiers[eps].search_drops(
-            t_threshold, v_threshold, mode=mode, cache=cache
+        return self.route(max_tolerance).search_drops(
+            t_threshold, v_threshold, mode=mode, **kw
         )
 
     def search_jumps(
@@ -136,12 +163,11 @@ class TieredIndex:
         v_threshold: float,
         max_tolerance: Optional[float] = None,
         mode: str = "index",
-        cache: str = "warm",
+        **kw,
     ) -> List[SegmentPair]:
         """Jump search routed to the coarsest admissible tier."""
-        eps = self.choose_tier(max_tolerance)
-        return self._tiers[eps].search_jumps(
-            t_threshold, v_threshold, mode=mode, cache=cache
+        return self.route(max_tolerance).search_jumps(
+            t_threshold, v_threshold, mode=mode, **kw
         )
 
     def search_outcome(
@@ -162,8 +188,7 @@ class TieredIndex:
         Accepts the :meth:`SegDiffIndex.search_outcome` keywords
         (``timeout_ms``, ``degrade``, ``cache``...).
         """
-        eps = self.choose_tier(max_tolerance)
-        return self._tiers[eps].search_outcome(
+        return self.route(max_tolerance).search_outcome(
             kind, t_threshold, v_threshold, mode=mode, **kw
         )
 
@@ -177,7 +202,7 @@ class TieredIndex:
 
     def total_disk_bytes(self) -> int:
         """Disk footprint of the whole ladder."""
-        return sum(s.disk_bytes for s in (i.stats() for i in self._tiers.values()))
+        return sum(s.disk_bytes for s in self.stats().values())
 
     def close(self) -> None:
         for index in self._tiers.values():
@@ -191,7 +216,7 @@ class TieredIndex:
         self.close()
 
 
-class LiveTieredIndex:
+class LiveTieredIndex(TieredIndex):
     """A ladder of :class:`~repro.core.live.LiveIndex` tiers.
 
     Every appended observation feeds every tier; queries route exactly
@@ -200,6 +225,7 @@ class LiveTieredIndex:
     snapshot isolation).  With a ``directory``, each tier seals into its
     own ``tier-{eps:g}/`` subdirectory and the whole ladder resumes from
     the *minimum* tier watermark — replay is idempotent per tier.
+    ``search_outcome`` and ``total_disk_bytes`` need batch tiers.
     """
 
     def __init__(
@@ -211,28 +237,16 @@ class LiveTieredIndex:
     ) -> None:
         from .live import LiveIndex  # late: core.live imports the engine
 
-        eps = sorted(set(float(e) for e in epsilons))
-        if not eps:
-            raise InvalidParameterError("need at least one tolerance tier")
-        if eps[0] < 0:
-            raise InvalidParameterError("tolerances must be >= 0")
-        self.epsilons = eps
-        self.window = float(window)
+        super().__init__(epsilons, window)
         self.directory = directory
-        self._tiers: Dict[float, "LiveIndex"] = {}
-        for e in eps:
-            tier_dir = self._tier_dir(e)
-            if tier_dir is not None:
-                self._tiers[e] = LiveIndex.open_or_create(
-                    e, self.window, tier_dir, **live_kw
-                )
-            else:
-                self._tiers[e] = LiveIndex(e, self.window, **live_kw)
 
-    def _tier_dir(self, epsilon: float) -> Optional[str]:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, f"tier-{epsilon:g}")
+        def make(eps: float) -> LiveIndex:
+            if directory is None:
+                return LiveIndex(eps, self.window, **live_kw)
+            tier_dir = os.path.join(directory, _tier_label(eps))
+            return LiveIndex.open_or_create(eps, self.window, tier_dir, **live_kw)
+
+        self._open_tiers(make)
 
     # ------------------------------------------------------------------ #
     # ingest (fans out to every tier)
@@ -267,64 +281,6 @@ class LiveTieredIndex:
             return None
         return min(marks)
 
-    # ------------------------------------------------------------------ #
-    # routing + search (TieredIndex semantics, live answers)
-    # ------------------------------------------------------------------ #
-
-    def choose_tier(self, max_tolerance: Optional[float]) -> float:
-        return TieredIndex.choose_tier(self, max_tolerance)
-
-    def tier(self, epsilon: float):
-        if epsilon not in self._tiers:
-            raise InvalidParameterError(
-                f"no tier at epsilon={epsilon}; tiers: {self.epsilons}"
-            )
-        return self._tiers[epsilon]
-
-    def search_drops(
-        self,
-        t_threshold: float,
-        v_threshold: float,
-        max_tolerance: Optional[float] = None,
-        mode: str = "index",
-        **kw,
-    ) -> List[SegmentPair]:
-        eps = self.choose_tier(max_tolerance)
-        return self._tiers[eps].search_drops(
-            t_threshold, v_threshold, mode=mode, **kw
-        )
-
-    def search_jumps(
-        self,
-        t_threshold: float,
-        v_threshold: float,
-        max_tolerance: Optional[float] = None,
-        mode: str = "index",
-        **kw,
-    ) -> List[SegmentPair]:
-        eps = self.choose_tier(max_tolerance)
-        return self._tiers[eps].search_jumps(
-            t_threshold, v_threshold, mode=mode, **kw
-        )
-
     def snapshot(self, max_tolerance: Optional[float] = None):
         """A pinned snapshot of the routed tier."""
-        return self._tiers[self.choose_tier(max_tolerance)].snapshot()
-
-    # ------------------------------------------------------------------ #
-    # introspection / lifecycle
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> Dict[float, dict]:
-        return {eps: tier.stats() for eps, tier in self._tiers.items()}
-
-    def close(self) -> None:
-        for tier in self._tiers.values():
-            tier.close()
-        self._tiers = {}
-
-    def __enter__(self) -> "LiveTieredIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return self.route(max_tolerance).snapshot()

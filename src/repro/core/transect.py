@@ -1,17 +1,13 @@
-"""Multi-sensor search across a transect.
+"""Cross-sensor corroboration over a transect's per-sensor drop answers.
 
 The paper's deployment is not one sensor but twenty-five, arranged in two
 lines across a canyon, and the biology question is inherently spatial: a
 *real* cold-air-drainage event shows up on several sensors at once, with
-the canyon bottom leading.  This module scales the single-series SegDiff
-index to the whole transect:
-
-* :class:`TransectIndex` — one SegDiff index per sensor behind a single
-  build/search façade;
-* per-sensor search (``search_drops``) and the cross-sensor
-  *corroborated* search (``search_corroborated``): time windows in which
-  at least ``min_sensors`` sensors report a drop ending within a
-  ``slack``-wide alignment window — the transect-level CAD detector.
+the canyon bottom leading.  The transect itself is a
+:class:`repro.engine.sharding.ShardedIndex` (one shard per sensor, built
+by ``ShardedIndex.build_transect``); this module holds the transect-level
+CAD detector it runs over the per-sensor answers — :func:`corroborate`,
+the end-interval sweep behind ``ShardedIndex.search_corroborated``.
 
 Every per-sensor result keeps its Theorem 1 guarantee; corroboration is a
 conjunction of per-sensor guarantees, so a corroborated event window
@@ -21,14 +17,11 @@ misses no true multi-sensor event either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..datagen.series import TimeSeries
-from ..errors import InvalidParameterError
 from ..types import SegmentPair
-from .index import SegDiffIndex
 
-__all__ = ["TransectIndex", "CorroboratedEvent"]
+__all__ = ["CorroboratedEvent", "corroborate"]
 
 
 @dataclass(frozen=True)
@@ -52,272 +45,57 @@ class CorroboratedEvent:
         return sorted(self.hits)
 
 
-class TransectIndex:
-    """SegDiff over a whole sensor transect.
+def corroborate(
+    per_sensor: Mapping[str, Sequence[SegmentPair]],
+    min_sensors: int,
+    slack: float,
+) -> List[CorroboratedEvent]:
+    """Groups of hits seen by at least ``min_sensors`` sensors.
 
-    Parameters mirror :class:`SegDiffIndex`; ``backend`` applies to every
-    per-sensor store.
+    A hit's *end interval* is ``[t_b, t_a]``.  Two hits corroborate
+    when their end intervals, each padded by ``slack / 2``, overlap.
+    Overlapping groups are merged with a sweep over interval endpoints,
+    then groups with enough distinct sensors are reported.  The caller
+    validates ``min_sensors >= 1`` and ``slack >= 0``.
     """
+    intervals: List[Tuple[float, float, str, SegmentPair]] = []
+    half = slack / 2.0
+    for sensor, pairs in per_sensor.items():
+        for pair in pairs:
+            intervals.append((pair.t_b - half, pair.t_a + half, sensor, pair))
+    if not intervals:
+        return []
 
-    def __init__(
-        self,
-        epsilon: float,
-        window: float,
-        backend: str = "memory",
-        resilience=None,
-    ) -> None:
-        self.epsilon = float(epsilon)
-        self.window = float(window)
-        self.backend = backend
-        #: Optional :class:`repro.engine.ResiliencePolicy` applied to
-        #: every per-sensor query session (one breaker per sensor,
-        #: labelled by sensor name).
-        self.resilience = resilience
-        self._indexes: Dict[str, SegDiffIndex] = {}
+    intervals.sort(key=lambda iv: iv[0])
+    events: List[CorroboratedEvent] = []
+    group: List[Tuple[float, float, str, SegmentPair]] = []
+    group_end = float("-inf")
+    for iv in intervals:
+        if group and iv[0] > group_end:
+            events.extend(_emit_group(group, min_sensors, half))
+            group = []
+            group_end = float("-inf")
+        group.append(iv)
+        group_end = max(group_end, iv[1])
+    events.extend(_emit_group(group, min_sensors, half))
+    return events
 
-    @classmethod
-    def build(
-        cls,
-        sensors: Mapping[str, TimeSeries],
-        epsilon: float,
-        window: float,
-        backend: str = "memory",
-        resilience=None,
-    ) -> "TransectIndex":
-        """Build finalized per-sensor indexes for every series."""
-        if not sensors:
-            raise InvalidParameterError("need at least one sensor series")
-        transect = cls(epsilon, window, backend=backend, resilience=resilience)
-        for name, series in sensors.items():
-            transect._indexes[name] = SegDiffIndex.build(
-                series, epsilon, window, backend=backend,
-                resilience=resilience, name=str(name),
-            )
-        return transect
 
-    # ------------------------------------------------------------------ #
-    # access
-    # ------------------------------------------------------------------ #
-
-    @property
-    def sensor_names(self) -> List[str]:
-        return sorted(self._indexes)
-
-    def __len__(self) -> int:
-        return len(self._indexes)
-
-    def index_for(self, sensor: str) -> SegDiffIndex:
-        """The per-sensor index (KeyError for unknown sensors)."""
-        if sensor not in self._indexes:
-            raise InvalidParameterError(
-                f"unknown sensor {sensor!r}; have {self.sensor_names}"
-            )
-        return self._indexes[sensor]
-
-    # ------------------------------------------------------------------ #
-    # search
-    # ------------------------------------------------------------------ #
-
-    def search_drops(
-        self,
-        t_threshold: float,
-        v_threshold: float,
-        mode: str = "index",
-        cache: str = "warm",
-    ) -> Dict[str, List[SegmentPair]]:
-        """Per-sensor drop search; sensors with no hits are omitted.
-
-        ``mode`` and ``cache`` are the engine plan options of
-        :meth:`SegDiffIndex.search_drops` (``"auto"`` included), applied
-        to every per-sensor index.
-        """
-        out: Dict[str, List[SegmentPair]] = {}
-        for name, index in self._indexes.items():
-            pairs = index.search_drops(
-                t_threshold, v_threshold, mode=mode, cache=cache
-            )
-            if pairs:
-                out[name] = pairs
-        return out
-
-    def search_jumps(
-        self,
-        t_threshold: float,
-        v_threshold: float,
-        mode: str = "index",
-        cache: str = "warm",
-    ) -> Dict[str, List[SegmentPair]]:
-        """Per-sensor jump search; sensors with no hits are omitted."""
-        out: Dict[str, List[SegmentPair]] = {}
-        for name, index in self._indexes.items():
-            pairs = index.search_jumps(
-                t_threshold, v_threshold, mode=mode, cache=cache
-            )
-            if pairs:
-                out[name] = pairs
-        return out
-
-    def search_outcome(
-        self,
-        kind: str,
-        t_threshold: float,
-        v_threshold: float,
-        mode: str = "index",
-        sensors=None,
-        **kw,
-    ):
-        """Transect-wide search with the full resilience verdict.
-
-        Routes through :meth:`as_sharded` — per-sensor scatter-gather
-        with a merged :class:`repro.engine.QueryOutcome` whose
-        completeness report names any sensor whose index failed or
-        timed out, instead of one bad sensor failing the whole
-        transect.  ``sensors`` restricts routing; remaining keywords
-        (``timeout_ms``, ``degrade``, ``cache``) pass through.
-        """
-        return self.as_sharded().search_outcome(
-            kind, t_threshold, v_threshold, mode=mode, sensors=sensors,
-            **kw,
+def _emit_group(
+    group: List[Tuple[float, float, str, SegmentPair]],
+    min_sensors: int,
+    half: float,
+) -> List[CorroboratedEvent]:
+    sensors: Dict[str, List[SegmentPair]] = {}
+    for _lo, _hi, sensor, pair in group:
+        sensors.setdefault(sensor, []).append(pair)
+    if len(sensors) < min_sensors:
+        return []
+    lo = min(iv[0] for iv in group) + half
+    hi = max(iv[1] for iv in group) - half
+    return [
+        CorroboratedEvent(
+            window=(lo, hi),
+            hits={s: tuple(ps) for s, ps in sensors.items()},
         )
-
-    def as_sharded(self):
-        """This transect as a :class:`repro.engine.sharding.ShardedIndex`.
-
-        One single-replica shard per sensor, wrapping the *existing*
-        per-sensor indexes (no copy; closing either object closes the
-        shared stores).  The natural entry point for the 25-sensor
-        deployment: scatter-gather, per-shard completeness, and — after
-        :meth:`SegDiffIndex.seal_checksums` on each index — verify and
-        repair.  Cached after the first call.
-        """
-        from ..engine.sharding import Shard, ShardedIndex, ShardSpec
-
-        cached = getattr(self, "_sharded", None)
-        if cached is not None:
-            return cached
-        shards = []
-        for name, index in self._indexes.items():
-            segments = index.segments
-            shards.append(
-                Shard(
-                    ShardSpec(
-                        shard_id=str(name),
-                        t_min=segments[0].t_start if segments else 0.0,
-                        t_max=segments[-1].t_end if segments else 0.0,
-                        sensor=str(name),
-                    ),
-                    [index],
-                )
-            )
-        self._sharded = ShardedIndex(shards, self.epsilon, self.window)
-        return self._sharded
-
-    def search_corroborated(
-        self,
-        t_threshold: float,
-        v_threshold: float,
-        min_sensors: int = 2,
-        slack: float = 1800.0,
-        mode: str = "index",
-        cache: str = "warm",
-    ) -> List[CorroboratedEvent]:
-        """Drops seen by at least ``min_sensors`` sensors within ``slack``.
-
-        A hit's *end interval* is ``[t_b, t_a]``.  Two hits corroborate
-        when their end intervals, each padded by ``slack / 2``, overlap.
-        Overlapping groups are merged with a sweep over interval
-        endpoints, then groups with enough distinct sensors are reported.
-        """
-        if min_sensors < 1:
-            raise InvalidParameterError("min_sensors must be >= 1")
-        if min_sensors > len(self._indexes):
-            raise InvalidParameterError(
-                f"min_sensors={min_sensors} exceeds the "
-                f"{len(self._indexes)} sensors indexed"
-            )
-        if slack < 0:
-            raise InvalidParameterError("slack must be >= 0")
-
-        per_sensor = self.search_drops(
-            t_threshold, v_threshold, mode=mode, cache=cache
-        )
-        intervals: List[Tuple[float, float, str, SegmentPair]] = []
-        half = slack / 2.0
-        for sensor, pairs in per_sensor.items():
-            for pair in pairs:
-                intervals.append(
-                    (pair.t_b - half, pair.t_a + half, sensor, pair)
-                )
-        if not intervals:
-            return []
-
-        intervals.sort(key=lambda iv: iv[0])
-        events: List[CorroboratedEvent] = []
-        group: List[Tuple[float, float, str, SegmentPair]] = []
-        group_end = float("-inf")
-        for iv in intervals:
-            if group and iv[0] > group_end:
-                events.extend(
-                    self._emit_group(group, min_sensors, half)
-                )
-                group = []
-                group_end = float("-inf")
-            group.append(iv)
-            group_end = max(group_end, iv[1])
-        events.extend(self._emit_group(group, min_sensors, half))
-        return events
-
-    @staticmethod
-    def _emit_group(
-        group: List[Tuple[float, float, str, SegmentPair]],
-        min_sensors: int,
-        half: float,
-    ) -> List[CorroboratedEvent]:
-        if not group:
-            return []
-        sensors: Dict[str, List[SegmentPair]] = {}
-        for _lo, _hi, sensor, pair in group:
-            sensors.setdefault(sensor, []).append(pair)
-        if len(sensors) < min_sensors:
-            return []
-        lo = min(iv[0] for iv in group) + half
-        hi = max(iv[1] for iv in group) - half
-        return [
-            CorroboratedEvent(
-                window=(lo, hi),
-                hits={s: tuple(ps) for s, ps in sensors.items()},
-            )
-        ]
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregate size/composition across sensors."""
-        per = {name: idx.stats() for name, idx in self._indexes.items()}
-        return {
-            "sensors": len(per),
-            "observations": sum(s.n_observations for s in per.values()),
-            "segments": sum(s.n_segments for s in per.values()),
-            "feature_rows": sum(s.store_counts.total for s in per.values()),
-            "disk_bytes": sum(s.disk_bytes for s in per.values()),
-            "per_sensor": per,
-        }
-
-    def close(self) -> None:
-        sharded = getattr(self, "_sharded", None)
-        if sharded is not None:
-            # closes the shared per-sensor stores and the gather pool
-            sharded.close()
-            self._sharded = None
-        else:
-            for index in self._indexes.values():
-                index.close()
-        self._indexes = {}
-
-    def __enter__(self) -> "TransectIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    ]

@@ -2,7 +2,7 @@
 
 Layering (docs/query_engine.md has the full walkthrough)::
 
-    SegDiffIndex / TieredIndex / TransectIndex / CLI / experiments
+    SegDiffIndex / TieredIndex / ShardedIndex / CLI / experiments
                            │
                      QuerySession          (session.py: batching, EXPLAIN,
                            │                thread safety, auto planning)

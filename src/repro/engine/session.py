@@ -1,8 +1,9 @@
 """Read-only, thread-safe query sessions with batching and EXPLAIN.
 
 :class:`QuerySession` is the front door of the query engine: every
-caller — ``SegDiffIndex``, ``TieredIndex``, ``TransectIndex``, the
-experiments, the CLI — routes searches through one of these.  A session
+caller — ``SegDiffIndex``, ``TieredIndex``, each shard of a
+``ShardedIndex``, the experiments, the CLI — routes searches through
+one of these.  A session
 owns a :class:`~repro.engine.cost.CostModel` for ``mode="auto"`` plan
 choice, serializes access to backends whose reads are not thread-safe
 (MiniDB's buffer pool), and exposes:

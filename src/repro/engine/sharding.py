@@ -46,6 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -294,26 +295,16 @@ class ShardedIndex:
         shard holds ``replicas`` independent builds of its sensor's
         series; with ``backend="sqlite"`` and a ``directory`` the
         replica files land at ``<dir>/<sensor>-r<i>.sqlite`` (the layout
-        :meth:`save`/:meth:`open` use).  Every replica is sealed with
-        its checksum trees.
+        :meth:`save`/:meth:`open` use), so every sensor id must then be a
+        plain file name.  Every replica is sealed with its checksum
+        trees.  Per-sensor answers route with ``sensors=[name]``;
+        :meth:`search_corroborated` asks the transect-level question.
         """
-        shards = []
-        for sensor_id, series in sensors.items():
-            ts = np.asarray(series.times, dtype=float)
-            spec = ShardSpec(
-                shard_id=str(sensor_id),
-                t_min=float(ts[0]) if ts.size else 0.0,
-                t_max=float(ts[-1]) if ts.size else 0.0,
-                sensor=str(sensor_id),
-            )
-            shards.append(
-                _build_shard(
-                    spec, [series] * max(1, int(replicas)), epsilon,
-                    window, backend, directory, resilience, max_gap,
-                    leaf_size,
-                )
-            )
-        return cls(shards, epsilon, window, max_workers=max_workers)
+        parts = [(str(k), str(k), series) for k, series in sensors.items()]
+        return cls._build(
+            parts, epsilon, window, replicas, backend, directory,
+            resilience, max_gap, leaf_size, max_workers,
+        )
 
     @classmethod
     def build(
@@ -354,24 +345,59 @@ class ShardedIndex:
         groups = [
             episodes[a:b] for a, b in zip(bounds, bounds[1:]) if b > a
         ]
-        shards = []
-        for i, group in enumerate(groups):
-            ets = np.concatenate([e[0] for e in group])
-            evs = np.concatenate([e[1] for e in group])
-            spec = ShardSpec(
-                shard_id=f"t{i}",
-                t_min=float(ets[0]),
-                t_max=float(ets[-1]),
-            )
-            shard_series = TimeSeries(times=ets, values=evs)
-            shards.append(
-                _build_shard(
-                    spec, [shard_series] * max(1, int(replicas)), epsilon,
-                    window, backend, directory, resilience, max_gap,
-                    leaf_size,
+        parts = [
+            (f"t{i}", None, TimeSeries(
+                times=np.concatenate([e[0] for e in group]),
+                values=np.concatenate([e[1] for e in group]),
+            ))
+            for i, group in enumerate(groups)
+        ]
+        return cls._build(
+            parts, epsilon, window, replicas, backend, directory,
+            resilience, max_gap, leaf_size, max_workers,
+        )
+
+    @classmethod
+    def _build(
+        cls, parts, epsilon, window, replicas, backend, directory,
+        resilience, max_gap, leaf_size, max_workers,
+    ) -> "ShardedIndex":
+        """One shard per ``(shard_id, sensor, series)`` part, each holding
+        ``replicas`` builds of the series sealed with their checksum
+        trees.  A file-backed build checks every shard id before writing
+        any file; a failed build closes every index it already built and
+        re-raises."""
+        from ..core.index import SegDiffIndex
+
+        file_backed = directory is not None and backend != "memory"
+        if file_backed:
+            for shard_id, _sensor, _series in parts:
+                _check_file_name(shard_id)
+        with ExitStack() as built:
+            shards = []
+            for shard_id, sensor, series in parts:
+                ts = np.asarray(series.times, dtype=float)
+                spec = ShardSpec(
+                    shard_id=shard_id,
+                    t_min=float(ts[0]) if ts.size else 0.0,
+                    t_max=float(ts[-1]) if ts.size else 0.0,
+                    sensor=sensor,
                 )
-            )
-        return cls(shards, epsilon, window, max_workers=max_workers)
+                indexes = []
+                for i in range(max(1, int(replicas))):
+                    fname = f"{shard_id}-r{i}.sqlite"
+                    index = built.enter_context(SegDiffIndex.build(
+                        series, epsilon, window, backend=backend,
+                        path=os.path.join(directory, fname) if file_backed else None,
+                        max_gap=max_gap, resilience=resilience,
+                        name=f"{shard_id}/r{i}",
+                    ))
+                    index.seal_checksums(leaf_size)
+                    indexes.append(index)
+                shards.append(Shard(spec, indexes))
+            sharded = cls(shards, epsilon, window, max_workers=max_workers)
+            built.pop_all()
+        return sharded
 
     @classmethod
     def open(
@@ -382,7 +408,8 @@ class ShardedIndex:
     ) -> "ShardedIndex":
         """Reopen a sharded index saved by a ``directory`` build.
 
-        Reads ``manifest.json`` and opens every replica file.
+        Reads ``manifest.json`` and opens every replica file; if any
+        fails to open, the ones already opened are closed.
         """
         from ..core.index import SegDiffIndex
 
@@ -391,39 +418,42 @@ class ShardedIndex:
         get = partial(manifest_field, path)
         epsilon = get(manifest, "epsilon", float)
         window = get(manifest, "window", float)
-        shards = []
-        for entry in get(manifest, "shards", list):
-            spec = ShardSpec(
-                shard_id=get(entry, "shard_id", str),
-                t_min=get(entry, "t_min", float),
-                t_max=get(entry, "t_max", float),
-                sensor=get(entry, "sensor", str, optional=True),
-            )
-            if any(s.shard_id == spec.shard_id for s in shards):
-                raise CorruptionError(f"{path}: shard {spec.shard_id!r} "
-                                      "is listed twice")
-            fnames = get(entry, "replicas", list)
-            if not fnames or not all(
-                isinstance(f, str) and os.path.basename(f) == f
-                and os.path.isfile(os.path.join(directory, f))
-                for f in fnames
-            ):
-                raise CorruptionError(
-                    f"{path}: shard {spec.shard_id!r} field 'replicas' "
-                    f"must list >= 1 file of the directory, got {fnames!r}"
+        with ExitStack() as opened:
+            shards = []
+            for entry in get(manifest, "shards", list):
+                spec = ShardSpec(
+                    shard_id=get(entry, "shard_id", str),
+                    t_min=get(entry, "t_min", float),
+                    t_max=get(entry, "t_max", float),
+                    sensor=get(entry, "sensor", str, optional=True),
                 )
-            replicas = [
-                SegDiffIndex.open(
-                    os.path.join(directory, fname),
-                    resilience=resilience,
-                    name=f"{spec.shard_id}/r{i}",
-                )
-                for i, fname in enumerate(fnames)
-            ]
-            shards.append(Shard(spec, replicas))
-        if not shards:
-            raise CorruptionError(f"{path}: field 'shards' lists no shard")
-        return cls(shards, epsilon, window, max_workers=max_workers)
+                if any(s.shard_id == spec.shard_id for s in shards):
+                    raise CorruptionError(f"{path}: shard {spec.shard_id!r} "
+                                          "is listed twice")
+                fnames = get(entry, "replicas", list)
+                if not fnames or not all(
+                    isinstance(f, str) and os.path.basename(f) == f
+                    and os.path.isfile(os.path.join(directory, f))
+                    for f in fnames
+                ):
+                    raise CorruptionError(
+                        f"{path}: shard {spec.shard_id!r} field 'replicas' "
+                        f"must list >= 1 file of the directory, got {fnames!r}"
+                    )
+                replicas = [
+                    opened.enter_context(SegDiffIndex.open(
+                        os.path.join(directory, fname),
+                        resilience=resilience,
+                        name=f"{spec.shard_id}/r{i}",
+                    ))
+                    for i, fname in enumerate(fnames)
+                ]
+                shards.append(Shard(spec, replicas))
+            if not shards:
+                raise CorruptionError(f"{path}: field 'shards' lists no shard")
+            sharded = cls(shards, epsilon, window, max_workers=max_workers)
+            opened.pop_all()
+        return sharded
 
     def save_manifest(self, directory: str, _fs=None) -> str:
         """Atomically install ``manifest.json`` for a directory-backed
@@ -530,7 +560,64 @@ class ShardedIndex:
         answered degraded (the completeness report names the lost
         shards), and FAILED when no shard answered.
         """
-        routed = self.route(sensors, t_range)
+        return self._fan_out(
+            kind, t_threshold, v_threshold, mode,
+            self.route(sensors, t_range), **kw,
+        )[1]
+
+    def search_corroborated(
+        self,
+        t_threshold: float,
+        v_threshold: float,
+        min_sensors: int = 2,
+        slack: float = 1800.0,
+        mode: str = "index",
+        cache: str = "warm",
+    ) -> list:
+        """Drops seen by at least ``min_sensors`` sensors whose end
+        intervals, padded by ``slack / 2`` seconds, overlap — a list of
+        :class:`~repro.core.transect.CorroboratedEvent`.
+
+        The same fan-out as :meth:`search_outcome` over every shard; the
+        per-shard answers are grouped by ``shard.spec.sensor`` and swept
+        by :func:`~repro.core.transect.corroborate`.  A transect missing
+        a sensor would silently report fewer events, so a lost shard
+        raises its error instead.  A time-sharded index has no sensors
+        to corroborate across and is rejected.
+        """
+        from ..core.transect import corroborate
+
+        sensors = {shard.spec.sensor for shard in self._shards.values()}
+        if None in sensors:
+            raise InvalidParameterError(
+                "corroboration needs one sensor per shard; this index "
+                "is time-sharded"
+            )
+        if min_sensors < 1:
+            raise InvalidParameterError("min_sensors must be >= 1")
+        if min_sensors > len(sensors):
+            raise InvalidParameterError(
+                f"min_sensors={min_sensors} exceeds the "
+                f"{len(sensors)} sensors indexed"
+            )
+        if slack < 0:
+            raise InvalidParameterError("slack must be >= 0")
+        routed = self.shards
+        results, outcome = self._fan_out(
+            "drop", t_threshold, v_threshold, mode, routed, cache=cache
+        )
+        if outcome.error is not None:  # a shard was lost
+            raise outcome.error
+        per_sensor: Dict[str, List[SegmentPair]] = {}
+        for shard, result in zip(routed, results):
+            per_sensor.setdefault(shard.spec.sensor, []).extend(result.pairs)
+        return corroborate(per_sensor, min_sensors, slack)
+
+    def _fan_out(self, kind, t_threshold, v_threshold, mode, routed,
+                 **kw) -> Tuple[List, QueryOutcome]:
+        """Scatter one search over ``routed`` under one envelope:
+        ``(per-shard results, merged outcome)``.  A lost shard's result
+        is its exception."""
         labels = [shard.shard_id for shard in routed]
         with QueryEnvelope("shard_search", "sharded") as env:
             results = _scatter(
@@ -550,7 +637,7 @@ class ShardedIndex:
                 f"(T={t_threshold:g}, V={v_threshold:g}) mode={mode}",
                 len(pairs), status.value,
             )
-        return QueryOutcome(
+        return results, QueryOutcome(
             pairs=pairs,
             ident_rows=ident_rows,
             status=status,
@@ -797,35 +884,13 @@ class ShardedIndex:
         self.close()
 
 
-def _build_shard(
-    spec: ShardSpec,
-    replica_series: Sequence,
-    epsilon: float,
-    window: float,
-    backend: str,
-    directory: Optional[str],
-    resilience: Optional[ResiliencePolicy],
-    max_gap: Optional[float],
-    leaf_size: Optional[int],
-) -> Shard:
-    """Build every replica of one shard and seal its checksums."""
-    from ..core.index import SegDiffIndex
-
-    replicas = []
-    for i, series in enumerate(replica_series):
-        path = None
-        if directory is not None and backend != "memory":
-            path = os.path.join(directory, f"{spec.shard_id}-r{i}.sqlite")
-        index = SegDiffIndex.build(
-            series,
-            epsilon,
-            window,
-            backend=backend,
-            path=path,
-            max_gap=max_gap,
-            resilience=resilience,
-            name=f"{spec.shard_id}/r{i}",
+def _check_file_name(shard_id: str) -> None:
+    """A file-backed shard names its replica files after its id, so the
+    id must be a plain file name."""
+    if shard_id in ("", ".", "..") or any(
+        sep and sep in shard_id for sep in (os.sep, os.altsep)
+    ):
+        raise InvalidParameterError(
+            f"shard id {shard_id!r} is not a plain file name; a "
+            "file-backed build names its replica files after it"
         )
-        index.seal_checksums(leaf_size)
-        replicas.append(index)
-    return Shard(spec, replicas)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,51 @@ def walk_series() -> TimeSeries:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def open_files():
+    """``open_files(directory)``: the files under ``directory`` this
+    process still holds open (Linux ``/proc/self/fd``)."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+
+    def held(directory) -> list:
+        root = os.path.realpath(str(directory)) + os.sep
+        found = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(os.path.join("/proc/self/fd", fd))
+            except OSError:
+                continue
+            if target.startswith(root):
+                found.append(target)
+        return found
+
+    return held
+
+
+@pytest.fixture
+def second_build_fails(monkeypatch):
+    """Make the second ``SegDiffIndex.build`` of the test raise
+    ``StorageError``; returns ``(built, closed)``: the indexes built before
+    it and every index closed since."""
+    from repro.core.index import SegDiffIndex
+    from repro.errors import StorageError
+
+    real_build, real_close = SegDiffIndex.build, SegDiffIndex.close
+    built, closed = [], []
+
+    def build(*args, **kw):
+        if len(built) == 1:
+            raise StorageError("injected: the second child fails")
+        built.append(real_build(*args, **kw))
+        return built[-1]
+
+    def close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(SegDiffIndex, "build", build)
+    monkeypatch.setattr(SegDiffIndex, "close", close)
+    return built, closed

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.index import SegDiffIndex
 from repro.core.queries import DropQuery, JumpQuery
 from repro.core.tiered import TieredIndex
-from repro.core.transect import TransectIndex
 from repro.datagen import TimeSeries, random_walk_series
 from repro.engine import (
     BACKEND_COSTS,
@@ -21,6 +20,7 @@ from repro.engine import (
     QueryPlan,
     QuerySession,
     RefineOp,
+    ShardedIndex,
     build_plan,
 )
 from repro.errors import InvalidParameterError
@@ -254,13 +254,18 @@ class TestFacadePassThrough:
 
     def test_transect_accepts_engine_options(self, walk_series):
         shifted = TimeSeries(walk_series.times, walk_series.values - 0.5)
-        transect = TransectIndex.build(
+        transect = ShardedIndex.build_transect(
             {"a": walk_series, "b": shifted}, 0.2, 8 * HOUR
         )
         try:
-            base = transect.search_drops(HOUR, -2.0)
-            assert transect.search_drops(HOUR, -2.0, mode="auto") == base
-            assert transect.search_drops(HOUR, -2.0, cache="warm") == base
+            for name in ("a", "b"):
+                base = transect.search_drops(HOUR, -2.0, sensors=[name])
+                assert transect.search_drops(
+                    HOUR, -2.0, sensors=[name], mode="auto"
+                ) == base
+                assert transect.search_drops(
+                    HOUR, -2.0, sensors=[name], cache="warm"
+                ) == base
             corr = transect.search_corroborated(HOUR, -2.0, min_sensors=1)
             assert (
                 transect.search_corroborated(

@@ -320,3 +320,45 @@ class TestOneStreamWriter:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["build", "--help"])
         assert "--workers" not in capsys.readouterr().out
+
+
+class TestOneCollection:
+    """Structural guard: a transect is a ``ShardedIndex`` and a tier ladder
+    is one router — no second multi-sensor collection or ε router may
+    return."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def test_no_transect_index(self):
+        import repro.core
+
+        assert "TransectIndex" not in repro.__all__
+        assert "TransectIndex" not in repro.core.__all__
+
+    def test_corroboration_imports_no_index(self):
+        import ast
+
+        tree = ast.parse((self.SRC / "core" / "transect.py").read_text(
+            encoding="utf-8"
+        ))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"SegDiffIndex", "ShardedIndex"}
+
+    def test_one_tier_router(self):
+        from repro.core.tiered import LiveTieredIndex, TieredIndex
+
+        defs = [
+            path for path in self.SRC.rglob("*.py")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip().startswith("def choose_tier(")
+        ]
+        assert len(defs) == 1
+        assert issubclass(LiveTieredIndex, TieredIndex)
+        for name in ("choose_tier", "tier", "search_drops", "search_jumps",
+                     "stats", "close"):
+            assert name not in vars(LiveTieredIndex), name

@@ -468,6 +468,66 @@ class TestSqlitePersistence:
             assert reopened.repair(report).clean
 
 
+class TestBuildSafety:
+    @pytest.mark.parametrize("bad", ["a/b", "../esc", "", ".", ".."])
+    def test_shard_id_must_be_a_file_name(self, tmp_path, walk_series, bad):
+        d = tmp_path / "d"
+        d.mkdir()
+        with pytest.raises(InvalidParameterError, match=repr(bad)):
+            ShardedIndex.build_transect(
+                {"ok": walk_series, bad: walk_series}, EPS, WINDOW,
+                backend="sqlite", directory=str(d),
+            )
+        assert list(tmp_path.rglob("*")) == [d]
+
+    def test_memory_build_accepts_any_id(self, walk_series):
+        with ShardedIndex.build_transect(
+            {"a/b": walk_series, "..": walk_series}, EPS, WINDOW
+        ) as transect:
+            assert transect.search_drops(T, V, sensors=["a/b"]) == (
+                transect.search_drops(T, V, sensors=[".."])
+            )
+
+    def test_failed_transect_build_closes_built_shards(
+        self, tmp_path, walk_series, second_build_fails, open_files
+    ):
+        built, closed = second_build_fails
+        with pytest.raises(StorageError, match="injected"):
+            ShardedIndex.build_transect(
+                {"a": walk_series, "b": walk_series}, EPS, WINDOW,
+                backend="sqlite", directory=str(tmp_path),
+            )
+        assert len(built) == 1 and built[0] in closed
+        assert open_files(tmp_path) == []
+
+    def test_failed_time_shard_build_closes_built_shards(
+        self, tmp_path, series, second_build_fails, open_files
+    ):
+        built, closed = second_build_fails
+        with pytest.raises(StorageError, match="injected"):
+            ShardedIndex.build(
+                series, EPS, WINDOW, n_shards=2, max_gap=MAX_GAP,
+                backend="sqlite", directory=str(tmp_path),
+            )
+        assert len(built) == 1 and built[0] in closed
+        assert open_files(tmp_path) == []
+
+    def test_failed_open_closes_opened_shards(
+        self, tmp_path, walk_series, open_files
+    ):
+        d = str(tmp_path)
+        with ShardedIndex.build_transect(
+            {"a": walk_series, "b": walk_series}, EPS, WINDOW,
+            backend="sqlite", directory=d,
+        ) as transect:
+            transect.save_manifest(d)
+        with open(tmp_path / "b-r0.sqlite", "wb") as fh:
+            fh.write(b"\x00" * 4096)
+        with pytest.raises(StorageError):
+            ShardedIndex.open(d)
+        assert open_files(tmp_path) == []
+
+
 class TestBreakerLabels:
     def test_same_backend_distinct_names_distinct_series(self):
         from repro.engine.resilience import CircuitBreaker
@@ -508,27 +568,21 @@ class TestHigherLevelEntryPoints:
                 tiered.search_drops(T, V)
             )
 
-    def test_transect_as_sharded_matches_per_sensor(self):
-        from repro.core.transect import TransectIndex
-
+    def test_transect_matches_per_sensor(self):
         sensors = {
             "a": gapped_series(episodes=1, seed=3),
             "b": gapped_series(episodes=1, seed=4),
         }
-        transect = TransectIndex.build(sensors, EPS, WINDOW)
-        try:
-            per_sensor = transect.search_drops(T, V)
-            want = sorted(
-                p.as_tuple()
-                for pairs in per_sensor.values()
-                for p in pairs
-            )
+        with ShardedIndex.build_transect(sensors, EPS, WINDOW) as transect:
+            want = []
+            for name in sensors:
+                direct = transect.shard(name).primary.search_drops(T, V)
+                routed = transect.search_drops(T, V, sensors=[name])
+                assert pair_set(routed) == pair_set(direct)
+                want.extend(p.as_tuple() for p in direct)
             outcome = transect.search_outcome("drop", T, V)
             assert outcome.status is ResultStatus.COMPLETE
             assert pair_set(outcome.pairs) == sorted(set(want))
-            assert transect.as_sharded() is transect.as_sharded()
-        finally:
-            transect.close()
 
     def test_metrics_registered(self, series):
         with ShardedIndex.build(

@@ -1,12 +1,13 @@
-"""Tests for the multi-tolerance TieredIndex."""
+"""Tests for the multi-tolerance tier router (TieredIndex and its live
+subclass)."""
 
 import pytest
 
 from repro.core.guarantees import audit_completeness, audit_soundness
 from repro.core.queries import DropQuery
-from repro.core.tiered import TieredIndex
+from repro.core.tiered import LiveTieredIndex, TieredIndex
 from repro.datagen import PiecewiseLinearSignal
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, StorageError
 
 HOUR = 3600.0
 EPSILONS = (0.1, 0.4, 1.6)
@@ -104,3 +105,40 @@ class TestGuaranteesPerTier:
         coarse = tiered.search_drops(q.t_threshold, q.v_threshold, 4.0)
         for witness in true_event_witnesses(signal, q):
             assert covers(coarse, witness)
+
+
+class TestLabelsAndCleanup:
+    PAIR = [0.1234567, 0.1234568]  # both format as tier-0.123457
+
+    def test_colliding_labels_rejected(self, walk_series):
+        with pytest.raises(InvalidParameterError) as err:
+            TieredIndex.build(walk_series, self.PAIR, 8 * HOUR)
+        assert all(repr(e) in str(err.value) for e in self.PAIR)
+
+    def test_colliding_live_labels_rejected_before_any_directory(
+        self, tmp_path
+    ):
+        d = tmp_path / "ladder"
+        with pytest.raises(InvalidParameterError) as err:
+            LiveTieredIndex(self.PAIR, 8 * HOUR, directory=str(d))
+        assert all(repr(e) in str(err.value) for e in self.PAIR)
+        assert not d.exists()
+
+    def test_failed_build_closes_built_tiers(
+        self, walk_series, second_build_fails
+    ):
+        built, closed = second_build_fails
+        with pytest.raises(StorageError, match="injected"):
+            TieredIndex.build(walk_series, EPSILONS, 8 * HOUR)
+        assert len(built) == 1 and built[0] in closed
+
+    def test_failed_live_ladder_closes_opened_tiers(
+        self, tmp_path, open_files
+    ):
+        from repro.core.live import LiveIndex
+
+        LiveIndex(0.3, 8 * HOUR, directory=str(tmp_path / "tier-0.4")).close()
+        with pytest.raises(StorageError, match="epsilon"):
+            LiveTieredIndex([0.1, 0.4], 8 * HOUR, directory=str(tmp_path))
+        assert (tmp_path / "tier-0.1" / "hot.wal").exists()
+        assert open_files(tmp_path) == []
