@@ -18,13 +18,10 @@ mapping, and EXPERIMENTS.md for reproduction results.
 """
 
 from .errors import (
-    CircuitOpenError,
     InvalidParameterError,
     InvalidSegmentError,
     InvalidSeriesError,
-    QueryCancelled,
     QueryError,
-    QueryRejected,
     QueryTimeout,
     ReproError,
     ResilienceError,
@@ -54,7 +51,6 @@ from .core import (
     FeatureExtractor,
     LiveIndex,
     LiveSnapshot,
-    LiveTieredIndex,
     Parallelogram,
     QueryRegion,
     SearchHit,
@@ -89,9 +85,6 @@ __all__ = [
     "QueryError",
     "ResilienceError",
     "QueryTimeout",
-    "QueryCancelled",
-    "QueryRejected",
-    "CircuitOpenError",
     "Observation",
     "DataSegment",
     "Event",
@@ -113,7 +106,6 @@ __all__ = [
     "SegDiffIndex",
     "LiveIndex",
     "LiveSnapshot",
-    "LiveTieredIndex",
     "TieredIndex",
     "CorroboratedEvent",
     "FeatureExtractor",

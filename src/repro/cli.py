@@ -227,20 +227,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
         set_tracing_enabled(True)
         clear_traces()
-    resilience = None
-    if (
-        args.timeout_ms is not None
-        or args.degrade is not None
-        or args.max_concurrency is not None
-    ):
-        from .engine import ResiliencePolicy
-
-        resilience = ResiliencePolicy(
-            timeout_ms=args.timeout_ms,
-            degrade=args.degrade,
-            max_concurrency=args.max_concurrency,
-        )
-    index = SegDiffIndex.open(args.index, resilience=resilience)
+    index = SegDiffIndex.open(args.index)
     if args.deepest is not None:
         rc = _search_deepest(args, index, t_threshold)
         if args.trace:
@@ -255,10 +242,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             )
             print(report.render())
         # refinement runs inside the engine so the deadline covers it
-        # (and degrade="candidates" can skip it near the deadline)
         series = load_series_csv(args.data) if args.data else None
         search_kw = dict(mode=args.mode, data=series,
-                         verified_only=args.verified)
+                         verified_only=args.verified,
+                         timeout_ms=args.timeout_ms)
         if args.drop is not None:
             outcome = index.search_outcome(
                 "drop", t_threshold, args.drop, **search_kw
@@ -272,13 +259,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"{len(pairs)} matching periods (epsilon={index.epsilon}, "
             f"w={index.window / HOUR:.0f}h)"
         )
-        if outcome.degraded:
-            detail = (
-                outcome.completeness.describe()
-                if outcome.completeness is not None else "refine skipped"
-            )
-            print(f"note: DEGRADED result — {detail}; candidate pairs "
-                  "have zero false negatives (Theorem 1)")
         if args.data and outcome.hits is not None:
             hits = outcome.hits
             if args.summary:
@@ -329,7 +309,8 @@ def _search_deepest(args: argparse.Namespace, index, t_threshold: float) -> int:
     try:
         data = load_series_csv(args.data) if args.data else None
         hits = index.search_deepest_drops(
-            args.deepest, t_threshold, data=data, mode=args.mode
+            args.deepest, t_threshold, data=data, mode=args.mode,
+            timeout_ms=args.timeout_ms,
         )
         print(
             f"{len(hits)} deepest drops within "
@@ -433,12 +414,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(to_prometheus())
         else:
             print(render_table())
-            breakers = _breaker_states()
-            if breakers:
-                print()
-                print("circuit breakers:")
-                for label, state in breakers:
-                    print(f"  {label}: {state}")
     return 0
 
 
@@ -521,20 +496,6 @@ def cmd_debug(args: argparse.Namespace) -> int:
         print()
         print(f"wrote {n_lines} validated event(s) to {args.dump}")
     return 0
-
-
-def _breaker_states() -> List[tuple]:
-    """Decode every registered ``repro_breaker_state`` gauge series."""
-    from .obs.metrics import REGISTRY
-
-    names = {0.0: "closed", 1.0: "half_open", 2.0: "open"}
-    out = []
-    for key, value in sorted(REGISTRY.snapshot().items()):
-        if not key.startswith("repro_breaker_state"):
-            continue
-        labels = key[len("repro_breaker_state"):].strip("{}")
-        out.append((labels or "(unlabelled)", names.get(value, f"?{value}")))
-    return out
 
 
 def _fsck_live_dir(directory: str) -> int:
@@ -866,16 +827,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record spans while searching and print the span "
                         "tree after the results")
     p.add_argument("--timeout-ms", type=float, metavar="MS",
-                   help="per-query deadline; the search is cancelled "
-                        "cooperatively and fails with a timeout once "
-                        "exceeded")
-    p.add_argument("--degrade", choices=["candidates"],
-                   help="near the deadline, skip witness refinement and "
-                        "return candidate pairs (zero false negatives "
-                        "by Theorem 1) flagged DEGRADED")
-    p.add_argument("--max-concurrency", type=int, metavar="N",
-                   help="admission control: at most N queries in flight "
-                        "on this session; excess load is shed")
+                   help="per-query deadline, for --deepest each "
+                        "threshold search it issues; the search is "
+                        "cancelled cooperatively and fails with a "
+                        "timeout once exceeded")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(

@@ -19,7 +19,7 @@ from .corners import SlopeCase, classify_case, collect_features, FeatureSet
 from .extraction import FeatureExtractor, ExtractionStats
 from .index import SegDiffIndex, IndexStats
 from .live import LiveIndex, LiveSnapshot
-from .tiered import TieredIndex, LiveTieredIndex
+from .tiered import TieredIndex
 from .transect import CorroboratedEvent
 from .reporting import HitSummary, render_summary, summarize_hits
 from .results import SearchHit, witness_event
@@ -46,7 +46,6 @@ __all__ = [
     "LiveIndex",
     "LiveSnapshot",
     "TieredIndex",
-    "LiveTieredIndex",
     "CorroboratedEvent",
     "SearchHit",
     "witness_event",

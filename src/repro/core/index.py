@@ -100,18 +100,10 @@ class SegDiffIndex:
         window: float,
         store: Optional[FeatureStore] = None,
         emit_self_pairs: bool = True,
-        resilience=None,
-        name: Optional[str] = None,
     ) -> None:
         self.epsilon = float(epsilon)
         self.window = float(window)
         self.store = store if store is not None else MemoryFeatureStore()
-        #: Optional :class:`repro.engine.ResiliencePolicy` applied to the
-        #: lazily-created query session (deadlines, admission, breaker).
-        self.resilience = resilience
-        #: Distinguishes this index's breaker gauge from other indexes'
-        #: in a multi-index process (e.g. a shard/replica id).
-        self.name = name
         self._writer = StreamWriter(
             epsilon, window, self.store, emit_self_pairs=emit_self_pairs
         )
@@ -134,16 +126,12 @@ class SegDiffIndex:
         emit_self_pairs: bool = True,
         batch_size: Optional[int] = None,
         max_gap: Optional[float] = None,
-        resilience=None,
-        name: Optional[str] = None,
     ) -> "SegDiffIndex":
         """Build and finalize an index over a whole series.
 
         ``backend`` is ``"memory"``, ``"sqlite"``, or ``"minidb"`` (the
         instrumented page-based engine); ``path`` names the backing file
-        (temporary when omitted).  ``resilience`` (a
-        :class:`repro.engine.ResiliencePolicy`) and ``name`` (the breaker
-        gauge label, e.g. a shard id) configure the query session.
+        (temporary when omitted).
 
         The build runs the batched fast path (bit-for-bit equivalent to
         streaming :meth:`append`): ``batch_size`` observations per
@@ -164,10 +152,7 @@ class SegDiffIndex:
                 "backend must be 'memory', 'sqlite' or 'minidb', "
                 f"got {backend!r}"
             )
-        index = cls(
-            epsilon, window, store, emit_self_pairs=emit_self_pairs,
-            resilience=resilience, name=name,
-        )
+        index = cls(epsilon, window, store, emit_self_pairs=emit_self_pairs)
         with ExitStack() as failed, span("index.build") as bs:
             failed.callback(index.close)
             bs.set_attribute("backend", backend)
@@ -205,9 +190,7 @@ class SegDiffIndex:
         return MiniDbFeatureStore(path)
 
     @classmethod
-    def open(
-        cls, path: str, resilience=None, name: Optional[str] = None
-    ) -> "SegDiffIndex":
+    def open(cls, path: str) -> "SegDiffIndex":
         """Reopen a previously built, finalized index file.
 
         The backend (SQLite or MiniDB) is sniffed from the file header.
@@ -215,8 +198,6 @@ class SegDiffIndex:
         segments are stored alongside the features, so the reopened index
         can search, refine witnesses against its approximation, and
         report stats.  It cannot be extended (it is sealed).
-        ``resilience`` (a :class:`repro.engine.ResiliencePolicy`)
-        configures deadlines/admission/breaker on the query session.
         """
         store = cls._open_store(path)
         epsilon = store.get_meta("epsilon")
@@ -233,7 +214,7 @@ class SegDiffIndex:
                 f"{path} is a mid-stream checkpoint, not a finalized index; "
                 "use SegDiffIndex.resume() to continue it"
             )
-        index = cls(epsilon, window, store, resilience=resilience, name=name)
+        index = cls(epsilon, window, store)
         index._segments = store.load_segments()
         n_obs = store.get_meta("n_observations")
         index._writer.n_observations = int(n_obs) if n_obs is not None else 0
@@ -527,6 +508,7 @@ class SegDiffIndex:
         t_threshold: float,
         data: Optional[TimeSeries] = None,
         mode: str = "index",
+        timeout_ms: Optional[float] = None,
     ) -> List[SearchHit]:
         """The ``k`` periods with the deepest drops within ``t_threshold``.
 
@@ -537,7 +519,8 @@ class SegDiffIndex:
         refines every candidate with its exact witness event and returns
         the ``k`` deepest.  Witnesses are computed against ``data`` when
         given, else against the index's own approximation (exact up to
-        ``ε/2``).
+        ``ε/2``).  ``timeout_ms`` is the deadline of each threshold
+        search the sweep issues, as in :meth:`search_drops`.
         """
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
@@ -549,7 +532,9 @@ class SegDiffIndex:
         v = floor
         pairs: List[SegmentPair] = []
         while True:
-            pairs = self.session.search(DropQuery(t_threshold, v), mode=mode)
+            pairs = self.session.search(
+                DropQuery(t_threshold, v), mode=mode, timeout_ms=timeout_ms
+            )
             if len(pairs) >= k or v >= -1e-9:
                 break
             v = max(v / 2.0, -1e-9)
@@ -558,7 +543,8 @@ class SegDiffIndex:
         v_wide = min(v + 2.0 * self.epsilon, -1e-9)
         if v_wide > v:
             pairs = self.session.search(
-                DropQuery(t_threshold, v_wide), mode=mode
+                DropQuery(t_threshold, v_wide), mode=mode,
+                timeout_ms=timeout_ms,
             )
 
         reference: object = data if data is not None else self.approximation()
@@ -656,13 +642,10 @@ class SegDiffIndex:
         mode: str = "index",
         **kw,
     ):
-        """Search with the full resilience verdict.
-
-        Returns a :class:`repro.engine.QueryOutcome` whose ``status``
-        records whether the answer is COMPLETE or DEGRADED (refine pass
-        skipped near the deadline — still candidate-complete by
-        Theorem 1).  Accepts the same keywords as :meth:`search_drops`
-        plus ``timeout_ms``/``degrade``/``data``/``verified_only``.
+        """Search returning the full :class:`repro.engine.QueryOutcome`
+        (pairs, refined hits, status and diagnostics).  Accepts the same
+        keywords as :meth:`search_drops` plus ``timeout_ms``/``data``/
+        ``verified_only``.
         """
         if kind not in ("drop", "jump"):
             raise InvalidParameterError(f"unknown search kind {kind!r}")
@@ -678,11 +661,7 @@ class SegDiffIndex:
     def session(self) -> QuerySession:
         """The engine session every search routes through (lazy)."""
         if self._session is None:
-            self._session = QuerySession(
-                self.store,
-                resilience=self.resilience,
-                name=self.name,
-            )
+            self._session = QuerySession(self.store)
         return self._session
 
     @property

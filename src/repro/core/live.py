@@ -731,6 +731,25 @@ class LiveIndex:
                 self._wal.log_gap(self._writer.last_t)
             self._writer.gap()
             self._maybe_roll()
+            self._persist_break()
+
+    def _persist_break(self) -> None:
+        """Without a WAL, install a manifest carrying a gap that left
+        nothing to seal (one observation since the last seal or gap):
+        no seal would record that break, and a resume would join the
+        episodes around it.  The stream is then durable up to the break
+        (a lone observation forms no segment)."""
+        writer, manifest = self._writer, self._manifest
+        if (
+            self.directory is None or self._wal is not None
+            or self._hot.n_segments or writer.break_t is None
+            or writer.break_t == manifest.episode_break
+        ):
+            return
+        self._manifest = manifest.with_episode_break(
+            writer.break_t, writer.n_obs_covered
+        )
+        self._manifest.save(self.directory, fs=self._fs)
 
     def _log(self, ts: np.ndarray, vs: np.ndarray) -> None:
         """Write admitted observations ahead to ``hot.wal``."""

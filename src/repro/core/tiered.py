@@ -8,8 +8,7 @@ most demanding future query to pay for every query.  A
 spaced tolerances and routes each query to the *coarsest* tier whose
 ``2ε`` false-positive tolerance the caller accepts — deep-drop queries
 run against an index an order of magnitude smaller and faster, while
-precise queries still have the fine tier.  :class:`LiveTieredIndex` is
-the same router over :class:`~repro.core.live.LiveIndex` tiers.
+precise queries still have the fine tier.
 
 Every tier individually satisfies Theorem 1, so routing never loses a
 true event; only the false-positive tolerance changes, and it is the
@@ -18,7 +17,6 @@ caller's explicit choice.
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence
 
@@ -27,12 +25,7 @@ from ..errors import InvalidParameterError
 from ..types import SegmentPair
 from .index import SegDiffIndex
 
-__all__ = ["TieredIndex", "LiveTieredIndex"]
-
-
-def _tier_label(epsilon: float) -> str:
-    """A tier's name: its breaker label and its live subdirectory."""
-    return f"tier-{epsilon:g}"
+__all__ = ["TieredIndex"]
 
 
 class TieredIndex:
@@ -41,10 +34,8 @@ class TieredIndex:
     Parameters
     ----------
     epsilons:
-        Build tolerances, e.g. ``(0.1, 0.4, 1.6)``.  Sorted internally.
-        Each tier is labelled ``tier-{eps:g}`` (its breaker name, and
-        its subdirectory in a live ladder); tolerances whose labels
-        collide are rejected.
+        Build tolerances, e.g. ``(0.1, 0.4, 1.6)``.  Sorted internally;
+        duplicates collapse into one tier.
     window:
         Shared query-span bound ``w``.
     """
@@ -53,26 +44,15 @@ class TieredIndex:
         self,
         epsilons: Sequence[float],
         window: float,
-        resilience=None,
     ) -> None:
         eps = sorted(set(float(e) for e in epsilons))
         if not eps:
             raise InvalidParameterError("need at least one tolerance tier")
         if eps[0] < 0:
             raise InvalidParameterError("tolerances must be >= 0")
-        for lo, hi in zip(eps, eps[1:]):
-            if _tier_label(lo) == _tier_label(hi):
-                raise InvalidParameterError(
-                    f"tolerances {lo!r} and {hi!r} share the tier label "
-                    f"{_tier_label(lo)!r}"
-                )
         self.epsilons = eps
         self.window = float(window)
-        #: Optional :class:`repro.engine.ResiliencePolicy` applied to
-        #: every tier's query session (each tier gets its own breaker,
-        #: labelled by tier).
-        self.resilience = resilience
-        self._tiers: Dict[float, object] = {}
+        self._tiers: Dict[float, SegDiffIndex] = {}
 
     @classmethod
     def build(
@@ -81,25 +61,17 @@ class TieredIndex:
         epsilons: Sequence[float],
         window: float,
         backend: str = "memory",
-        resilience=None,
     ) -> "TieredIndex":
-        """Build and finalize every tier over the same series."""
-        tiered = cls(epsilons, window, resilience=resilience)
-        tiered._open_tiers(
-            lambda eps: SegDiffIndex.build(
-                series, eps, window, backend=backend,
-                resilience=resilience, name=_tier_label(eps),
-            )
-        )
+        """Build and finalize every tier over the same series.  On an
+        error, the tiers already built are closed and it is re-raised."""
+        tiered = cls(epsilons, window)
+        with ExitStack() as built:
+            for eps in tiered.epsilons:
+                tiered._tiers[eps] = built.enter_context(
+                    SegDiffIndex.build(series, eps, window, backend=backend)
+                )
+            built.pop_all()
         return tiered
-
-    def _open_tiers(self, make) -> None:
-        """``make(eps)`` every tier; on an error, close the tiers already
-        made and re-raise it."""
-        with ExitStack() as made:
-            for eps in self.epsilons:
-                self._tiers[eps] = made.enter_context(make(eps))
-            made.pop_all()
 
     # ------------------------------------------------------------------ #
     # routing
@@ -179,14 +151,12 @@ class TieredIndex:
         mode: str = "index",
         **kw,
     ):
-        """Routed search with the full resilience verdict.
+        """Routed search returning the chosen tier's
+        :class:`repro.engine.QueryOutcome`.
 
-        Same tier routing as :meth:`search_drops`, but returns the
-        chosen tier's :class:`repro.engine.QueryOutcome` (COMPLETE /
-        DEGRADED plus completeness report) so a tiered deployment can
-        run under deadlines and degraded modes like a single index.
-        Accepts the :meth:`SegDiffIndex.search_outcome` keywords
-        (``timeout_ms``, ``degrade``, ``cache``...).
+        Same tier routing as :meth:`search_drops`.  Accepts the
+        :meth:`SegDiffIndex.search_outcome` keywords (``timeout_ms``,
+        ``cache``, ``data``...).
         """
         return self.route(max_tolerance).search_outcome(
             kind, t_threshold, v_threshold, mode=mode, **kw
@@ -214,73 +184,3 @@ class TieredIndex:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class LiveTieredIndex(TieredIndex):
-    """A ladder of :class:`~repro.core.live.LiveIndex` tiers.
-
-    Every appended observation feeds every tier; queries route exactly
-    like :class:`TieredIndex` but answer from each tier's partitioned
-    live storage (so they see data up to the last closed segment, with
-    snapshot isolation).  With a ``directory``, each tier seals into its
-    own ``tier-{eps:g}/`` subdirectory and the whole ladder resumes from
-    the *minimum* tier watermark — replay is idempotent per tier.
-    ``search_outcome`` and ``total_disk_bytes`` need batch tiers.
-    """
-
-    def __init__(
-        self,
-        epsilons: Sequence[float],
-        window: float,
-        directory: Optional[str] = None,
-        **live_kw,
-    ) -> None:
-        from .live import LiveIndex  # late: core.live imports the engine
-
-        super().__init__(epsilons, window)
-        self.directory = directory
-
-        def make(eps: float) -> LiveIndex:
-            if directory is None:
-                return LiveIndex(eps, self.window, **live_kw)
-            tier_dir = os.path.join(directory, _tier_label(eps))
-            return LiveIndex.open_or_create(eps, self.window, tier_dir, **live_kw)
-
-        self._open_tiers(make)
-
-    # ------------------------------------------------------------------ #
-    # ingest (fans out to every tier)
-    # ------------------------------------------------------------------ #
-
-    def append(self, t: float, v: float) -> None:
-        for tier in self._tiers.values():
-            tier.append(t, v)
-
-    def append_array(self, ts, vs, **kw) -> None:
-        for tier in self._tiers.values():
-            tier.append_array(ts, vs, **kw)
-
-    def mark_gap(self) -> None:
-        for tier in self._tiers.values():
-            tier.mark_gap()
-
-    def seal(self) -> None:
-        for tier in self._tiers.values():
-            tier.seal()
-
-    def finalize(self) -> None:
-        for tier in self._tiers.values():
-            tier.finalize()
-
-    @property
-    def watermark(self) -> Optional[float]:
-        """The replay point: the minimum tier watermark (a producer
-        resuming here is at-or-before every tier's skip horizon)."""
-        marks = [t.watermark for t in self._tiers.values()]
-        if any(m is None for m in marks):
-            return None
-        return min(marks)
-
-    def snapshot(self, max_tolerance: Optional[float] = None):
-        """A pinned snapshot of the routed tier."""
-        return self.route(max_tolerance).snapshot()

@@ -5,7 +5,8 @@ Layering (docs/query_engine.md has the full walkthrough)::
     SegDiffIndex / TieredIndex / ShardedIndex / CLI / experiments
                            │
                      QuerySession          (session.py: batching, EXPLAIN,
-                           │                thread safety, auto planning)
+                           │                thread safety, auto planning,
+                           │                per-query deadlines)
                  QueryPlan + CostModel     (plan.py, cost.py)
                            │
                        executor            (executor.py: the ONE copy of
@@ -14,6 +15,13 @@ Layering (docs/query_engine.md has the full walkthrough)::
                    probe_line_index_array  ((m, k) blocks)
                            │
           MemoryFeatureStore · SqliteFeatureStore · MiniDbFeatureStore
+
+``resilience.py`` holds what every layer shares about a query's fate:
+the :class:`Deadline` / :class:`QueryGuard` that ``timeout_ms`` sets
+and the stores' loops tick, the :class:`QueryOutcome` verdict
+(COMPLETE / DEGRADED / FAILED) and the :class:`RetryPolicy` the stores
+retry transient failures with.  There is no serving policy: no
+admission control, circuit breaker or degraded refine.
 """
 
 from .cost import BACKEND_COSTS, BackendCosts, CostModel
@@ -35,13 +43,10 @@ from .plan import (
     normalize_t_range,
 )
 from .resilience import (
-    AdmissionController,
-    CircuitBreaker,
     CompletenessReport,
     Deadline,
     QueryGuard,
     QueryOutcome,
-    ResiliencePolicy,
     ResultStatus,
     RetryPolicy,
 )
@@ -55,10 +60,8 @@ from .sharding import (
 )
 
 __all__ = [
-    "AdmissionController",
     "BACKEND_COSTS",
     "BackendCosts",
-    "CircuitBreaker",
     "CompletenessReport",
     "CostModel",
     "Deadline",
@@ -74,7 +77,6 @@ __all__ = [
     "QueryPlan",
     "QuerySession",
     "RefineOp",
-    "ResiliencePolicy",
     "ResultStatus",
     "RetryPolicy",
     "Shard",

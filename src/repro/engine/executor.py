@@ -114,11 +114,9 @@ class OperatorStats:
 class ExecutionResult:
     """The result of executing one :class:`QueryPlan`.
 
-    ``status`` is :attr:`ResultStatus.COMPLETE` on the healthy path.
-    Under a :class:`~repro.engine.resilience.QueryGuard` with
-    ``degrade="candidates"`` it may be :attr:`ResultStatus.DEGRADED`
-    (refine skipped near the deadline — ``pairs`` are a superset of the
-    full answer by Theorem 1); in :func:`execute_batch` a cell whose
+    ``status`` is :attr:`ResultStatus.COMPLETE` on the healthy path.  A
+    partitioned answer that lost some partitions is
+    :attr:`ResultStatus.DEGRADED`; in :func:`execute_batch` a cell whose
     store group failed is :attr:`ResultStatus.FAILED` with the cause in
     ``error``.
     """
@@ -156,8 +154,7 @@ def _fetch_block(
     cache: str, pushdown: bool, guard: Optional[QueryGuard],
 ) -> np.ndarray:
     """One candidate block of feature ``group`` (``"points"`` /
-    ``"lines"``) through the store primitive for ``access``, under the
-    guard's circuit breaker when there is one.
+    ``"lines"``) through the store primitive for ``access``.
 
     The thresholds reach the primitive as pushdown hints only with
     ``pushdown``; without it a scan gets none and a probe just the
@@ -165,16 +162,12 @@ def _fetch_block(
     access path's raw candidates.  The grid path always takes both.
     """
     if access == "grid":
-        def fn():
-            return store.probe_point_grid(kind, t_threshold, v_threshold)
-    else:
-        primitive = getattr(store, _PRIMITIVES[group, access])
-        t = t_threshold if pushdown or access == "index" else None
-        v = v_threshold if pushdown else None
-        def fn():
-            return primitive(kind, t_threshold=t, v_threshold=v,
-                             cache=cache, guard=guard)
-    return fn() if guard is None else guard.call(fn)
+        return store.probe_point_grid(kind, t_threshold, v_threshold)
+    primitive = getattr(store, _PRIMITIVES[group, access])
+    t = t_threshold if pushdown or access == "index" else None
+    v = v_threshold if pushdown else None
+    return primitive(kind, t_threshold=t, v_threshold=v, cache=cache,
+                     guard=guard)
 
 
 def _t_range_mask(
@@ -250,12 +243,12 @@ def execute(
     ``data`` supplies the raw series (or approximation signal) a
     ``RefineOp`` refines against; ``pushdown=False`` forces the
     primitives to return raw candidates (used by EXPLAIN to report true
-    candidate counts).  A ``guard`` makes execution cooperative: store
-    fetches run under its circuit breaker, loops check its deadline, a
-    mid-flight :class:`~repro.errors.QueryTimeout` leaves carrying the
-    partial pairs of the operators that *did* finish, and
-    ``degrade="candidates"`` skips refinement near the deadline (the
-    result is then flagged :attr:`ResultStatus.DEGRADED`).
+    candidate counts).  A ``guard`` makes execution cooperative: loops
+    check its deadline, and a mid-flight
+    :class:`~repro.errors.QueryTimeout` leaves carrying the partial
+    pairs of the operators that *did* finish — after a timed-out refine,
+    the full candidate set, a superset of the refined answer by
+    Theorem 1.
     """
     pop, lop = plan.point_op, plan.line_op
     ident_blocks: List[np.ndarray] = []
@@ -346,16 +339,6 @@ def execute(
     if plan.refine_op is not None:
         if data is None:
             raise ValueError("plan has a RefineOp but no data was supplied")
-        degrade = guard is not None and guard.degrade == "candidates"
-        if degrade and guard.near_deadline():
-            # Theorem 1: candidates have zero false negatives, so the
-            # unrefined pairs are a sound superset of the full answer.
-            result.status = ResultStatus.DEGRADED
-            result.completeness = guard.report(
-                "refine skipped near deadline; candidate pairs returned"
-            )
-            record_degraded()
-            return result
         try:
             with span("op.refine") as rs:
                 if guard is not None:
@@ -370,15 +353,6 @@ def execute(
                 if guard is not None:
                     guard.finish_op("refine")
         except QueryTimeout as exc:
-            if degrade:
-                # candidates are already complete — fall back to them
-                result.hits = None
-                result.status = ResultStatus.DEGRADED
-                result.completeness = guard.report(
-                    "refine timed out; candidate pairs returned"
-                )
-                record_degraded()
-                return result
             exc.attach(
                 partial_pairs=pairs,
                 completeness=(
@@ -643,9 +617,9 @@ def _gather(
         status = ResultStatus.DEGRADED
         if lost:
             reason = f"lost {noun}(s): {', '.join(lost)}"
-            record_degraded()
+            record_degraded(noun)
         else:
-            reason = f"{noun} answered degraded (refine pass skipped)"
+            reason = f"{noun} answered degraded"
     report = CompletenessReport(tuple(ok), tuple(lost), reason)
     return ident_rows, pairs, status, report, error
 

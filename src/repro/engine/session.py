@@ -37,7 +37,6 @@ from .resilience import (
     Deadline,
     QueryGuard,
     QueryOutcome,
-    ResiliencePolicy,
     ResultStatus,
     record_timeout,
 )
@@ -76,6 +75,14 @@ _SLOW_QUERIES = REGISTRY.counter(
 )
 
 
+def _deadline_guard(timeout_ms: Optional[float]) -> Optional[QueryGuard]:
+    """The per-query deadline guard; ``None`` without a timeout, which
+    keeps the executor on its guard-free path."""
+    if timeout_ms is None:
+        return None
+    return QueryGuard(Deadline.from_timeout_ms(timeout_ms))
+
+
 class QueryEnvelope:
     """THE wrapper around one query, whatever tier answers it::
 
@@ -88,7 +95,7 @@ class QueryEnvelope:
     whoever opened it *owns* the tail-retention decision.  :meth:`done`
     counts the query, times it and feeds the slow-query log.  Leaving,
     the owner keeps the query's trace only when it was slow, unhealthy,
-    or left by an exception (timed out, shed, failed), and always clears
+    or left by an exception (timed out, failed), and always clears
     the context's parked roots.
     """
 
@@ -245,8 +252,6 @@ class QuerySession:
         store,
         cost_model: Optional[CostModel] = None,
         slow_query_threshold: Optional[float] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        name: Optional[str] = None,
     ) -> None:
         self.store = store
         self.cost = cost_model if cost_model is not None else CostModel(store)
@@ -257,78 +262,6 @@ class QuerySession:
             None if getattr(store, "THREAD_SAFE_READS", False)
             else threading.Lock()
         )
-        #: Distinguishes this session's breaker gauge from other
-        #: sessions' in a multi-index process (a shard id, usually);
-        #: defaults to the store's backend name.
-        self.name = name
-        #: Resilience configuration (docs/resilience.md); ``None`` keeps
-        #: every mechanism off and the query path on its original code.
-        self.resilience = resilience
-        self._admission = (
-            resilience.admission() if resilience is not None else None
-        )
-        self._breaker = (
-            resilience.breaker(
-                getattr(store, "BACKEND", "unknown"), name=name
-            )
-            if resilience is not None else None
-        )
-
-    # ------------------------------------------------------------------ #
-    # resilience plumbing
-    # ------------------------------------------------------------------ #
-
-    def _make_guard(
-        self, timeout_ms: Optional[float], degrade: Optional[str]
-    ) -> Optional[QueryGuard]:
-        """Build the per-query guard; ``None`` when nothing is enabled.
-
-        Per-query ``timeout_ms``/``degrade`` override the session
-        policy's defaults.  Returning ``None`` on the unconfigured path
-        keeps the executor's original (guard-free) code running —
-        resilience costs nothing unless asked for.
-        """
-        pol = self.resilience
-        if timeout_ms is None and pol is not None:
-            timeout_ms = pol.timeout_ms
-        if degrade is None and pol is not None:
-            degrade = pol.degrade
-        if timeout_ms is None and degrade is None and self._breaker is None:
-            return None
-        deadline = (
-            Deadline.from_timeout_ms(timeout_ms)
-            if timeout_ms is not None else None
-        )
-        kwargs = {}
-        if pol is not None:
-            kwargs["check_every"] = pol.check_every
-            kwargs["degrade_fraction"] = pol.degrade_fraction
-            if pol.degrade_margin_ms is not None:
-                kwargs["degrade_margin_s"] = pol.degrade_margin_ms / 1000.0
-        return QueryGuard(
-            deadline=deadline,
-            degrade=degrade,
-            breaker=self._breaker,
-            **kwargs,
-        )
-
-    def _admit(self, guard: Optional[QueryGuard]):
-        """Admission-control context; a no-op without a concurrency cap."""
-        if self._admission is None:
-            return nullcontext()
-        return self._admission.admit(
-            guard.deadline if guard is not None else None
-        )
-
-    @property
-    def admission(self):
-        """The session's :class:`AdmissionController`, if enabled."""
-        return self._admission
-
-    @property
-    def breaker(self):
-        """The session's :class:`CircuitBreaker`, if enabled."""
-        return self._breaker
 
     # ------------------------------------------------------------------ #
     # planning
@@ -418,22 +351,20 @@ class QuerySession:
         data=None,
         verified_only: bool = False,
         timeout_ms: Optional[float] = None,
-        degrade: Optional[str] = None,
         t_range=None,
     ) -> List[SegmentPair]:
         """Distinct segment pairs matching ``query`` (Section 4.4).
 
         When ``data`` is given the result is witness-refined: a list of
         :class:`~repro.core.results.SearchHit` ordered by severity.
-        ``timeout_ms``/``degrade`` override the session's resilience
-        policy for this query; a degraded answer comes back as the
-        candidate pairs (use :meth:`search_outcome` to see the flag).
+        ``timeout_ms`` is this query's deadline: past it the search
+        raises :class:`~repro.errors.QueryTimeout`.
         ``t_range=(lo, hi)`` keeps only pairs overlapping the interval.
         """
         outcome = self.search_outcome(
             query, mode=mode, cache=cache, data=data,
             verified_only=verified_only, timeout_ms=timeout_ms,
-            degrade=degrade, t_range=t_range,
+            t_range=t_range,
         )
         return outcome.results
 
@@ -445,23 +376,19 @@ class QuerySession:
         data=None,
         verified_only: bool = False,
         timeout_ms: Optional[float] = None,
-        degrade: Optional[str] = None,
         t_range=None,
     ) -> QueryOutcome:
-        """Like :meth:`search`, returning the full resilience verdict.
-
-        The :class:`~repro.engine.resilience.QueryOutcome` carries the
-        pairs/hits plus ``status`` (COMPLETE or DEGRADED) and the
-        completeness report of a degraded answer.  Raises
-        :class:`~repro.errors.QueryTimeout` on a missed deadline and
-        :class:`~repro.errors.QueryRejected` when admission control
-        sheds the query.
+        """Like :meth:`search`, returning the
+        :class:`~repro.engine.resilience.QueryOutcome`: the pairs/hits
+        plus ``status`` and diagnostics.  Raises
+        :class:`~repro.errors.QueryTimeout` on a missed deadline; after
+        a timed-out refine its ``partial_pairs`` hold every candidate.
         """
-        guard = self._make_guard(timeout_ms, degrade)
+        guard = _deadline_guard(timeout_ms)
         refine = (
             RefineOp(verified_only=verified_only) if data is not None else None
         )
-        with self._envelope("search") as env, self._admit(guard):
+        with self._envelope("search") as env:
             try:
                 with span("query.search") as root:
                     root.set_attribute("query_id", env.ctx.query_id)
@@ -547,8 +474,8 @@ class QuerySession:
             raise InvalidParameterError(
                 "batched execution supports 'auto', 'index' and 'scan'"
             )
-        guard = self._make_guard(timeout_ms, None)
-        with self._envelope("search_batch") as env, self._admit(guard):
+        guard = _deadline_guard(timeout_ms)
+        with self._envelope("search_batch") as env:
             try:
                 with span("query.search_batch") as root:
                     root.set_attribute("query_id", env.ctx.query_id)
@@ -599,7 +526,7 @@ class QuerySession:
         Pushdown is disabled for the run so ``rows_fetched`` reports the
         true candidate-set size of each access path.
         """
-        with self._envelope("explain") as env, self._admit(None):
+        with self._envelope("explain") as env:
             with span("query.explain") as root:
                 root.set_attribute("query_id", env.ctx.query_id)
                 with span("query.plan"):

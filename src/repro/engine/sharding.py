@@ -13,9 +13,8 @@ a :class:`ShardedIndex` that
   (``sorted(set(pairs))``), so a one-shard deployment is bit-identical
   to a plain index,
 * **fails over**: each shard may hold R replicas; a replica that times
-  out, errors, or trips its circuit breaker
-  (:class:`~repro.errors.CircuitOpenError`) is skipped and the next
-  replica is tried before the shard is declared lost,
+  out or raises a storage error is skipped and the next replica is
+  tried before the shard is declared lost,
 * keeps partial answers **honest**: the merged
   :class:`~repro.engine.resilience.QueryOutcome` carries a
   :class:`~repro.engine.resilience.CompletenessReport` naming every
@@ -65,7 +64,7 @@ from ..obs.metrics import REGISTRY
 from ..storage.partitions import install_json, manifest_field, read_json
 from ..types import SegmentPair
 from .executor import _gather, _scatter
-from .resilience import QueryOutcome, ResiliencePolicy, ResultStatus
+from .resilience import QueryOutcome, ResultStatus
 from .session import QueryEnvelope
 
 __all__ = [
@@ -190,9 +189,8 @@ class Shard:
 
     Replicas are full :class:`~repro.core.index.SegDiffIndex` builds of
     the same data (deterministic pipeline → bit-identical feature rows),
-    each with its own store, session, and circuit breaker.  Queries try
-    replicas in order; a failure (timeout, storage error, open breaker)
-    fails over to the next.
+    each with its own store and session.  Queries try replicas in order;
+    a failure (timeout, storage error) fails over to the next.
     """
 
     def __init__(self, spec: ShardSpec, replicas: Sequence) -> None:
@@ -284,7 +282,6 @@ class ShardedIndex:
         replicas: int = 1,
         backend: str = "memory",
         directory: Optional[str] = None,
-        resilience: Optional[ResiliencePolicy] = None,
         max_gap: Optional[float] = None,
         leaf_size: Optional[int] = None,
         max_workers: Optional[int] = None,
@@ -303,7 +300,7 @@ class ShardedIndex:
         parts = [(str(k), str(k), series) for k, series in sensors.items()]
         return cls._build(
             parts, epsilon, window, replicas, backend, directory,
-            resilience, max_gap, leaf_size, max_workers,
+            max_gap, leaf_size, max_workers,
         )
 
     @classmethod
@@ -317,7 +314,6 @@ class ShardedIndex:
         replicas: int = 1,
         backend: str = "memory",
         directory: Optional[str] = None,
-        resilience: Optional[ResiliencePolicy] = None,
         leaf_size: Optional[int] = None,
         max_workers: Optional[int] = None,
     ) -> "ShardedIndex":
@@ -354,13 +350,13 @@ class ShardedIndex:
         ]
         return cls._build(
             parts, epsilon, window, replicas, backend, directory,
-            resilience, max_gap, leaf_size, max_workers,
+            max_gap, leaf_size, max_workers,
         )
 
     @classmethod
     def _build(
         cls, parts, epsilon, window, replicas, backend, directory,
-        resilience, max_gap, leaf_size, max_workers,
+        max_gap, leaf_size, max_workers,
     ) -> "ShardedIndex":
         """One shard per ``(shard_id, sensor, series)`` part, each holding
         ``replicas`` builds of the series sealed with their checksum
@@ -389,8 +385,7 @@ class ShardedIndex:
                     index = built.enter_context(SegDiffIndex.build(
                         series, epsilon, window, backend=backend,
                         path=os.path.join(directory, fname) if file_backed else None,
-                        max_gap=max_gap, resilience=resilience,
-                        name=f"{shard_id}/r{i}",
+                        max_gap=max_gap,
                     ))
                     index.seal_checksums(leaf_size)
                     indexes.append(index)
@@ -403,7 +398,6 @@ class ShardedIndex:
     def open(
         cls,
         directory: str,
-        resilience: Optional[ResiliencePolicy] = None,
         max_workers: Optional[int] = None,
     ) -> "ShardedIndex":
         """Reopen a sharded index saved by a ``directory`` build.
@@ -441,12 +435,10 @@ class ShardedIndex:
                         f"must list >= 1 file of the directory, got {fnames!r}"
                     )
                 replicas = [
-                    opened.enter_context(SegDiffIndex.open(
-                        os.path.join(directory, fname),
-                        resilience=resilience,
-                        name=f"{spec.shard_id}/r{i}",
-                    ))
-                    for i, fname in enumerate(fnames)
+                    opened.enter_context(
+                        SegDiffIndex.open(os.path.join(directory, fname))
+                    )
+                    for fname in fnames
                 ]
                 shards.append(Shard(spec, replicas))
             if not shards:
@@ -551,14 +543,14 @@ class ShardedIndex:
         """Scatter one ``(T, V)`` search over the routed shards and merge.
 
         ``sensors``/``t_range`` restrict routing; remaining keywords
-        (``timeout_ms``, ``degrade``, ``cache``) pass through to every
-        shard session.  One scatter, one gather
+        (``timeout_ms``, ``cache``) pass through to every shard
+        session.  One scatter, one gather
         (:func:`~repro.engine.executor._scatter` — on the pool when more
         than one shard is routed — and ``_gather``): the merged outcome
         is COMPLETE when every routed shard answered (possibly via
-        replica failover), DEGRADED when some shards were lost or
-        answered degraded (the completeness report names the lost
-        shards), and FAILED when no shard answered.
+        replica failover), DEGRADED when some shards were lost (the
+        completeness report names them), and FAILED when no shard
+        answered.
         """
         return self._fan_out(
             kind, t_threshold, v_threshold, mode,

@@ -73,12 +73,11 @@ class QueryError(ReproError):
 
 
 class ResilienceError(QueryError):
-    """Base class for the typed failures of the resilient serving layer.
+    """Base class for a query that deliberately did not run to completion.
 
-    Every deliberate "the query did not run to completion" outcome —
-    deadline exceeded, shed under load, cancelled — derives from this
-    class, so callers can distinguish overload/latency failures from
-    malformed requests while still catching both as :class:`QueryError`.
+    Today that is :class:`QueryTimeout` (a missed deadline); callers can
+    tell it from a malformed request while still catching both as
+    :class:`QueryError`.
     """
 
 
@@ -104,21 +103,3 @@ class QueryTimeout(ResilienceError):
             self.partial_pairs = partial_pairs
         if completeness is not None and self.completeness is None:
             self.completeness = completeness
-
-
-class QueryCancelled(ResilienceError):
-    """A query was cooperatively cancelled via ``QueryGuard.cancel()``."""
-
-
-class QueryRejected(ResilienceError):
-    """Admission control shed this query: the session was saturated and
-    the bounded wait queue was full (or the queue wait timed out)."""
-
-
-class CircuitOpenError(StorageError):
-    """A circuit breaker is open: the backend failed repeatedly and calls
-    are failing fast until the cool-down probe succeeds.
-
-    Derives from :class:`StorageError` so existing "the store could not
-    complete an operation" handling applies unchanged.
-    """

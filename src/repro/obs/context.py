@@ -6,8 +6,8 @@ parent span (so spans opened on *other* threads — the sharding scatter
 pool — link back into one trace tree), and a
 :class:`ResourceAccounting` that every layer below contributes to
 (stores report rows scanned and bytes decoded, the executor reports
-candidate-matrix shapes, the resilience layer reports retries and
-failovers).
+candidate-matrix shapes, the shared retry loop reports retries and
+shard failover reports failovers).
 
 Propagation is **explicit**: thread-locals do not cross a
 ``ThreadPoolExecutor`` boundary, so whoever scatters work captures the

@@ -2,9 +2,8 @@
 
 A postmortem needs more than the failing query's own trace — it needs
 what the *process* was doing around it: partitions sealing, compactions
-rewriting files, circuit breakers flipping, WAL replays on open, shard
-replicas failing over, admission control shedding load, anti-entropy
-repairing checksums.  The recorder keeps the most recent of these as
+rewriting files, WAL replays on open, shard replicas failing over,
+deadlines missed, anti-entropy repairing checksums.  The recorder keeps the most recent of these as
 structured events in one process-wide, thread-safe ring; the engine
 attaches the recent tail to failing/degraded
 :class:`~repro.engine.resilience.QueryOutcome`\\ s, and the ``segdiff
@@ -42,10 +41,8 @@ CATEGORIES = (
     "seal",
     "compaction",
     "expire",
-    "breaker",
     "wal_replay",
     "failover",
-    "shed",
     "checksum_repair",
     "timeout",
     "degraded",

@@ -247,9 +247,9 @@ class ReadFaultPolicy:
     ----------
     error_at:
         Call indices that raise :class:`~repro.errors.StorageError` —
-        the *typed* failure the engine's breaker and batch isolation
-        handle (unlike :class:`FaultInjected`, which models a power cut
-        and must never be swallowed).
+        the *typed* failure the engine's batch isolation and shard
+        failover handle (unlike :class:`FaultInjected`, which models a
+        power cut and must never be swallowed).
     latency_at:
         Call indices delayed by ``latency_s`` before proceeding.
     hang_at:
@@ -261,8 +261,8 @@ class ReadFaultPolicy:
         safety net so an unguarded test cannot wedge the suite.
     fail_next:
         Countdown of calls to fail with ``StorageError`` starting now,
-        after which the store heals — the knob for driving a circuit
-        breaker open and then letting its half-open probe succeed.
+        after which the store heals — a replica that is down for a
+        while (or, with a huge count, for good).
     corrupt_at:
         Call indices whose *result* is silently corrupted: the wrapper
         copies the returned row array and mutates one row (never the
@@ -317,7 +317,8 @@ class FaultyStoreWrapper:
     fires::
 
         chaotic = FaultyStoreWrapper(store, ReadFaultPolicy(error_at={1}))
-        session = QuerySession(chaotic, resilience=policy)
+        session = QuerySession(chaotic)
+        session.search(query, timeout_ms=150.0)
     """
 
     def __init__(self, store, policy: Optional[ReadFaultPolicy] = None):

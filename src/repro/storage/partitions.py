@@ -385,6 +385,20 @@ class PartitionManifest:
             episode_break=episode_break,
         )
 
+    def with_episode_break(
+        self, t: float, n_observations: int
+    ) -> "PartitionManifest":
+        """A gap with nothing to seal: the stream covers
+        ``n_observations`` and is durable up to ``t``, the last
+        observation before the break."""
+        return replace(
+            self,
+            generation=self.generation + 1,
+            watermark=t,
+            n_observations=n_observations,
+            episode_break=t,
+        )
+
     def with_replaced(
         self, old_ids: Sequence[str], new_spec: PartitionSpec
     ) -> "PartitionManifest":

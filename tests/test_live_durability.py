@@ -262,6 +262,57 @@ class TestWalRotation:
         assert ops[i + 1] == ("fsync", d), ops[i:]
 
 
+@pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+class TestLoneObservationBeforeGap:
+    def test_resume_keeps_the_break(self, tmp_path, backend):
+        """Without a WAL, one observation between a seal and a gap leaves
+        nothing to seal.  The break must still survive a resume: the
+        producer's replay of that observation and the next episode must
+        not join into a segment that bridges the outage."""
+        from repro.datagen import random_walk_series
+
+        hour = 3600.0
+        first = random_walk_series(400, dt=300.0, seed=3)
+        second = random_walk_series(400, dt=300.0, t0=121_800.0, seed=4)
+        lone = (120_000.0, float(first.values[-1]))
+
+        def feed_second(index):
+            index.append(*lone)
+            index.append_array(second.times, second.values)
+
+        d = str(tmp_path / "live.d")
+        live = LiveIndex(0.2, 4 * hour, directory=d, backend=backend,
+                         wal=False, seal_rows=10**6)
+        live.append_array(first.times, first.values)
+        live.mark_gap()
+        live.seal()
+        live.append(*lone)
+        live.mark_gap()
+        live.close()
+
+        resumed = LiveIndex.open(d, wal=False)
+        feed_second(resumed)  # replays the lone observation first
+        resumed.finalize()
+
+        uninterrupted = LiveIndex(0.2, 4 * hour)
+        uninterrupted.append_array(first.times, first.values)
+        uninterrupted.mark_gap()
+        uninterrupted.append(*lone)
+        uninterrupted.mark_gap()
+        uninterrupted.append_array(second.times, second.values)
+        uninterrupted.finalize()
+        try:
+            got = resumed.search_drops(3 * hour, -2.0)
+            want = uninterrupted.search_drops(3 * hour, -2.0)
+            assert want and got == want
+            # the bridging segment (120 000 -> 121 800) starts no pair
+            assert all(p.t_d != lone[0] for p in got)
+            assert resumed.n_observations == uninterrupted.n_observations
+        finally:
+            resumed.close()
+            uninterrupted.close()
+
+
 class TestSealBytes:
     def test_wide_stream_seals_by_bytes_first(self, tmp_path):
         ts, vs = make_walk(19, n=500)

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.index import SegDiffIndex
 from repro.core.live import LiveIndex
-from repro.core.tiered import LiveTieredIndex
 from repro.errors import (
     InvalidParameterError,
     QueryError,
@@ -494,45 +493,3 @@ class TestCompactionAndLifecycle:
         assert after["expired"] > mid["expired"]
         live.close()
         assert snap()["active"] == before["active"]
-
-
-class TestLiveTiered:
-    def test_tier_routing_and_equivalence(self):
-        ts, vs = make_walk(47, n=400)
-        tiered = LiveTieredIndex([EPS, 4 * EPS], WINDOW, seal_rows=300)
-        tiered.append_array(ts, vs)
-        tiered.finalize()
-        fine_ref = reference_index(ts, vs)
-        assert tuples(tiered.search_drops(150.0, -2.0)) == tuples(
-            fine_ref.search_drops(150.0, -2.0)
-        )
-        coarse_ref = SegDiffIndex(4 * EPS, WINDOW)
-        for t, v in zip(ts, vs):
-            coarse_ref.append(float(t), float(v))
-        coarse_ref.finalize()
-        assert tuples(
-            tiered.search_drops(150.0, -2.0, max_tolerance=8 * EPS)
-        ) == tuples(coarse_ref.search_drops(150.0, -2.0))
-        fine_ref.close()
-        coarse_ref.close()
-        tiered.close()
-
-    def test_tiered_directory_resume(self, tmp_path):
-        ts, vs = make_walk(53, n=300)
-        d = str(tmp_path / "tiers")
-        tiered = LiveTieredIndex([EPS, 4 * EPS], WINDOW, directory=d,
-                                 seal_rows=10**9)
-        tiered.append_array(ts[:150], vs[:150])
-        tiered.seal()
-        wm = tiered.watermark
-        tiered.close()
-        again = LiveTieredIndex([EPS, 4 * EPS], WINDOW, directory=d)
-        assert again.watermark == wm
-        again.append_array(ts, vs)
-        again.finalize()
-        ref = reference_index(ts, vs)
-        assert tuples(again.search_drops(150.0, -2.0)) == tuples(
-            ref.search_drops(150.0, -2.0)
-        )
-        ref.close()
-        again.close()

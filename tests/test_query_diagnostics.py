@@ -533,7 +533,7 @@ class TestFlightRecorderRing:
     def test_dump_validates_against_the_event_schema(self):
         recorder = FlightRecorder(maxlen=64)
         recorder.record("compaction", "p000001", merged=3, rows=1200)
-        recorder.record("breaker", "shard-t1", state="open")
+        recorder.record("failover", "shard-t1", replica=1)
         from repro.obs.export import validate_jsonl
 
         n = validate_jsonl(

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.index import SegDiffIndex
 from repro.datagen.series import TimeSeries
 from repro.engine import (
-    ResiliencePolicy,
     ResultStatus,
     Shard,
     ShardedIndex,
@@ -232,27 +231,22 @@ class TestFailover:
             assert outcome.error is not None
             assert len(outcome.completeness.unfinished) == 2
 
-    def test_open_breaker_fails_over(self, series, plain_answer):
-        """A tripped primary breaker routes the query to the replica."""
-        policy = ResiliencePolicy(
-            breaker_failures=1, breaker_cooldown_ms=3_600_000.0
-        )
+    def test_timed_out_primary_fails_over(self, series, plain_answer):
+        """A primary that hangs past the query's deadline is abandoned
+        for the next replica; the answer is still COMPLETE."""
         with ShardedIndex.build(
-            series, EPS, WINDOW, n_shards=1, max_gap=MAX_GAP,
-            replicas=2, resilience=policy,
+            series, EPS, WINDOW, n_shards=1, max_gap=MAX_GAP, replicas=2,
         ) as sharded:
             shard = sharded.shards[0]
             shard.replicas[0].store = FaultyStoreWrapper(
-                shard.replicas[0].store, ReadFaultPolicy(fail_next=1)
+                shard.replicas[0].store,
+                ReadFaultPolicy(hang_at={1}, hang_slice_s=0.01),
             )
             shard.replicas[0]._session = None
-            # first query trips the breaker, fails over, still COMPLETE
-            first = sharded.search_outcome("drop", T, V)
-            assert first.status is ResultStatus.COMPLETE
-            # breaker now open: CircuitOpenError -> immediate failover
-            second = sharded.search_outcome("drop", T, V)
-            assert second.status is ResultStatus.COMPLETE
-            assert pair_set(second.pairs) == plain_answer
+            outcome = sharded.search_outcome("drop", T, V, timeout_ms=150.0)
+            assert outcome.status is ResultStatus.COMPLETE
+            assert pair_set(outcome.pairs) == plain_answer
+            assert shard.replicas[0].store.faults_injected == 1
 
 
 class TestVerifyRepair:
@@ -526,33 +520,6 @@ class TestBuildSafety:
         with pytest.raises(StorageError):
             ShardedIndex.open(d)
         assert open_files(tmp_path) == []
-
-
-class TestBreakerLabels:
-    def test_same_backend_distinct_names_distinct_series(self):
-        from repro.engine.resilience import CircuitBreaker
-
-        CircuitBreaker(backend="memory", name="shardA/r0")
-        CircuitBreaker(backend="memory", name="shardB/r0")
-        a = REGISTRY.get(
-            "repro_breaker_state",
-            {"backend": "memory", "name": "shardA/r0"},
-        )
-        b = REGISTRY.get(
-            "repro_breaker_state",
-            {"backend": "memory", "name": "shardB/r0"},
-        )
-        assert a is not None and b is not None and a is not b
-
-    def test_name_defaults_to_backend(self):
-        from repro.engine.resilience import CircuitBreaker
-
-        breaker = CircuitBreaker(backend="t-default-name")
-        assert breaker.name == "t-default-name"
-        assert REGISTRY.get(
-            "repro_breaker_state",
-            {"backend": "t-default-name", "name": "t-default-name"},
-        ) is not None
 
 
 class TestHigherLevelEntryPoints:

@@ -5,8 +5,8 @@ must equal the scalar §4.4 oracle (``tests/oracle.py``: ``point_match``
 / ``line_match`` row by row over rows read without any ``*_array``
 call): bit-identical pairs in the same order, on every backend, through
 loops, batches, live snapshots and shards.  EXPLAIN row counts must be
-the tables' own, deadlines must fire inside a block scan, degraded
-candidates-only answers must stay Theorem-1 supersets, and the MiniDB
+the tables' own, deadlines must fire inside a block scan, a timed-out
+refine must leave Theorem-1 superset candidates behind, and the MiniDB
 columnar view must never serve a block that predates an append.
 """
 
@@ -27,12 +27,7 @@ from repro.core.queries import (
     point_match,
 )
 from repro.datagen import TimeSeries, random_walk_series
-from repro.engine import (
-    QuerySession,
-    ResiliencePolicy,
-    ResultStatus,
-    ShardedIndex,
-)
+from repro.engine import QuerySession, ResultStatus, ShardedIndex
 from repro.errors import QueryTimeout
 from repro.storage.faults import FaultyStoreWrapper, ReadFaultPolicy
 from repro.storage.minidb import MiniDbFeatureStore
@@ -227,28 +222,35 @@ class TestResilienceOnArrays:
         finally:
             index.close()
 
-    def test_degraded_candidates_superset_on_vectorized_path(
-        self, walk_series
+    def test_refine_timeout_candidates_superset_on_vectorized_path(
+        self, walk_series, monkeypatch
     ):
+        from repro.core import results
+
         index = SegDiffIndex.build(
             walk_series, 0.2, 8 * HOUR, backend="memory"
         )
         try:
-            full = QuerySession(index.store).search(
-                DROP, mode="index", data=walk_series
-            )
-            policy = ResiliencePolicy(
-                timeout_ms=60_000.0, degrade="candidates",
-                degrade_margin_ms=120_000.0,
-            )
-            sess = QuerySession(index.store, resilience=policy)
-            outcome = sess.search_outcome(
-                DROP, mode="index", data=walk_series
-            )
-            assert outcome.status is ResultStatus.DEGRADED
-            assert outcome.pairs == oracle_pairs([index.store], DROP)
+            sess = QuerySession(index.store)
+            full = sess.search(DROP, mode="index", data=walk_series)
+            real = results.witness_event
+            slow = {"first": True}
+
+            def slow_witness(*args, **kw):
+                # the first witness outlasts the budget: the deadline
+                # expires inside the refine pass
+                if slow.pop("first", False):
+                    time.sleep(0.6)
+                return real(*args, **kw)
+
+            monkeypatch.setattr(results, "witness_event", slow_witness)
+            with pytest.raises(QueryTimeout) as exc_info:
+                sess.search(DROP, mode="index", data=walk_series,
+                            timeout_ms=500.0)
+            partial = exc_info.value.partial_pairs
+            assert partial == oracle_pairs([index.store], DROP)
             # zero false negatives (Theorem 1): candidates ⊇ refined
-            assert {hit.pair for hit in full} <= set(outcome.pairs)
+            assert {hit.pair for hit in full} <= set(partial)
         finally:
             index.close()
 
