@@ -223,15 +223,15 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 2
     t_threshold = args.within_minutes * 60.0
     if args.trace:
-        from .obs import clear_traces, set_tracing_enabled
+        from .obs import RECORDER, set_tracing_enabled
 
         set_tracing_enabled(True)
-        clear_traces()
+        since = max((e.seq for e in RECORDER.tail(1)), default=0)
     index = SegDiffIndex.open(args.index)
     if args.deepest is not None:
         rc = _search_deepest(args, index, t_threshold)
         if args.trace:
-            _print_traces()
+            _print_traces(since)
         return rc
     try:
         if getattr(args, "explain", False):
@@ -288,14 +288,19 @@ def cmd_search(args: argparse.Namespace) -> int:
     finally:
         index.close()
     if args.trace:
-        _print_traces()
+        _print_traces(since)
     return 0
 
 
-def _print_traces() -> None:
-    from .obs import recent_traces, render_span_tree
+def _print_traces(since: int) -> None:
+    """Render the ``trace`` events recorded after sequence number
+    ``since``."""
+    from .obs import RECORDER, render_span_tree
 
-    roots = recent_traces()
+    roots = [
+        e.attrs for e in RECORDER.tail()
+        if e.category == "trace" and e.seq > since
+    ]
     if not roots:
         print("no traces recorded", file=sys.stderr)
         return
@@ -441,7 +446,7 @@ def cmd_debug(args: argparse.Namespace) -> int:
     t_threshold = args.within_minutes * 60.0
 
     # own the context here so the sessions underneath adopt it and leave
-    # the retention decision (and the collected trace roots) to us
+    # the collected trace roots to us: the probe always keeps its trace
     ctx = obs.new_context(api="debug")
     if PartitionManifest.exists(args.index):
         query = (
@@ -465,6 +470,10 @@ def cmd_debug(args: argparse.Namespace) -> int:
         finally:
             index.close()
         status, n_pairs = outcome.status.value, len(outcome.pairs)
+    traces = [root.to_dict() for root in ctx.trace_roots]
+    with obs.use_context(ctx):
+        for trace in traces:
+            obs.record("trace", trace["name"], **trace)
 
     print(
         f"query {ctx.query_id}: kind={kind} T={t_threshold:g}s "
@@ -472,8 +481,8 @@ def cmd_debug(args: argparse.Namespace) -> int:
     )
     print()
     print("trace:")
-    if ctx.trace_roots:
-        for root in ctx.trace_roots:
+    if traces:
+        for root in traces:
             print(obs.render_span_tree(root))
     else:
         print("  (no spans recorded)")

@@ -106,7 +106,7 @@ class OperatorStats:
     rows_matched: int  # rows surviving the exact predicate
 
     def to_dict(self) -> Dict[str, object]:
-        """The JSON form the slow-query log and EXPLAIN carry."""
+        """The JSON form ``slow_query`` events and EXPLAIN carry."""
         return asdict(self)
 
 

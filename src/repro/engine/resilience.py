@@ -317,19 +317,11 @@ class RetryPolicy:
 def record_timeout() -> None:
     """Count one deadline miss (called where QueryTimeout surfaces)."""
     _TIMEOUTS.inc()
-    ctx = obs_context.current_context()
-    flight.record(
-        "timeout", "deadline",
-        query_id=ctx.query_id if ctx is not None else None,
-    )
+    flight.record("timeout", "deadline")
 
 
 def record_degraded(noun: str) -> None:
     """Count one degraded answer (``noun``: what was lost — a partition
     or a shard)."""
     _DEGRADED.inc()
-    ctx = obs_context.current_context()
-    flight.record(
-        "degraded", noun,
-        query_id=ctx.query_id if ctx is not None else None,
-    )
+    flight.record("degraded", noun)

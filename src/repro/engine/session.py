@@ -17,6 +17,7 @@ choice, serializes access to backends whose reads are not thread-safe
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from contextlib import nullcontext
@@ -26,9 +27,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..errors import InvalidParameterError, QueryTimeout
 from ..obs import context as obs_context
 from ..obs import recorder as flight
-from ..obs import slowlog
 from ..obs.metrics import QUERY_LATENCY_BUCKETS, REGISTRY, ROWS_BUCKETS
-from ..obs.tracing import retain_trace, span
+from ..obs.tracing import span
 from ..types import SegmentPair
 from .cost import CostModel
 from .executor import ExecutionResult, execute, execute_batch
@@ -42,6 +42,8 @@ from .resilience import (
 )
 
 __all__ = ["QuerySession", "OperatorExplain", "ExplainReport"]
+
+logger = logging.getLogger("repro.engine")
 
 _MODES = ("auto", "index", "scan", "grid")
 
@@ -93,19 +95,17 @@ class QueryEnvelope:
     Entering adopts the diagnostics context already bound on this thread
     (a scatter worker, ``segdiff debug``) or opens and binds a new one —
     whoever opened it *owns* the tail-retention decision.  :meth:`done`
-    counts the query, times it and feeds the slow-query log.  Leaving,
-    the owner keeps the query's trace only when it was slow, unhealthy,
-    or left by an exception (timed out, failed), and always clears
-    the context's parked roots.
+    counts the query, times it and records a ``slow_query`` event when
+    it took at least the process-wide threshold
+    (``repro.obs.set_default_threshold``).  Leaving, the owner records
+    the query's ``trace`` only when it was slow, unhealthy, or left by
+    an exception (timed out, failed), and always clears the context's
+    parked roots.
     """
 
-    def __init__(self, api: str, backend: str,
-                 threshold: Optional[float] = None) -> None:
+    def __init__(self, api: str, backend: str) -> None:
         self.api = api
         self.backend = backend
-        #: Seconds at which the query counts as slow (``None``: the
-        #: process-wide default of ``repro.obs.slowlog``).
-        self.threshold = threshold
         self._retain = False
 
     def __enter__(self) -> "QueryEnvelope":
@@ -128,34 +128,36 @@ class QueryEnvelope:
         _QUERIES[self.api].inc()
         _QUERY_SECONDS[self.api].observe(seconds)
         _QUERY_PAIRS.observe(n_pairs)
-        threshold = self.threshold
-        if threshold is None:
-            threshold = slowlog.default_threshold()
+        threshold = flight.default_threshold()
         slow = threshold is not None and seconds >= threshold
         self._retain = slow or status != "complete"
         if not slow:
             return
         _SLOW_QUERIES.inc()
+        plan = describe()
         acct = self.ctx.accounting.to_dict()
-        slowlog.SLOW_QUERY_LOG.add(
-            slowlog.SlowQueryRecord(
-                api=self.api,
-                backend=self.backend,
-                duration_s=seconds,
-                threshold_s=threshold,
-                plan=describe(),
-                n_pairs=n_pairs,
-                operators=[s.to_dict() for s in op_stats],
-                query_id=self.ctx.query_id,
-                status=status,
-                partitions_scanned=partitions_scanned,
-                partitions_pruned=partitions_pruned,
-                shards=acct["breakdown"],
-                accounting={
-                    "totals": acct["totals"],
-                    "candidate_matrices": acct["candidate_matrices"],
-                },
-            )
+        flight.record(
+            "slow_query", self.api,
+            backend=self.backend,
+            duration_ms=round(seconds * 1e3, 3),
+            threshold_ms=round(threshold * 1e3, 3),
+            plan=plan,
+            n_pairs=n_pairs,
+            operators=[s.to_dict() for s in op_stats],
+            status=status,
+            partitions_scanned=partitions_scanned,
+            partitions_pruned=partitions_pruned,
+            shards=acct["breakdown"],
+            accounting={
+                "totals": acct["totals"],
+                "candidate_matrices": acct["candidate_matrices"],
+            },
+        )
+        logger.warning(
+            "slow query: api=%s backend=%s duration=%.1fms "
+            "threshold=%.1fms pairs=%d plan=%s",
+            self.api, self.backend, seconds * 1e3, threshold * 1e3,
+            n_pairs, plan,
         )
 
     def done_batch(self, describe: Callable[[], str],
@@ -171,12 +173,13 @@ class QueryEnvelope:
                   worst.value, **parts)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._binder is not None:
-            self._binder.__exit__(exc_type, exc, tb)
-            if self._retain or exc_type is not None:
-                for root in self.ctx.trace_roots:
-                    retain_trace(root)
-            del self.ctx.trace_roots[:]
+        if self._binder is None:
+            return
+        if self._retain or exc_type is not None:
+            for root in self.ctx.trace_roots:
+                flight.record("trace", root.name, **root.to_dict())
+        del self.ctx.trace_roots[:]
+        self._binder.__exit__(exc_type, exc, tb)
 
 
 @dataclass(frozen=True)
@@ -251,13 +254,9 @@ class QuerySession:
         self,
         store,
         cost_model: Optional[CostModel] = None,
-        slow_query_threshold: Optional[float] = None,
     ) -> None:
         self.store = store
         self.cost = cost_model if cost_model is not None else CostModel(store)
-        #: Seconds above which a query lands in the slow-query log; when
-        #: None, the process-wide default (``repro.obs.slowlog``) applies.
-        self.slow_query_threshold = slow_query_threshold
         self._lock: Optional[threading.Lock] = (
             None if getattr(store, "THREAD_SAFE_READS", False)
             else threading.Lock()
@@ -338,10 +337,7 @@ class QuerySession:
         return result, before, after
 
     def _envelope(self, api: str) -> QueryEnvelope:
-        return QueryEnvelope(
-            api, getattr(self.store, "BACKEND", "unknown"),
-            self.slow_query_threshold,
-        )
+        return QueryEnvelope(api, getattr(self.store, "BACKEND", "unknown"))
 
     def search(
         self,

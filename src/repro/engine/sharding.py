@@ -222,12 +222,10 @@ class Shard:
             if attempt:
                 _FAILOVERS.inc()
                 obs_context.account(failovers=1)
-                ctx = obs_context.current_context()
                 flight.record(
                     "failover", self.shard_id,
                     replica=attempt,
                     error=type(last_error).__name__ if last_error else None,
-                    query_id=ctx.query_id if ctx is not None else None,
                 )
             try:
                 outcome = replica.search_outcome(

@@ -1,5 +1,6 @@
 """repro.obs — process-local observability: metrics, tracing, exporters,
-and the slow-query log.
+and the flight recorder, the one ring of recent events (slow queries,
+retained traces, seals, failovers, timeouts, ...) keyed by ``query_id``.
 
 The package is stdlib-only and imported by every layer of the stack
 (segmentation, extraction, storage, engine), so it must never import
@@ -44,7 +45,9 @@ from .recorder import (  # noqa: F401
     FlightEvent,
     FlightRecorder,
     RECORDER,
+    default_threshold,
     record,
+    set_default_threshold,
 )
 from .metrics import enabled as metrics_enabled  # noqa: F401
 from .metrics import set_enabled as set_metrics_enabled  # noqa: F401
@@ -52,13 +55,10 @@ from .tracing import (  # noqa: F401
     Span,
     TRACER,
     Tracer,
-    clear_traces,
     current_span,
     enabled_ctx,
     iter_spans,
-    recent_traces,
     render_span_tree,
-    retain_trace,
     span,
 )
 from .tracing import enabled as tracing_enabled  # noqa: F401
@@ -72,13 +72,6 @@ from .export import (  # noqa: F401
     validate_schema,
     write_jsonl,
 )
-from .slowlog import (  # noqa: F401
-    SLOW_QUERY_LOG,
-    SlowQueryLog,
-    SlowQueryRecord,
-    default_threshold,
-    set_default_threshold,
-)
 
 __all__ = [
     # metrics
@@ -89,17 +82,15 @@ __all__ = [
     # query context / accounting
     "QueryContext", "ResourceAccounting", "account", "bind_scope",
     "current_context", "current_scope", "new_context", "use_context",
-    # flight recorder
+    # flight recorder and its one slow-query threshold
     "FlightEvent", "FlightRecorder", "RECORDER", "RECORDER_CATEGORIES",
     "RECORDER_EVENT_SCHEMA", "record",
+    "set_default_threshold", "default_threshold",
     # tracing
-    "Span", "Tracer", "TRACER", "span", "current_span", "recent_traces",
-    "clear_traces", "retain_trace", "render_span_tree", "iter_spans",
+    "Span", "Tracer", "TRACER", "span", "current_span",
+    "render_span_tree", "iter_spans",
     "enabled_ctx", "tracing_enabled", "set_tracing_enabled",
     # export
     "to_jsonl", "write_jsonl", "to_prometheus", "parse_prometheus",
     "render_table", "validate_jsonl", "validate_schema",
-    # slow-query log
-    "SlowQueryRecord", "SlowQueryLog", "SLOW_QUERY_LOG",
-    "set_default_threshold", "default_threshold",
 ]

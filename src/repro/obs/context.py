@@ -210,19 +210,18 @@ class QueryContext:
 
     ``parent_span`` is the submitting thread's active span at hand-off —
     the tracer's cross-thread fallback parent, so worker-thread spans
-    join the submitter's tree instead of becoming orphan roots.
-    ``trace`` enables lightweight span recording for this query even
-    while process-wide tracing is off (tail-based retention: the owner
-    decides at completion whether the trace is worth keeping).
+    join the submitter's tree instead of becoming orphan roots.  Spans
+    record under a bound context even while process-wide tracing is off
+    (tail-based retention: the owner decides at completion whether the
+    trace is worth keeping).
     """
 
-    __slots__ = ("query_id", "api", "accounting", "trace", "parent_span",
+    __slots__ = ("query_id", "api", "accounting", "parent_span",
                  "trace_roots")
 
     def __init__(
         self,
         api: str = "search",
-        trace: bool = True,
         parent_span: Optional[object] = None,
         query_id: Optional[str] = None,
     ) -> None:
@@ -231,7 +230,6 @@ class QueryContext:
         )
         self.api = api
         self.accounting = ResourceAccounting()
-        self.trace = trace
         self.parent_span = parent_span
         #: Roots finished under this context while global tracing is off
         #: (tail-retention candidates; the context owner keeps or drops).
@@ -244,7 +242,6 @@ class QueryContext:
         child.query_id = self.query_id
         child.api = self.api
         child.accounting = self.accounting
-        child.trace = self.trace
         child.parent_span = parent_span
         child.trace_roots = self.trace_roots
         return child
@@ -281,8 +278,8 @@ def current_scope() -> Tuple[Optional[str], Optional[str]]:
     return (b.shard, b.partition) if b is not None else (None, None)
 
 
-def new_context(api: str = "search", trace: bool = True) -> QueryContext:
-    return QueryContext(api=api, trace=trace)
+def new_context(api: str = "search") -> QueryContext:
+    return QueryContext(api=api)
 
 
 class use_context:

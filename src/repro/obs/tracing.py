@@ -3,23 +3,24 @@
 A :class:`Span` measures one named unit of work (``query.search``,
 ``op.point_range``) with wall-clock duration, free-form attributes, and
 child spans.  ``span(...)`` context managers opened while another span is
-active on the same thread nest under it; finished root spans land in a
-bounded ring buffer (:func:`recent_traces`) for the CLI to render.
+active on the same thread nest under it.  A finished root is kept as one
+``trace`` event (its :meth:`Span.to_dict` tree) in the flight recorder
+(``repro.obs.recorder``); :func:`render_span_tree` renders that form.
 
-Tracing is **off by default** — unlike metrics it allocates per event —
-and when off, ``span()`` returns a shared no-op whose enter/exit are two
-attribute lookups.  Enable per-process with :func:`set_enabled` (the CLI
-``--trace`` flag) or scoped with ``enabled_ctx()``.
+Spans are live while tracing is enabled process-wide (:func:`set_enabled`,
+the CLI ``--trace`` flag, or scoped with ``enabled_ctx()``) or while the
+thread has a bound :class:`~repro.obs.context.QueryContext`; otherwise
+``span()`` returns a shared no-op whose enter/exit are two attribute
+lookups.  With tracing enabled every root is recorded.  Under a bound
+context alone the root is parked on the context, and the context's
+owner records it only when the query was worth keeping (slow, degraded,
+failed, timed out) — tail-based retention.
 
 The active-span stack is thread-local: traces from concurrent sessions
 never interleave.  A worker thread with an empty stack but a bound
-:class:`~repro.obs.context.QueryContext` parents its spans on the
-context's hand-off span, so scatter-gather work joins the submitting
-query's tree instead of orphaning per-thread fragments.  A bound
-context with ``trace=True`` also enables span recording for just that
-query while process-wide tracing stays off — the tail-based retention
-path: the context owner calls :func:`retain_trace` only for traces
-worth keeping (slow, degraded, failed, timed-out).
+context parents its spans on the context's hand-off span, so
+scatter-gather work joins the submitting query's tree instead of
+orphaning per-thread fragments.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from . import context as _context
+from . import recorder as _recorder
 
 __all__ = [
     "Span",
@@ -38,9 +39,6 @@ __all__ = [
     "TRACER",
     "span",
     "current_span",
-    "recent_traces",
-    "clear_traces",
-    "retain_trace",
     "set_enabled",
     "enabled",
     "render_span_tree",
@@ -139,12 +137,10 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Thread-local span stacks plus a bounded buffer of finished roots."""
+    """Thread-local span stacks; finished roots go to the recorder."""
 
-    def __init__(self, max_traces: int = 64) -> None:
+    def __init__(self) -> None:
         self._local = threading.local()
-        self._traces: Deque[Span] = deque(maxlen=max_traces)
-        self._traces_lock = threading.Lock()
         self._enabled = False
 
     # -- enable switch -------------------------------------------------- #
@@ -163,14 +159,11 @@ class Tracer:
         when tracing is off).
 
         Live when tracing is enabled process-wide **or** the thread has
-        a bound query context with ``trace=True`` — the latter records
-        lightweight per-query spans for tail-based retention without
-        turning tracing on for the whole process.
+        a bound query context — the latter records lightweight
+        per-query spans for tail-based retention without turning
+        tracing on for the whole process.
         """
-        if self._enabled:
-            return _ActiveSpan(self, name)
-        ctx = _context.current_context()
-        if ctx is not None and ctx.trace:
+        if self._enabled or _context.current_context() is not None:
             return _ActiveSpan(self, name)
         return _NULL_SPAN
 
@@ -204,34 +197,15 @@ class Tracer:
         elif s in stack:  # mismatched exits: drop everything above too
             del stack[stack.index(s):]
         if s.parent is None:
-            if not self._enabled:
+            ctx = _context.current_context()
+            if not self._enabled and ctx is not None:
                 # context-traced only: park the root on the context; the
-                # owner retains it iff the outcome warrants (tail-based
+                # owner records it iff the outcome warrants (tail-based
                 # retention) instead of flooding the ring with every
                 # healthy query's trace.
-                ctx = _context.current_context()
-                if ctx is not None and ctx.trace:
-                    ctx.trace_roots.append(s)
-                    return
-            with self._traces_lock:
-                self._traces.append(s)
-
-    def retain(self, root: Span) -> None:
-        """Keep a finished root in the trace ring (tail retention)."""
-        with self._traces_lock:
-            self._traces.append(root)
-
-    # -- finished traces ------------------------------------------------ #
-
-    def recent_traces(self) -> List[Span]:
-        """Finished root spans, oldest first."""
-        with self._traces_lock:
-            return list(self._traces)
-
-    def clear(self) -> None:
-        with self._traces_lock:
-            self._traces.clear()
-        self._local = threading.local()
+                ctx.trace_roots.append(s)
+            else:
+                _recorder.record("trace", s.name, **s.to_dict())
 
 
 #: Process-wide tracer used by all instrumented modules.
@@ -246,19 +220,6 @@ def span(name: str):
 def current_span() -> Optional[Span]:
     """The innermost open span on this thread (None when idle/off)."""
     return TRACER._current()
-
-
-def recent_traces() -> List[Span]:
-    return TRACER.recent_traces()
-
-
-def clear_traces() -> None:
-    TRACER.clear()
-
-
-def retain_trace(root: Span) -> None:
-    """Keep a context-recorded trace in the default tracer's ring."""
-    TRACER.retain(root)
 
 
 def set_enabled(on: bool) -> None:
@@ -295,8 +256,9 @@ def _format_attrs(attrs: Dict[str, Any]) -> str:
     return f"  [{inner}]"
 
 
-def render_span_tree(root: Span) -> str:
-    """An indented, human-readable rendering of one trace::
+def render_span_tree(root: Dict[str, Any]) -> str:
+    """An indented, human-readable rendering of one trace — the
+    :meth:`Span.to_dict` form a ``trace`` event carries::
 
         query.search  4.21ms  [backend=minidb]
           query.plan  0.08ms
@@ -304,13 +266,13 @@ def render_span_tree(root: Span) -> str:
     """
     lines: List[str] = []
 
-    def walk(s: Span, depth: int) -> None:
-        err = f"  !{s.error}" if s.error else ""
+    def walk(s: Dict[str, Any], depth: int) -> None:
+        err = f"  !{s['error']}" if s["error"] else ""
         lines.append(
-            f"{'  ' * depth}{s.name}  {s.duration * 1e3:.2f}ms"
-            f"{_format_attrs(s.attributes)}{err}"
+            f"{'  ' * depth}{s['name']}  {s['duration_s'] * 1e3:.2f}ms"
+            f"{_format_attrs(s['attributes'])}{err}"
         )
-        for child in s.children:
+        for child in s["children"]:
             walk(child, depth + 1)
 
     walk(root, 0)

@@ -102,3 +102,16 @@ def second_build_fails(monkeypatch):
     monkeypatch.setattr(SegDiffIndex, "build", build)
     monkeypatch.setattr(SegDiffIndex, "close", close)
     return built, closed
+
+
+@pytest.fixture
+def slow_threshold():
+    """Set the process-wide slow-query threshold on an empty flight
+    recorder; the threshold is restored and the recorder emptied after."""
+    from repro import obs
+
+    prev = obs.default_threshold()
+    obs.RECORDER.clear()
+    yield obs.set_default_threshold
+    obs.set_default_threshold(prev)
+    obs.RECORDER.clear()

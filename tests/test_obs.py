@@ -1,22 +1,26 @@
 """Tests for the observability layer: metrics registry, tracing spans,
-slow-query log, exporters, and the structured storage logs."""
+slow-query events, exporters, and the structured storage logs."""
 
 import json
 import logging
+import math
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.obs import (
+    RECORDER,
+    RECORDER_EVENT_SCHEMA,
     REGISTRY,
     MetricsRegistry,
-    clear_traces,
+    default_threshold,
     enabled_ctx,
     iter_spans,
     parse_prometheus,
-    recent_traces,
     render_span_tree,
     render_table,
     set_tracing_enabled,
@@ -27,13 +31,10 @@ from repro.obs import (
     validate_schema,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs import slowlog
+from repro.obs import recorder as obs_recorder
 
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "metrics.schema.json",
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA_PATH = os.path.join(ROOT, "benchmarks", "metrics.schema.json")
 
 
 @pytest.fixture
@@ -160,15 +161,24 @@ class TestHistogram:
 # ---------------------------------------------------------------------- #
 
 
+def _events(category):
+    return [e for e in RECORDER.tail() if e.category == category]
+
+
+def _traces():
+    """The span trees of the ``trace`` events in the recorder."""
+    return [e.attrs for e in _events("trace")]
+
+
 class TestTracing:
     def setup_method(self):
         set_tracing_enabled(False)
-        clear_traces()
+        RECORDER.clear()
 
     def test_disabled_by_default_records_nothing(self):
         with span("root"):
             pass
-        assert recent_traces() == []
+        assert _traces() == []
 
     def test_nesting_and_attributes(self):
         with enabled_ctx():
@@ -179,16 +189,19 @@ class TestTracing:
                         pass
                 with span("child.b"):
                     pass
-        roots = recent_traces()
-        assert len(roots) == 1
-        root = roots[0]
-        assert root.name == "root"
-        assert root.attributes == {"k": "v"}
-        assert [c.name for c in root.children] == ["child.a", "child.b"]
-        assert root.children[0].children[0].name == "leaf"
-        assert [s.name for s in iter_spans(root)] == [
+        assert [s.name for s in iter_spans(r)] == [
             "root", "child.a", "leaf", "child.b",
         ]
+        (event,) = _events("trace")
+        assert event.name == "root"
+        assert event.query_id is None  # no query context bound
+        root = event.attrs
+        assert root == r.to_dict()
+        assert root["attributes"] == {"k": "v"}
+        assert [c["name"] for c in root["children"]] == [
+            "child.a", "child.b",
+        ]
+        assert root["children"][0]["children"][0]["name"] == "leaf"
 
     def test_exception_recorded_and_reraised(self):
         with enabled_ctx():
@@ -196,10 +209,10 @@ class TestTracing:
                 with span("root"):
                     with span("inner"):
                         raise RuntimeError("boom")
-        root = recent_traces()[0]
-        assert root.error == "RuntimeError: boom"
-        assert root.children[0].error == "RuntimeError: boom"
-        assert root.duration >= root.children[0].duration
+        root = _traces()[0]
+        assert root["error"] == "RuntimeError: boom"
+        assert root["children"][0]["error"] == "RuntimeError: boom"
+        assert root["duration_s"] >= root["children"][0]["duration_s"]
 
     def test_render_span_tree(self):
         with enabled_ctx():
@@ -207,7 +220,7 @@ class TestTracing:
                 r.set_attribute("pairs", 3)
                 with span("op.point_range"):
                     pass
-        text = render_span_tree(recent_traces()[0])
+        text = render_span_tree(_traces()[0])
         lines = text.splitlines()
         assert lines[0].startswith("query.search")
         assert "[pairs=3]" in lines[0]
@@ -215,13 +228,15 @@ class TestTracing:
         assert "ms" in lines[1]
 
     def test_trace_ring_buffer_is_bounded(self):
+        # traces share the recorder's one bound with every other event
+        maxlen = RECORDER._events.maxlen
         with enabled_ctx():
-            for i in range(100):
+            for i in range(maxlen + 44):
                 with span(f"r{i}"):
                     pass
-        roots = recent_traces()
-        assert len(roots) == 64
-        assert roots[-1].name == "r99"
+        roots = _traces()
+        assert len(RECORDER) == len(roots) == maxlen
+        assert roots[-1]["name"] == f"r{maxlen + 43}"
 
     def test_query_span_children_cover_the_root(self):
         """A search trace's direct children must account for (almost)
@@ -231,34 +246,34 @@ class TestTracing:
 
         series = CADTransectGenerator(CADConfig(days=6, n_sensors=1)).generate(0)
         index = SegDiffIndex.build(series, epsilon=0.2, window=8 * 3600.0)
-        clear_traces()
+        RECORDER.clear()
         try:
             with enabled_ctx():
                 index.search_drops(3600.0, -0.5)
         finally:
             index.close()
-        roots = [r for r in recent_traces() if r.name == "query.search"]
+        roots = [r for r in _traces() if r["name"] == "query.search"]
         assert len(roots) == 1
         root = roots[0]
-        names = [c.name for c in root.children]
+        names = [c["name"] for c in root["children"]]
         assert "query.plan" in names
         assert "op.point_range" in names
         assert "op.union_dedup" in names
-        child_sum = sum(c.duration for c in root.children)
-        assert child_sum <= root.duration + 1e-6
-        assert child_sum >= 0.7 * root.duration
+        child_sum = sum(c["duration_s"] for c in root["children"])
+        assert child_sum <= root["duration_s"] + 1e-6
+        assert child_sum >= 0.7 * root["duration_s"]
 
 
 # ---------------------------------------------------------------------- #
-# slow-query log
+# slow-query events
 # ---------------------------------------------------------------------- #
 
 
 class TestSlowQueryLog:
     def setup_method(self):
-        slowlog.clear()
+        RECORDER.clear()
 
-    def test_threshold_zero_logs_every_query(self, caplog):
+    def test_threshold_zero_logs_every_query(self, caplog, slow_threshold):
         from repro.core.index import SegDiffIndex
         from repro.core.queries import DropQuery
         from repro.datagen import CADConfig, CADTransectGenerator
@@ -266,60 +281,110 @@ class TestSlowQueryLog:
 
         series = CADTransectGenerator(CADConfig(days=2, n_sensors=1)).generate(0)
         index = SegDiffIndex.build(series, epsilon=0.2, window=8 * 3600.0)
+        slow_threshold(0.0)
         try:
-            session = QuerySession(index.store, slow_query_threshold=0.0)
+            session = QuerySession(index.store)
             with caplog.at_level(logging.WARNING, logger="repro.engine"):
-                session.search(DropQuery(3600.0, -3.0))
+                outcome = session.search_outcome(DropQuery(3600.0, -3.0))
         finally:
             index.close()
-        records = slowlog.recent()
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.api == "search"
-        assert rec.duration_s >= 0.0
-        assert "point" in rec.plan or "Point" in rec.plan
-        assert rec.operators and rec.operators[0]["operator"] == "point_range"
+        (event,) = _events("slow_query")
+        assert event.name == "search"
+        assert event.query_id == outcome.query_id
+        rec = event.attrs
+        assert rec["duration_ms"] >= 0.0
+        assert rec["threshold_ms"] == 0.0
+        assert "point" in rec["plan"] or "Point" in rec["plan"]
+        assert rec["operators"][0]["operator"] == "point_range"
+        assert rec["n_pairs"] == len(outcome.pairs)
+        assert rec["status"] == "complete"
         assert any("slow query" in m for m in caplog.messages)
-        d = rec.to_dict()
-        assert d["api"] == "search" and "duration_ms" in d
+        validate_schema(
+            json.loads(json.dumps(event.to_dict())), RECORDER_EVENT_SCHEMA
+        )
 
     def test_no_threshold_means_no_log(self):
         from repro.core.index import SegDiffIndex
         from repro.datagen import CADConfig, CADTransectGenerator
 
-        assert slowlog.default_threshold() is None
+        assert default_threshold() is None
         series = CADTransectGenerator(CADConfig(days=1, n_sensors=1)).generate(0)
         index = SegDiffIndex.build(series, epsilon=0.2, window=8 * 3600.0)
         try:
             index.search_drops(3600.0, -3.0)
         finally:
             index.close()
-        assert len(slowlog.recent()) == 0
+        assert _events("slow_query") == []
 
-    def test_default_threshold_fallback(self):
+    def test_default_threshold_fallback(self, slow_threshold):
         from repro.core.index import SegDiffIndex
         from repro.datagen import CADConfig, CADTransectGenerator
 
         series = CADTransectGenerator(CADConfig(days=1, n_sensors=1)).generate(0)
         index = SegDiffIndex.build(series, epsilon=0.2, window=8 * 3600.0)
-        slowlog.set_default_threshold(0.0)
+        slow_threshold(0.0)
         try:
             index.search_drops(3600.0, -3.0)
         finally:
-            slowlog.set_default_threshold(None)
             index.close()
-        assert len(slowlog.recent()) == 1
+        assert len(_events("slow_query")) == 1
 
-    def test_bounded_buffer(self):
-        log = slowlog.SlowQueryLog(maxlen=4)
-        for i in range(10):
-            log.add(slowlog.SlowQueryRecord(
-                api="search", backend="memory", duration_s=float(i),
-                threshold_s=0.0, plan="p", n_pairs=0,
-            ))
-        assert len(log) == 4
-        assert [r.duration_s for r in log.recent()] == [6.0, 7.0, 8.0, 9.0]
-        assert len(log.recent(2)) == 2
+    def test_bounded_buffer(self, slow_threshold):
+        """Slow records and the traces they retain share one bound."""
+        from repro.core.index import SegDiffIndex
+        from repro.datagen import CADConfig, CADTransectGenerator
+
+        maxlen = RECORDER._events.maxlen
+        series = CADTransectGenerator(CADConfig(days=1, n_sensors=1)).generate(0)
+        index = SegDiffIndex.build(series, epsilon=0.2, window=8 * 3600.0)
+        slow_threshold(0.0)
+        try:
+            for _ in range(maxlen // 2 + 8):
+                index.search_drops(3600.0, -3.0)
+        finally:
+            index.close()
+        assert len(RECORDER) == maxlen
+        assert {e.category for e in RECORDER.tail()} == {
+            "slow_query", "trace",
+        }
+
+
+class TestSlowQueryThreshold:
+    """One process-wide threshold, and it refuses values that would turn
+    the slow-query record on for every query or off without a word."""
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-9, math.nan])
+    def test_setter_rejects_negative_and_nan(self, bad, slow_threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            slow_threshold(bad)
+
+    def test_setter_takes_zero_and_none(self, slow_threshold):
+        slow_threshold(0)
+        assert default_threshold() == 0.0
+        slow_threshold(None)
+        assert default_threshold() is None
+
+    @pytest.mark.parametrize("raw", ["-5", "abc", "nan"])
+    def test_bad_env_value_warns_and_leaves_the_threshold_off(self, raw):
+        env = dict(os.environ, REPRO_SLOW_QUERY_MS=raw)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+            if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro import obs; print(obs.default_threshold())"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+        assert proc.stderr.count("REPRO_SLOW_QUERY_MS") == 1, proc.stderr
+
+    def test_env_value_in_milliseconds(self, monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "250")
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            assert obs_recorder._env_threshold() == 0.25
+        assert caplog.messages == []
 
 
 # ---------------------------------------------------------------------- #

@@ -161,11 +161,10 @@ class TestOneScatterOneEnvelope:
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
     def test_one_slow_query_record_one_metric_family(self):
-        built = [
-            path for path, _ in self._lines_with("SlowQueryRecord(")
-            if path != "obs/slowlog.py"
-        ]
-        assert built == ["engine/session.py"]
+        # declared as a recorder category, recorded only by the envelope
+        assert {path for path, _ in self._lines_with('"slow_query"')} == {
+            "obs/recorder.py", "engine/session.py",
+        }
         registered = {
             path
             for path, _ in self._lines_with('"repro_engine_queries_total"')
@@ -433,6 +432,71 @@ class TestNoServingPolicy:
         enum = schema["properties"]["category"]["enum"]
         assert list(CATEGORIES) == enum
         assert not {"breaker", "shed"} & set(CATEGORIES)
+
+
+class TestOneEventRing:
+    """The flight recorder is the one "what went wrong recently" buffer:
+    slow queries and retained traces are events in it, keyed by
+    ``query_id``; no second ring, threshold or trace switch returns."""
+
+    DELETED = (
+        "SLOW_QUERY_LOG", "SlowQueryRecord", "SlowQueryLog",
+        "recent_traces", "retain_trace", "clear_traces",
+    )
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def test_no_slowlog_module(self):
+        assert importlib.util.find_spec("repro.obs.slowlog") is None
+
+    def test_deleted_names_are_not_exported(self):
+        from repro import obs
+        from repro.obs import tracing
+
+        assert not set(self.DELETED) & set(obs.__all__)
+        for module in (obs, tracing):
+            for name in self.DELETED:
+                assert not hasattr(module, name), (module, name)
+        for name in ("retain", "recent_traces", "_traces"):
+            assert not hasattr(tracing.TRACER, name), name
+
+    def test_no_threshold_or_trace_parameters(self):
+        from repro.engine import QuerySession
+        from repro.engine.session import QueryEnvelope
+        from repro.obs import QueryContext, Tracer, new_context
+
+        for fn, gone in (
+            (QuerySession, "slow_query_threshold"),
+            (QueryEnvelope, "threshold"),
+            (QueryContext, "trace"),
+            (new_context, "trace"),
+            (Tracer, "max_traces"),
+        ):
+            assert gone not in inspect.signature(fn).parameters, fn
+
+    def test_one_bounded_buffer(self):
+        rings = [
+            path.name for path in sorted((self.SRC / "obs").glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "deque(" in line
+        ]
+        assert rings == ["recorder.py"]
+
+    def test_categories_and_fields_equal_the_schema(self):
+        import json
+
+        from repro.obs.recorder import CATEGORIES, EVENT_SCHEMA
+
+        schema = json.loads(
+            (self.SRC.parent.parent / "benchmarks" / "recorder.schema.json")
+            .read_text(encoding="utf-8")
+        )
+        assert list(CATEGORIES) == schema["properties"]["category"]["enum"]
+        assert {"slow_query", "trace"} <= set(CATEGORIES)
+        assert EVENT_SCHEMA["required"] == schema["required"]
+        assert "query_id" in schema["required"]
+        for key, prop in EVENT_SCHEMA["properties"].items():
+            assert prop["type"] == schema["properties"][key]["type"], key
+        assert set(EVENT_SCHEMA["properties"]) == set(schema["properties"])
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

@@ -11,14 +11,17 @@ Covers the four pillars of the diagnostics work:
   Hypothesis property held under random fault schedules: COMPLETE
   answers account every shard exactly, DEGRADED/FAILED answers stay
   sound (parts still sum, results stay a subset of the truth).
-* **Tail-based retention** — healthy fast queries leave no trace in the
-  ring; slow or unhealthy ones are retained.
+* **Tail-based retention** — healthy fast queries leave no ``trace``
+  event in the flight recorder; slow or unhealthy ones do, keyed by
+  their ``query_id`` beside their ``slow_query`` event.
 * **Flight recorder** — a 16-thread stress on the bounded ring: no lost
-  or torn events, seq-ordered tails, memory bounded by ``maxlen``, and
-  dumps that validate against the checked-in event schema.
+  or torn events, seq-ordered tails, memory bounded by ``maxlen`` under
+  mixed categories, and dumps that validate against the checked-in
+  event schema.
 """
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from repro.core.live import LiveIndex
 from repro.core.queries import DropQuery
 from repro.datagen.series import TimeSeries
 from repro.engine import ResultStatus, ShardedIndex
-from repro.obs import slowlog
 from repro.obs.export import validate_schema
 from repro.obs.recorder import FlightRecorder
 from repro.storage.faults import FaultyStoreWrapper, ReadFaultPolicy
@@ -69,6 +71,15 @@ def gapped_series(episodes=6, n=200, seed=0, drop=3.0):
 
 def pair_set(pairs):
     return sorted(p.as_tuple() for p in pairs)
+
+
+def events(category, query_id=None):
+    """The recorder's ``category`` events, optionally for one query."""
+    return [
+        e for e in obs.RECORDER.tail()
+        if e.category == category
+        and (query_id is None or e.query_id == query_id)
+    ]
 
 
 def assert_totals_equal_parts(acct):
@@ -150,31 +161,27 @@ class TestConnectedTraceTree:
             assert node is root
 
     def test_trace_roots_not_retained_for_healthy_fast_queries(
-        self, sharded4
+        self, sharded4, slow_threshold
     ):
         """Tail-based retention: a healthy query under the default (no)
-        threshold records spans but keeps none in the process ring."""
-        obs.clear_traces()
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(None)
-        try:
-            outcome = sharded4.search_outcome("drop", T, V)
-            assert outcome.status is ResultStatus.COMPLETE
-            assert obs.recent_traces() == []
-        finally:
-            slowlog.set_default_threshold(prev)
+        threshold records spans but leaves no ``trace`` event."""
+        slow_threshold(None)
+        outcome = sharded4.search_outcome("drop", T, V)
+        assert outcome.status is ResultStatus.COMPLETE
+        assert events("trace") == []
+        assert events("slow_query") == []
 
-    def test_slow_queries_retain_their_trace(self, sharded4):
-        obs.clear_traces()
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(0.0)  # everything is "slow"
-        try:
-            sharded4.search_outcome("drop", T, V)
-            names = [r.name for r in obs.recent_traces()]
-            assert "shard.scatter_gather" in names
-        finally:
-            slowlog.set_default_threshold(prev)
-            obs.clear_traces()
+    def test_slow_queries_retain_their_trace(self, sharded4, slow_threshold):
+        slow_threshold(0.0)  # everything is "slow"
+        outcome = sharded4.search_outcome("drop", T, V)
+        (trace,) = events("trace")
+        assert trace.name == "shard.scatter_gather"
+        assert trace.query_id == outcome.query_id
+        assert trace.attrs["attributes"]["query_id"] == outcome.query_id
+        # recorded after the slow record it explains
+        slow = events("slow_query", outcome.query_id)[-1]
+        assert slow.name == "shard_search"
+        assert slow.seq < trace.seq
 
 
 class TestAccountingUnderFaults:
@@ -270,6 +277,14 @@ class TestAccountingUnderFaults:
             assert outcome.recorder_tail is not None
             for event in outcome.recorder_tail:
                 validate_schema(event, obs.RECORDER_EVENT_SCHEMA)
+            # its own lost shard and its own retained trace ride along
+            mine = [
+                e for e in outcome.recorder_tail
+                if e["query_id"] == outcome.query_id
+            ]
+            assert {"degraded", "trace"} <= {e["category"] for e in mine}
+            (trace,) = [e for e in mine if e["category"] == "trace"]
+            assert trace["name"] == "shard.scatter_gather"
             assert_totals_equal_parts(outcome.accounting)
             # the surviving shard is still accounted
             healthy = sharded.shards[1].spec.shard_id
@@ -291,7 +306,7 @@ class TestAccountingUnderFaults:
             failovers = [
                 e for e in obs.RECORDER.tail()
                 if e.category == "failover"
-                and e.attrs.get("query_id") == outcome.query_id
+                and e.query_id == outcome.query_id
             ]
             assert failovers, "failover left no flight-recorder event"
 
@@ -308,89 +323,70 @@ class TestLiveTierSlowlog:
         index.append_array(ts, vs, batch_size=40)
         return index
 
-    def test_live_search_record_carries_partition_breakdown(self, live):
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(0.0)
-        slowlog.clear()
-        try:
-            with live.snapshot() as snap:
-                result = snap.execute(DropQuery(30.0, -1.0), mode="auto")
-            recs = [
-                r for r in slowlog.recent() if r.api == "live_search"
-            ]
-            assert recs, "live query produced no slowlog record"
-            rec = recs[-1]
-            assert rec.backend.startswith("live/")
-            assert rec.status == "complete"
-            assert rec.query_id
-            assert rec.plan.startswith("live[")
-            assert rec.partitions_scanned == result.partitions_scanned
-            assert rec.partitions_pruned == result.partitions_pruned
-            assert rec.partitions_scanned >= 1
-            # per-partition accounting cells rode along
-            assert any(
-                cell.get("partition") is not None for cell in rec.shards
+    def test_live_search_record_carries_partition_breakdown(
+        self, live, slow_threshold
+    ):
+        slow_threshold(0.0)
+        with live.snapshot() as snap:
+            result = snap.execute(DropQuery(30.0, -1.0), mode="auto")
+        recs = [e for e in events("slow_query") if e.name == "live_search"]
+        assert recs, "live query recorded no slow_query event"
+        event = recs[-1]
+        assert event.query_id
+        rec = event.attrs
+        assert rec["backend"].startswith("live/")
+        assert rec["status"] == "complete"
+        assert rec["plan"].startswith("live[")
+        assert rec["partitions_scanned"] == result.partitions_scanned
+        assert rec["partitions_pruned"] == result.partitions_pruned
+        assert rec["partitions_scanned"] >= 1
+        # per-partition accounting cells rode along
+        assert any(
+            cell.get("partition") is not None for cell in rec["shards"]
+        )
+        totals = rec["accounting"]["totals"]
+        for field in COUNTER_FIELDS:
+            assert totals.get(field, 0) == sum(
+                cell.get(field, 0) for cell in rec["shards"]
+            ), field
+        validate_schema(event.to_dict(), obs.RECORDER_EVENT_SCHEMA)
+
+    def test_pruned_partitions_show_up_in_the_record(
+        self, live, slow_threshold
+    ):
+        slow_threshold(0.0)
+        t_max = float(live.partitions[-1].t_max)
+        with live.snapshot() as snap:
+            result = snap.execute(
+                DropQuery(30.0, -1.0),
+                mode="auto",
+                t_range=(0.0, t_max / 4),
             )
-            assert rec.accounting is not None
-            totals = rec.accounting["totals"]
-            for field in COUNTER_FIELDS:
-                assert totals.get(field, 0) == sum(
-                    cell.get(field, 0) for cell in rec.shards
-                ), field
-            d = rec.to_dict()
-            assert "partitions_scanned" in d
-            assert "shards" in d and "accounting" in d
-        finally:
-            slowlog.set_default_threshold(prev)
-            slowlog.clear()
+        rec = [
+            e for e in events("slow_query") if e.name == "live_search"
+        ][-1].attrs
+        assert rec["partitions_pruned"] == result.partitions_pruned
+        assert rec["partitions_pruned"] >= 1
 
-    def test_pruned_partitions_show_up_in_the_record(self, live):
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(0.0)
-        slowlog.clear()
-        try:
-            t_max = float(live.partitions[-1].t_max)
-            with live.snapshot() as snap:
-                result = snap.execute(
-                    DropQuery(30.0, -1.0),
-                    mode="auto",
-                    t_range=(0.0, t_max / 4),
-                )
-            rec = [
-                r for r in slowlog.recent() if r.api == "live_search"
-            ][-1]
-            assert rec.partitions_pruned == result.partitions_pruned
-            assert rec.partitions_pruned >= 1
-        finally:
-            slowlog.set_default_threshold(prev)
-            slowlog.clear()
-
-    def test_batch_records_carry_status(self, live):
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(0.0)
-        slowlog.clear()
-        try:
-            with live.snapshot() as snap:
-                snap.search_batch_results(
-                    [DropQuery(30.0, -1.0), DropQuery(80.0, -2.5)]
-                )
-            recs = [
-                r for r in slowlog.recent()
-                if r.api == "live_search_batch"
-            ]
-            assert recs
-            assert recs[-1].status == "complete"
-            assert recs[-1].query_id
-        finally:
-            slowlog.set_default_threshold(prev)
-            slowlog.clear()
+    def test_batch_records_carry_status(self, live, slow_threshold):
+        slow_threshold(0.0)
+        with live.snapshot() as snap:
+            snap.search_batch_results(
+                [DropQuery(30.0, -1.0), DropQuery(80.0, -2.5)]
+            )
+        recs = [
+            e for e in events("slow_query") if e.name == "live_search_batch"
+        ]
+        assert recs
+        assert recs[-1].attrs["status"] == "complete"
+        assert recs[-1].query_id
 
 
 class TestOneEnvelope:
     """Every query API reports through the one ``QueryEnvelope``: the
     hand-written copies had drifted (slow live queries never bumped
     ``repro_query_slow_total`` / ``repro_query_pairs``; a sharded
-    fan-out was in no counter, histogram or slow-log record at all)."""
+    fan-out was in no counter, histogram or slow-query record at all)."""
 
     @staticmethod
     def _count(name, labels=None):
@@ -400,13 +396,8 @@ class TestOneEnvelope:
         return metric.count if hasattr(metric, "count") else metric.value
 
     @pytest.fixture()
-    def everything_is_slow(self):
-        prev = slowlog.default_threshold()
-        slowlog.set_default_threshold(0.0)
-        slowlog.clear()
-        yield
-        slowlog.set_default_threshold(prev)
-        slowlog.clear()
+    def everything_is_slow(self, slow_threshold):
+        slow_threshold(0.0)
 
     def test_a_slow_live_query_counts_like_any_other(
         self, everything_is_slow
@@ -436,15 +427,21 @@ class TestOneEnvelope:
         self, sharded4, everything_is_slow
     ):
         outcome = sharded4.search_outcome("drop", T, V)
-        # beside the per-shard "search" records it fanned out to
-        recs = [r for r in slowlog.recent() if r.api == "shard_search"]
+        mine = events("slow_query", outcome.query_id)
+        recs = [e for e in mine if e.name == "shard_search"]
         assert len(recs) == 1
-        assert recs[0].query_id == outcome.query_id
-        assert recs[0].status == "complete"
-        assert recs[0].n_pairs == len(outcome.pairs)
-        assert {cell.get("shard") for cell in recs[0].shards} >= {
+        rec = recs[0].attrs
+        assert rec["status"] == "complete"
+        assert rec["n_pairs"] == len(outcome.pairs)
+        assert {cell.get("shard") for cell in rec["shards"]} >= {
             shard.spec.shard_id for shard in sharded4.shards
         }
+        # beside the per-shard "search" records it fanned out to, all
+        # under the fan-out's query id
+        assert sorted(e.name for e in mine) == sorted(
+            ["shard_search"] + ["search"] * N_SHARDS
+        )
+        assert len(events("slow_query")) == len(mine)
 
 
 class TestLatencyBuckets:
@@ -529,6 +526,50 @@ class TestFlightRecorderRing:
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
+
+    def test_mixed_categories_stay_bounded_at_maxlen(self):
+        """16 threads, half of them inside a query, record every
+        category through one default-sized ring: it holds exactly
+        ``maxlen`` seq-ordered events, each keyed by its own thread's
+        query."""
+        recorder = FlightRecorder()
+        maxlen = recorder._events.maxlen
+        categories = ("seal", "slow_query", "trace", "timeout",
+                      "failover", "degraded")
+        query_ids = {}
+        barrier = threading.Barrier(self.N_THREADS)
+        errors = []
+
+        def worker(tid):
+            try:
+                ctx = obs.new_context() if tid % 2 else None
+                query_ids[tid] = ctx.query_id if ctx else None
+                with obs.use_context(ctx) if ctx else nullcontext():
+                    barrier.wait()
+                    for i in range(self.PER_THREAD):
+                        recorder.record(
+                            categories[i % len(categories)], f"t{tid}",
+                            tid=tid, i=i,
+                        )
+            except Exception as exc:  # pragma: no cover - fail loudly
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(tid,))
+            for tid in range(self.N_THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len(recorder) == maxlen
+        tail = recorder.tail()
+        seqs = [e.seq for e in tail]
+        assert seqs == sorted(seqs) and len(set(seqs)) == maxlen
+        for e in tail:
+            assert e.query_id == query_ids[e.attrs["tid"]]
+            validate_schema(e.to_dict(), obs.RECORDER_EVENT_SCHEMA)
 
     def test_dump_validates_against_the_event_schema(self):
         recorder = FlightRecorder(maxlen=64)
