@@ -456,10 +456,9 @@ def cmd_debug(args: argparse.Namespace) -> int:
         live = LiveIndex.open(args.index)
         try:
             with live.snapshot() as snap, obs.use_context(ctx):
-                result = snap.execute(query, mode=args.mode)
+                outcome = snap.execute(query, mode=args.mode)
         finally:
             live.close()
-        status, n_pairs = result.status.value, len(result.pairs)
     else:
         index = SegDiffIndex.open(args.index)
         try:
@@ -469,7 +468,7 @@ def cmd_debug(args: argparse.Namespace) -> int:
                 )
         finally:
             index.close()
-        status, n_pairs = outcome.status.value, len(outcome.pairs)
+    status, n_pairs = outcome.status.value, outcome.rows.shape[0]
     traces = [root.to_dict() for root in ctx.trace_roots]
     with obs.use_context(ctx):
         for trace in traces:

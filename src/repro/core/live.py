@@ -55,13 +55,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.executor import (
-    ExecutionResult,
-    execute_batch_partitioned,
-    execute_partitioned,
-)
+from ..engine.executor import execute_batch_partitioned, execute_partitioned
 from ..engine.plan import build_plan
-from ..engine.resilience import ResultStatus
+from ..engine.resilience import QueryOutcome, ResultStatus
 from ..engine.session import QueryEnvelope
 from ..errors import (
     CorruptionError,
@@ -1336,7 +1332,7 @@ class LiveSnapshot:
         )
         if result.error is not None:
             raise result.error  # a partial answer must not pass silently
-        return result.hits if data is not None else result.pairs
+        return result.results
 
     def execute(
         self,
@@ -1347,8 +1343,8 @@ class LiveSnapshot:
         data=None,
         verified_only: bool = False,
         pushdown: bool = True,
-    ) -> ExecutionResult:
-        """:meth:`search` returning the full :class:`ExecutionResult`:
+    ) -> QueryOutcome:
+        """:meth:`search` returning the full :class:`QueryOutcome`:
         merged operator stats, partitions scanned/pruned, and the
         scatter's verdict — DEGRADED or FAILED with the lost partitions
         named in ``completeness`` when some could not be read."""
@@ -1371,13 +1367,13 @@ class LiveSnapshot:
                 lambda: f"live[{self.n_partitions}p] {query.kind}"
                 f"(T={query.t_threshold:g}, V={query.v_threshold:g})"
                 f" mode={mode}",
-                len(result.pairs),
+                result.rows.shape[0],
                 result.status.value,
                 result.op_stats,
                 partitions_scanned=result.partitions_scanned,
                 partitions_pruned=result.partitions_pruned,
             )
-        return result
+        return env.stamp([result])[0]
 
     def search_drops(
         self, t_threshold: float, v_threshold: float, mode: str = "index",
@@ -1419,7 +1415,7 @@ class LiveSnapshot:
         mode: str = "auto",
         cache: str = "warm",
         t_range: Optional[Tuple[float, float]] = None,
-    ) -> List[ExecutionResult]:
+    ) -> List[QueryOutcome]:
         if mode == "grid":
             raise InvalidParameterError(
                 "batched execution supports 'auto', 'index' and 'scan'"
@@ -1444,7 +1440,7 @@ class LiveSnapshot:
                 partitions_scanned=results[0].partitions_scanned,
                 partitions_pruned=results[0].partitions_pruned,
             )
-        return results
+        return env.stamp(results)
 
     def explain(
         self,
@@ -1476,7 +1472,7 @@ class LiveSnapshot:
             "partitions_total": self.n_partitions,
             "partitions_scanned": result.partitions_scanned,
             "partitions_pruned": result.partitions_pruned,
-            "n_pairs": len(result.pairs),
+            "n_pairs": result.rows.shape[0],
             "operators": [s.to_dict() for s in result.op_stats],
         }
 

@@ -17,9 +17,11 @@ misses no true multi-sensor event either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..types import SegmentPair
+import numpy as np
+
+from ..types import SegmentPair, pairs_of
 
 __all__ = ["CorroboratedEvent", "corroborate"]
 
@@ -46,56 +48,46 @@ class CorroboratedEvent:
 
 
 def corroborate(
-    per_sensor: Mapping[str, Sequence[SegmentPair]],
+    per_sensor: Mapping[str, np.ndarray],
     min_sensors: int,
     slack: float,
 ) -> List[CorroboratedEvent]:
     """Groups of hits seen by at least ``min_sensors`` sensors.
 
-    A hit's *end interval* is ``[t_b, t_a]``.  Two hits corroborate
-    when their end intervals, each padded by ``slack / 2``, overlap.
-    Overlapping groups are merged with a sweep over interval endpoints,
-    then groups with enough distinct sensors are reported.  The caller
-    validates ``min_sensors >= 1`` and ``slack >= 0``.
+    ``per_sensor`` maps each sensor to its answer as an ``(n, 4)`` ident
+    matrix ``(t_d, t_c, t_b, t_a)``.  A hit's *end interval* is
+    ``[t_b, t_a]``.  Two hits corroborate when their end intervals, each
+    padded by ``slack / 2``, overlap.  Overlapping groups are merged with
+    a sweep over the matrices' interval endpoints, and groups with enough
+    distinct sensors are reported; only their hits become
+    :class:`~repro.types.SegmentPair` objects.  The caller validates
+    ``min_sensors >= 1`` and ``slack >= 0``.
     """
-    intervals: List[Tuple[float, float, str, SegmentPair]] = []
+    names = list(per_sensor)
+    blocks = [per_sensor[name] for name in names]
+    if not sum(b.shape[0] for b in blocks):
+        return []
+    rows = np.vstack(blocks)
+    sensor = np.repeat(np.arange(len(names)), [b.shape[0] for b in blocks])
     half = slack / 2.0
-    for sensor, pairs in per_sensor.items():
-        for pair in pairs:
-            intervals.append((pair.t_b - half, pair.t_a + half, sensor, pair))
-    if not intervals:
-        return []
-
-    intervals.sort(key=lambda iv: iv[0])
+    # sweep in start order; a stable sort keeps ties in input order
+    order = np.argsort(rows[:, 2] - half, kind="stable")
+    rows, sensor = rows[order], sensor[order]
+    lo, hi = rows[:, 2] - half, rows[:, 3] + half
+    # a hit opens a new group when it starts after every earlier hit ends
+    starts = np.flatnonzero(
+        np.r_[True, lo[1:] > np.maximum.accumulate(hi)[:-1]]
+    )
+    ends = np.r_[starts[1:], rows.shape[0]]
     events: List[CorroboratedEvent] = []
-    group: List[Tuple[float, float, str, SegmentPair]] = []
-    group_end = float("-inf")
-    for iv in intervals:
-        if group and iv[0] > group_end:
-            events.extend(_emit_group(group, min_sensors, half))
-            group = []
-            group_end = float("-inf")
-        group.append(iv)
-        group_end = max(group_end, iv[1])
-    events.extend(_emit_group(group, min_sensors, half))
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if np.unique(sensor[a:b]).shape[0] < min_sensors:
+            continue
+        hits: Dict[str, List[SegmentPair]] = {}
+        for s, pair in zip(sensor[a:b].tolist(), pairs_of(rows[a:b])):
+            hits.setdefault(names[s], []).append(pair)
+        events.append(CorroboratedEvent(
+            window=(float(lo[a]) + half, float(hi[a:b].max()) - half),
+            hits={name: tuple(ps) for name, ps in hits.items()},
+        ))
     return events
-
-
-def _emit_group(
-    group: List[Tuple[float, float, str, SegmentPair]],
-    min_sensors: int,
-    half: float,
-) -> List[CorroboratedEvent]:
-    sensors: Dict[str, List[SegmentPair]] = {}
-    for _lo, _hi, sensor, pair in group:
-        sensors.setdefault(sensor, []).append(pair)
-    if len(sensors) < min_sensors:
-        return []
-    lo = min(iv[0] for iv in group) + half
-    hi = max(iv[1] for iv in group) - half
-    return [
-        CorroboratedEvent(
-            window=(lo, hi),
-            hits={s: tuple(ps) for s, ps in sensors.items()},
-        )
-    ]

@@ -16,9 +16,15 @@ Layering (docs/query_engine.md has the full walkthrough)::
                            │
           MemoryFeatureStore · SqliteFeatureStore · MiniDbFeatureStore
 
+Every execute and search entry point returns one type,
+:class:`QueryOutcome`.  Its answer is the sorted, deduplicated
+``(n, 4)`` ident matrix ``rows``, which stays a matrix through the
+union, the scatter–gather merge and the telemetry; ``pairs`` builds the
+:class:`~repro.types.SegmentPair` list from it once, on first read.
+
 ``resilience.py`` holds what every layer shares about a query's fate:
 the :class:`Deadline` / :class:`QueryGuard` that ``timeout_ms`` sets
-and the stores' loops tick, the :class:`QueryOutcome` verdict
+and the stores' loops tick, the :class:`QueryOutcome` with its verdict
 (COMPLETE / DEGRADED / FAILED) and the :class:`RetryPolicy` the stores
 retry transient failures with.  There is no serving policy: no
 admission control, circuit breaker or degraded refine.
@@ -26,7 +32,6 @@ admission control, circuit breaker or degraded refine.
 
 from .cost import BACKEND_COSTS, BackendCosts, CostModel
 from .executor import (
-    ExecutionResult,
     OperatorStats,
     execute,
     execute_batch,
@@ -66,7 +71,6 @@ __all__ = [
     "CostModel",
     "Deadline",
     "Divergence",
-    "ExecutionResult",
     "ExplainReport",
     "LineCrossOp",
     "OperatorExplain",

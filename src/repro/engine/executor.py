@@ -24,34 +24,43 @@ optimization.
 per operator: candidates are fetched once for the widest ``T`` and every
 query is answered with vectorized masks over the shared arrays — the
 fast path for the Figures 16-24 workload.
+
+Every entry point returns :class:`~repro.engine.resilience.QueryOutcome`,
+whose answer is the deduplicated ``(n, 4)`` ident matrix ``rows``.
+Answers stay matrices through the union, the scatter–gather merge and
+the telemetry; :class:`~repro.types.SegmentPair` objects are built only
+at the edge, once, when a caller reads ``pairs`` (the cells of one grid
+share them).
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.queries import line_mask, point_mask
-from ..core.results import SearchHit, rank_hits
+from ..core.results import rank_hits
 from ..errors import QueryTimeout, StorageError
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import span
-from ..types import SegmentPair
+from ..types import SegmentPair, pairs_of
 from .plan import QueryPlan
 from .resilience import (
     CompletenessReport,
     QueryGuard,
+    QueryOutcome,
     ResultStatus,
     record_degraded,
 )
 
 __all__ = [
     "OperatorStats",
-    "ExecutionResult",
     "execute",
     "execute_batch",
     "execute_partitioned",
@@ -110,36 +119,6 @@ class OperatorStats:
         return asdict(self)
 
 
-@dataclass
-class ExecutionResult:
-    """The result of executing one :class:`QueryPlan`.
-
-    ``status`` is :attr:`ResultStatus.COMPLETE` on the healthy path.  A
-    partitioned answer that lost some partitions is
-    :attr:`ResultStatus.DEGRADED`; in :func:`execute_batch` a cell whose
-    store group failed is :attr:`ResultStatus.FAILED` with the cause in
-    ``error``.
-    """
-
-    pairs: List[SegmentPair]
-    op_stats: List[OperatorStats] = field(default_factory=list)
-    hits: Optional[List[SearchHit]] = None  # set when the plan refines
-    pages_read: Optional[int] = None  # MiniDB instrumentation
-    status: ResultStatus = ResultStatus.COMPLETE
-    completeness: Optional[CompletenessReport] = None
-    error: Optional[BaseException] = None
-    # set by the partitioned entry points (whose ``completeness`` names
-    # the partitions that answered); None on single-store execution
-    partitions_scanned: Optional[int] = None
-    partitions_pruned: Optional[int] = None
-    #: The deduped ``(len(pairs), 4)`` ident matrix behind ``pairs`` —
-    #: what :func:`_gather` unions instead of tuple sets.
-    #: Excluded from equality: an ndarray would poison dataclass ``==``.
-    ident_rows: Optional[np.ndarray] = field(
-        default=None, compare=False, repr=False
-    )
-
-
 #: The store block primitive behind each (feature group, access path).
 _PRIMITIVES = {
     ("points", "scan"): "scan_points_array",
@@ -191,8 +170,7 @@ def _unique_rows(rows: np.ndarray, return_inverse: bool = False):
     Same distinct rows in the same ascending lexicographic order — i.e.
     the historical ``sorted(set(tuples))`` §4.4 result ordering — but
     several times faster than numpy's structured-dtype sort on the
-    ``(n, 4)`` float ident blocks of the query hot path.  Caller
-    guarantees ``rows`` is non-empty.
+    ``(n, 4)`` float ident blocks of the query hot path.
     """
     n = rows.shape[0]
     # lexsort's last key is primary, so feed columns right-to-left
@@ -201,7 +179,7 @@ def _unique_rows(rows: np.ndarray, return_inverse: bool = False):
     )))
     s = rows[order]
     keep = np.empty(n, dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
     uniq = s[keep]
     if not return_inverse:
@@ -211,23 +189,46 @@ def _unique_rows(rows: np.ndarray, return_inverse: bool = False):
     return uniq, inverse
 
 
-def _union_dedup_rows(
-    ident_blocks: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, List[SegmentPair]]:
-    """THE Section 4.4 union/dedup: distinct segment pairs, sorted.
+def _check_order(rows: np.ndarray) -> None:
+    """:class:`SegmentPair`'s boundary-order check over a whole ident
+    matrix: a row with ``t_d > t_c`` or ``t_b > t_a`` raises the same
+    :class:`~repro.errors.InvalidSegmentError`, whether or not its pair
+    is ever built."""
+    bad = (rows[:, 0] > rows[:, 1]) | (rows[:, 2] > rows[:, 3])
+    if bad.any():
+        SegmentPair(*rows[int(np.argmax(bad))].tolist())  # raises
 
-    ``tolist()`` yields Python floats, so the materialized pairs are
-    bit-identical to the per-element ``float()`` construction they
-    replace.  Returns the unique ident matrix alongside the pairs so
-    callers can keep merging in array form.
-    """
-    stacked = np.vstack([b for b in ident_blocks]) if ident_blocks else (
-        np.empty((0, 4))
-    )
-    if stacked.shape[0] == 0:
-        return np.empty((0, 4)), []
-    uniq = _unique_rows(stacked)
-    return uniq, [SegmentPair(*t) for t in uniq.tolist()]
+
+def _union_dedup_rows(ident_blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """THE Section 4.4 union/dedup: the distinct ident rows, sorted and
+    order-checked — the ``rows`` of a :class:`QueryOutcome`."""
+    uniq = _unique_rows(np.vstack([np.empty((0, 4)), *ident_blocks]))
+    _check_order(uniq)
+    return uniq
+
+
+class _PairPool:
+    """The :class:`SegmentPair` objects of one ident matrix, shared by the
+    grid cells that select rows of it: row ``j`` becomes one object, built
+    the first time a cell whose pairs are read selects it.  Cells may be
+    read from several threads, hence the lock."""
+
+    __slots__ = ("rows", "_objs", "_built", "_lock")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self._objs = np.empty(rows.shape[0], dtype=object)
+        self._built = np.zeros(rows.shape[0], dtype=bool)
+        self._lock = threading.Lock()
+
+    def take(self, ids: np.ndarray) -> List[SegmentPair]:
+        """The pairs of rows ``ids`` (ascending ids give §4.4 order)."""
+        with self._lock:
+            new = ids[~self._built[ids]]
+            if new.shape[0]:
+                self._objs[new] = pairs_of(self.rows[new])
+                self._built[new] = True
+            return self._objs[ids].tolist()
 
 
 def execute(
@@ -237,7 +238,7 @@ def execute(
     data=None,
     pushdown: bool = True,
     guard: Optional[QueryGuard] = None,
-) -> ExecutionResult:
+) -> QueryOutcome:
     """Run one plan against ``store``.
 
     ``data`` supplies the raw series (or approximation signal) a
@@ -308,12 +309,12 @@ def execute(
             if guard is not None:
                 guard.finish_op("line_cross")
         with span("op.union_dedup") as us:
-            ident_rows, pairs = _union_dedup_rows(ident_blocks)
-            us.set_attribute("pairs", len(pairs))
+            rows = _union_dedup_rows(ident_blocks)
+            us.set_attribute("pairs", rows.shape[0])
     except QueryTimeout as exc:
         # hand back whatever the finished operators produced
         exc.attach(
-            partial_pairs=_union_dedup_rows(ident_blocks)[1],
+            partial_pairs=pairs_of(_union_dedup_rows(ident_blocks)),
             completeness=(
                 guard.report("deadline exceeded") if guard is not None
                 else None
@@ -334,11 +335,11 @@ def execute(
             "line_cross", lop.table, lop.access, l_fetched, l_matched,
         ),
     ]
-    result = ExecutionResult(pairs=pairs, op_stats=stats,
-                             ident_rows=ident_rows)
+    result = QueryOutcome(rows=rows, op_stats=stats)
     if plan.refine_op is not None:
         if data is None:
             raise ValueError("plan has a RefineOp but no data was supplied")
+        pairs = result.pairs
         try:
             with span("op.refine") as rs:
                 if guard is not None:
@@ -371,7 +372,7 @@ def execute_batch(
     store,
     cache: str = "warm",
     guard: Optional[QueryGuard] = None,
-) -> List[ExecutionResult]:
+) -> List[QueryOutcome]:
     """Answer many queries in one shared pass per operator.
 
     Plans are grouped by search kind; per group the point and line
@@ -388,7 +389,7 @@ def execute_batch(
     :class:`~repro.errors.QueryTimeout` aborts the whole batch — the
     deadline covers the batch, not one cell.
     """
-    results: List[Optional[ExecutionResult]] = [None] * len(plans)
+    results: List[Optional[QueryOutcome]] = [None] * len(plans)
     by_kind: Dict[str, List[int]] = {}
     for i, plan in enumerate(plans):
         by_kind.setdefault(plan.kind, []).append(i)
@@ -428,8 +429,7 @@ def execute_batch(
                 reason=f"store failure for kind {kind!r}: {exc}",
             )
             for i in idxs:
-                results[i] = ExecutionResult(
-                    pairs=[],
+                results[i] = QueryOutcome(
                     status=ResultStatus.FAILED,
                     completeness=report,
                     error=exc,
@@ -450,19 +450,17 @@ def execute_batch(
         )
 
         # One shared candidate matrix per kind group: the distinct ident
-        # rows are computed and materialized as SegmentPairs exactly
-        # once; each cell then selects its pairs by integer id instead
-        # of re-deduplicating (and re-building) tuples per query.
-        # np.unique sorts, so ascending ids == the §4.4 result ordering.
+        # rows are computed once; each cell then selects its rows by
+        # integer id instead of re-deduplicating per query, and the
+        # cells share one pair object per selected row.  The sort makes
+        # ascending ids the §4.4 result ordering.
         n_p = prows.shape[0]
-        stacked = np.vstack([prows[:, 2:6], lrows[:, 4:8]])
-        if stacked.shape[0]:
-            uniq, inverse = _unique_rows(stacked, return_inverse=True)
-            pair_objs = [SegmentPair(*t) for t in uniq.tolist()]
-            inv_p, inv_l = inverse[:n_p], inverse[n_p:]
-        else:
-            uniq = np.empty((0, 4))
-            pair_objs, inv_p, inv_l = [], None, None
+        uniq, inverse = _unique_rows(
+            np.vstack([prows[:, 2:6], lrows[:, 4:8]]), return_inverse=True
+        )
+        _check_order(uniq)
+        inv_p, inv_l = inverse[:n_p], inverse[n_p:]
+        pool = _PairPool(uniq)
 
         for i in idxs:
             if guard is not None:
@@ -482,15 +480,7 @@ def execute_batch(
                 v_thr,
             )
             lmask = _t_range_mask(lmask, lrows, plan.t_range, 4, 7)
-            if pair_objs:
-                sel = np.unique(
-                    np.concatenate([inv_p[pmask], inv_l[lmask]])
-                )
-                pairs = [pair_objs[j] for j in sel.tolist()]
-                cell_rows = uniq[sel]
-            else:
-                pairs = []
-                cell_rows = uniq
+            sel = np.unique(np.concatenate([inv_p[pmask], inv_l[lmask]]))
             p_matched, l_matched = int(pmask.sum()), int(lmask.sum())
             _ROWS_MATCHED["point_range"].inc(p_matched)
             _ROWS_MATCHED["line_cross"].inc(l_matched)
@@ -498,8 +488,9 @@ def execute_batch(
                                 rows_matched=p_matched)
             obs_context.account(operator="line_cross",
                                 rows_matched=l_matched)
-            results[i] = ExecutionResult(
-                pairs=pairs,
+            results[i] = QueryOutcome(
+                rows=uniq[sel],
+                pairs_from=partial(pool.take, sel),
                 op_stats=[
                     OperatorStats(
                         "point_range", f"{kind}_points", point_access,
@@ -510,7 +501,6 @@ def execute_batch(
                         int(lrows.shape[0]), l_matched,
                     ),
                 ],
-                ident_rows=cell_rows,
             )
     # every plan index belongs to exactly one kind group, so all slots
     # are filled
@@ -580,17 +570,16 @@ def _scatter(
 
 def _gather(
     labels: Sequence[str], results: Sequence, noun: str
-) -> Tuple[np.ndarray, List[SegmentPair], ResultStatus,
-           CompletenessReport, Optional[BaseException]]:
+) -> QueryOutcome:
     """THE verdict over one scatter: union the children, name the lost.
 
-    ``results[i]`` is child ``labels[i]``'s answer — anything carrying
-    ``ident_rows`` and ``status`` — or the exception that lost it (a
-    FAILED answer counts as lost, its ``error`` as the cause).  Nothing
-    lost and nothing degraded is COMPLETE; something lost or degraded is
-    DEGRADED (the union of the survivors is honest but incomplete);
-    everything lost is FAILED.  The report names finished and lost
-    children by id.
+    ``results[i]`` is child ``labels[i]``'s :class:`QueryOutcome` or the
+    exception that lost it (a FAILED answer counts as lost, its
+    ``error`` as the cause).  The merged outcome's ``rows`` are the
+    union of the survivors' rows.  Nothing lost and nothing degraded is
+    COMPLETE; something lost or degraded is DEGRADED (the union of the
+    survivors is honest but incomplete); everything lost is FAILED.  The
+    report names finished and lost children by id.
     """
     ok: List[str] = []
     lost: List[str] = []
@@ -605,8 +594,8 @@ def _gather(
             continue
         ok.append(label)
         degraded = degraded or result.status is ResultStatus.DEGRADED
-        blocks.append(result.ident_rows)
-    ident_rows, pairs = _union_dedup_rows(blocks)
+        blocks.append(result.rows)
+    rows = _union_dedup_rows(blocks)
     if not lost and not degraded:
         status = ResultStatus.COMPLETE
         reason = "" if ok else f"no {noun} overlaps the predicate"
@@ -620,8 +609,10 @@ def _gather(
             record_degraded(noun)
         else:
             reason = f"{noun} answered degraded"
-    report = CompletenessReport(tuple(ok), tuple(lost), reason)
-    return ident_rows, pairs, status, report, error
+    return QueryOutcome(
+        rows=rows, status=status, error=error,
+        completeness=CompletenessReport(tuple(ok), tuple(lost), reason),
+    )
 
 
 # A partition is anything exposing ``store``, ``overlaps_time(t_range)``
@@ -669,25 +660,22 @@ def _scatter_partitions(
 def _gather_partitions(
     labels: Sequence[str], results: Sequence, pruned: int,
     kind: Optional[str] = None,
-) -> ExecutionResult:
-    """The :func:`_gather` verdict as one :class:`ExecutionResult`, with
-    per-operator row counts summed over the partitions that answered
-    (``kind`` names the tables when none did)."""
-    ident_rows, pairs, status, report, error = _gather(
-        labels, results, "partition"
-    )
+) -> QueryOutcome:
+    """The :func:`_gather` verdict with per-operator row counts summed
+    over the partitions that answered (``kind`` names the tables when
+    none did)."""
+    merged = _gather(labels, results, "partition")
     stats = [
-        s for r in results if isinstance(r, ExecutionResult)
+        s for r in results if isinstance(r, QueryOutcome)
         for s in r.op_stats
     ]
     if kind is None and stats:
         kind = stats[0].table.rsplit("_", 1)[0]
-    op_stats: List[OperatorStats] = []
     operators = (("point_range", "points"), ("line_cross", "lines"))
     for op, group in operators if kind is not None else ():
         mine = [s for s in stats if s.operator == op]
         accesses = sorted({s.access for s in mine})
-        op_stats.append(
+        merged.op_stats.append(
             OperatorStats(
                 operator=op,
                 table=f"{kind}_{group}",
@@ -696,16 +684,9 @@ def _gather_partitions(
                 rows_matched=sum(s.rows_matched for s in mine),
             )
         )
-    return ExecutionResult(
-        pairs=pairs,
-        op_stats=op_stats,
-        status=status,
-        completeness=report,
-        error=error,
-        partitions_scanned=len(labels),
-        partitions_pruned=pruned,
-        ident_rows=ident_rows,
-    )
+    merged.partitions_scanned = len(labels)
+    merged.partitions_pruned = pruned
+    return merged
 
 
 def execute_partitioned(
@@ -718,7 +699,7 @@ def execute_partitioned(
     verified_only: bool = False,
     pushdown: bool = True,
     guard: Optional[QueryGuard] = None,
-) -> ExecutionResult:
+) -> QueryOutcome:
     """Run one query across a set of time partitions and merge.
 
     Partitions whose feature-time bounds miss ``t_range`` are pruned
@@ -740,6 +721,7 @@ def execute_partitioned(
     merged = _gather_partitions(labels, results, pruned, query.kind)
     if data is not None:
         with span("op.refine") as rs:
+            # the pairs are built once, from the merged matrix
             merged.hits = rank_hits(
                 merged.pairs, data, query,
                 verified_only=verified_only, guard=guard,
@@ -758,7 +740,7 @@ def execute_batch_partitioned(
     t_range=None,
     cache: str = "warm",
     guard: Optional[QueryGuard] = None,
-) -> List[ExecutionResult]:
+) -> List[QueryOutcome]:
     """Scatter a whole query grid across partitions and merge per cell.
 
     Each surviving partition answers the grid through
@@ -768,6 +750,8 @@ def execute_batch_partitioned(
     cell that failed on *some* partitions but succeeded on others comes
     back DEGRADED (merged pairs are honest-but-incomplete, the report
     names the lost partitions); a cell that failed everywhere is FAILED.
+    The cells share their pair objects: each distinct row any cell holds
+    is built once, on the first read of some cell's pairs.
     """
     def run(part):
         plans = [
@@ -779,7 +763,7 @@ def execute_batch_partitioned(
     labels, per_partition, pruned = _scatter_partitions(
         partitions, t_range, run, queries=n_queries
     )
-    return [
+    cells = [
         _gather_partitions(
             labels,
             [r if isinstance(r, BaseException) else r[i]
@@ -788,3 +772,12 @@ def execute_batch_partitioned(
         )
         for i in range(n_queries)
     ]
+    blocks = [cell.rows for cell in cells]
+    uniq, inverse = _unique_rows(
+        np.vstack([np.empty((0, 4)), *blocks]), return_inverse=True
+    )
+    pool = _PairPool(uniq)
+    ends = np.cumsum([b.shape[0] for b in blocks])
+    for cell, ids in zip(cells, np.split(inverse, ends[:-1])):
+        cell.pairs_from = partial(pool.take, ids)
+    return cells

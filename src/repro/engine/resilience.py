@@ -11,7 +11,8 @@ bounded in time and says honestly how complete its answer is
   state exists.  A refine pass that runs out of time leaves with the
   full candidate set in ``partial_pairs`` — by Theorem 1 a superset of
   the refined answer.
-* **Verdicts** — every :class:`QueryOutcome` carries a
+* **Verdicts** — every :class:`QueryOutcome` (the one result type:
+  the answer's ident matrix, pairs built from it on first read) carries a
   :class:`ResultStatus`: COMPLETE, DEGRADED (a partitioned or sharded
   answer lost some of its parts; the :class:`CompletenessReport` names
   them) or FAILED (a batch cell whose store group failed).
@@ -28,10 +29,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Type
 
+import numpy as np
+
 from ..errors import InvalidParameterError, QueryTimeout, StorageError
 from ..obs import context as obs_context
 from ..obs import recorder as flight
 from ..obs.metrics import REGISTRY
+from ..types import SegmentPair, pairs_of
 
 __all__ = [
     "Deadline",
@@ -214,40 +218,60 @@ class CompletenessReport:
         return "; ".join(parts) or "complete"
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryOutcome:
-    """One query's answer plus its resilience verdict.
+    """One query's answer, its verdict and its diagnostics — the one
+    result type of every execute and search entry point.
 
-    ``pairs`` holds the candidate segment pairs; ``hits`` is set when
-    the plan refined against raw data.  ``status`` is
-    :attr:`ResultStatus.COMPLETE` on the healthy path,
+    ``rows`` *is* the answer: the §4.4 union as a sorted, deduplicated
+    ``(n, 4)`` float64 ident matrix ``(t_d, t_c, t_b, t_a)``.  Merges,
+    counts and telemetry read it; :attr:`pairs` builds the
+    :class:`~repro.types.SegmentPair` list from it on first read and
+    caches it.  ``hits`` is set when the plan refined against raw data.
+    ``status`` is :attr:`ResultStatus.COMPLETE` on the healthy path,
     :attr:`ResultStatus.DEGRADED` when a partitioned or sharded answer
     lost some of its parts (``completeness`` names them), and
     :attr:`ResultStatus.FAILED` for batch cells whose store group failed
     (``error`` carries the cause).
     """
 
-    pairs: List = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     hits: Optional[List] = None
     status: ResultStatus = ResultStatus.COMPLETE
     completeness: Optional[CompletenessReport] = None
     error: Optional[BaseException] = None
-    #: The deduped ``(len(pairs), 4)`` ident matrix behind ``pairs`` —
-    #: what a scatter-gather merge unions instead of tuple sets.
-    ident_rows: Optional[object] = field(
-        default=None, compare=False, repr=False
-    )
+    #: What each physical operator did (``OperatorStats``), summed over
+    #: the partitions that answered on the partitioned entry points.
+    op_stats: List = field(default_factory=list)
+    #: Set by the partitioned entry points; None elsewhere.
+    partitions_scanned: Optional[int] = None
+    partitions_pruned: Optional[int] = None
     #: Diagnostics: the query's id, its resource accounting
     #: (:class:`~repro.obs.context.ResourceAccounting`), and — on
     #: DEGRADED/FAILED outcomes — the flight recorder's recent tail
     #: (event dicts), so a failing answer ships its own postmortem.
     query_id: Optional[str] = None
-    accounting: Optional[object] = field(default=None, compare=False)
-    recorder_tail: Optional[List] = field(default=None, compare=False)
+    accounting: Optional[object] = None
+    recorder_tail: Optional[List] = None
+    #: Builds :attr:`pairs` when the cells of one grid share pair
+    #: objects (the batch executors set it); None builds them from
+    #: ``rows``.
+    pairs_from: Optional[Callable[[], List[SegmentPair]]] = field(
+        default=None, repr=False
+    )
+    _pairs: Optional[List[SegmentPair]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
-    def failed(self) -> bool:
-        return self.status is ResultStatus.FAILED
+    def pairs(self) -> List[SegmentPair]:
+        """The answer as a list of segment pairs, built once."""
+        if self._pairs is None:
+            self._pairs = (
+                self.pairs_from() if self.pairs_from is not None
+                else pairs_of(self.rows)
+            )
+        return self._pairs
 
     @property
     def results(self) -> List:

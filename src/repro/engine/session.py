@@ -31,7 +31,7 @@ from ..obs.metrics import QUERY_LATENCY_BUCKETS, REGISTRY, ROWS_BUCKETS
 from ..obs.tracing import span
 from ..types import SegmentPair
 from .cost import CostModel
-from .executor import ExecutionResult, execute, execute_batch
+from .executor import execute, execute_batch
 from .plan import Query, QueryPlan, RefineOp
 from .resilience import (
     Deadline,
@@ -161,7 +161,7 @@ class QueryEnvelope:
         )
 
     def done_batch(self, describe: Callable[[], str],
-                   results: Sequence[ExecutionResult], **parts) -> None:
+                   results: Sequence[QueryOutcome], **parts) -> None:
         """:meth:`done` for a grid: pairs summed, the worst cell's status."""
         statuses = {r.status for r in results}
         worst = next(
@@ -169,8 +169,22 @@ class QueryEnvelope:
              if s in statuses),
             ResultStatus.COMPLETE,
         )
-        self.done(describe, sum(len(r.pairs) for r in results),
+        self.done(describe, sum(r.rows.shape[0] for r in results),
                   worst.value, **parts)
+
+    def stamp(self, results: List[QueryOutcome]) -> List[QueryOutcome]:
+        """Attach the query's id and accounting to its outcomes; an
+        unhealthy one also gets the flight recorder's recent tail."""
+        unhealthy = [
+            r for r in results if r.status is not ResultStatus.COMPLETE
+        ]
+        tail = flight.RECORDER.tail_dicts(32) if unhealthy else None
+        for r in results:
+            r.query_id = self.ctx.query_id
+            r.accounting = self.ctx.accounting
+        for r in unhealthy:
+            r.recorder_tail = tail
+        return results
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._binder is None:
@@ -290,51 +304,29 @@ class QuerySession:
 
     def _execute(self, plan: QueryPlan, cache: str, data,
                  pushdown: bool = True,
-                 guard: Optional[QueryGuard] = None) -> ExecutionResult:
-        if self._lock is None:
-            return self._execute_accounted(plan, cache, data, pushdown,
-                                           guard)
-        with self._lock:
-            return self._execute_accounted(plan, cache, data, pushdown,
-                                           guard)
+                 guard: Optional[QueryGuard] = None
+                 ) -> Tuple[QueryOutcome, Optional[object]]:
+        """Execute ``plan`` under the session lock: ``(outcome, delta)``.
 
-    def _execute_accounted(self, plan, cache, data, pushdown, guard):
-        """Execute and attribute the pager-page delta to the query's
-        resource accounting (on stores that expose pager counters)."""
-        fn = getattr(self.store, "pager_stats", None)
-        before = (
-            fn().snapshot()
-            if callable(fn) and obs_context.current_context() is not None
-            else None
-        )
-        result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown, guard=guard)
-        if before is not None:
-            delta = fn().snapshot().delta(before)
-            obs_context.account(pages_read=delta.page_reads)
-        return result
-
-    def _execute_with_io(
-        self, plan: QueryPlan, cache: str, data, pushdown: bool = True
-    ) -> Tuple[ExecutionResult, Optional[object], Optional[object]]:
-        """Execute with before/after pager-stat snapshots.
-
-        Snapshots are taken *inside* the session lock, so on serialized
-        backends (MiniDB's shared buffer pool) the delta attributes
-        exactly this execution's page traffic even while other sessions
-        on the same store run concurrently.
+        ``delta`` is the pager-stat difference across the run on stores
+        that expose pager counters (``None`` otherwise); its page reads
+        are charged to the query's accounting.  Both snapshots are taken
+        inside the lock, so on serialized backends (MiniDB's shared
+        buffer pool) the delta is exactly this execution's page traffic
+        even while other sessions on the same store run.
         """
-        if self._lock is None:
-            return self._run_with_io(plan, cache, data, pushdown)
-        with self._lock:
-            return self._run_with_io(plan, cache, data, pushdown)
-
-    def _run_with_io(self, plan, cache, data, pushdown):
-        before = self._io_stats()
-        result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown)
-        after = self._io_stats()
-        return result, before, after
+        stats = getattr(self.store, "pager_stats", None)
+        with self._lock or nullcontext():
+            before = stats().snapshot() if callable(stats) else None
+            result = execute(plan, self.store, cache=cache, data=data,
+                             pushdown=pushdown, guard=guard)
+            delta = (
+                stats().snapshot().delta(before) if before is not None
+                else None
+            )
+        if delta is not None:
+            obs_context.account(pages_read=delta.page_reads)
+        return result, delta
 
     def _envelope(self, api: str) -> QueryEnvelope:
         return QueryEnvelope(api, getattr(self.store, "BACKEND", "unknown"))
@@ -401,28 +393,17 @@ class QuerySession:
                             refine_op=refine,
                             t_range=plan.t_range,
                         )
-                    result = self._execute(plan, cache, data, guard=guard)
+                    result, _ = self._execute(plan, cache, data,
+                                              guard=guard)
                     root.set_attribute("backend", env.backend)
                     root.set_attribute("kind", query.kind)
-                    root.set_attribute("pairs", len(result.pairs))
+                    root.set_attribute("pairs", result.rows.shape[0])
             except QueryTimeout:
                 record_timeout()
                 raise
-            env.done(plan.describe, len(result.pairs),
+            env.done(plan.describe, result.rows.shape[0],
                      result.status.value, result.op_stats)
-        unhealthy = result.status is not ResultStatus.COMPLETE
-        return QueryOutcome(
-            pairs=result.pairs,
-            hits=result.hits,
-            status=result.status,
-            completeness=result.completeness,
-            ident_rows=result.ident_rows,
-            query_id=env.ctx.query_id,
-            accounting=env.ctx.accounting,
-            recorder_tail=(
-                flight.RECORDER.tail_dicts(32) if unhealthy else None
-            ),
-        )
+        return env.stamp([result])[0]
 
     def search_batch(
         self,
@@ -446,7 +427,7 @@ class QuerySession:
             t_range=t_range,
         )
         for outcome in outcomes:
-            if outcome.failed:
+            if outcome.status is ResultStatus.FAILED:
                 raise outcome.error
         return [outcome.pairs for outcome in outcomes]
 
@@ -489,25 +470,7 @@ class QuerySession:
                 raise
             if plans:
                 env.done_batch(plans[0].describe, results)
-        unhealthy = any(
-            r.status is not ResultStatus.COMPLETE for r in results
-        )
-        tail = flight.RECORDER.tail_dicts(32) if unhealthy else None
-        return [
-            QueryOutcome(
-                pairs=r.pairs,
-                status=r.status,
-                completeness=r.completeness,
-                error=r.error,
-                ident_rows=r.ident_rows,
-                query_id=env.ctx.query_id,
-                accounting=env.ctx.accounting,
-                recorder_tail=(
-                    tail if r.status is not ResultStatus.COMPLETE else None
-                ),
-            )
-            for r in results
-        ]
+        return env.stamp(results)
 
     # ------------------------------------------------------------------ #
     # EXPLAIN
@@ -527,21 +490,10 @@ class QuerySession:
                 root.set_attribute("query_id", env.ctx.query_id)
                 with span("query.plan"):
                     plan = self.plan(query, mode=mode, t_range=t_range)
-                # snapshots and execution happen atomically under the session
-                # lock — concurrent sessions on the same store can no longer
-                # misattribute each other's pager traffic
-                result, stats_before, stats_after = self._execute_with_io(
-                    plan, cache, None, pushdown=False
-                )
+                result, delta = self._execute(plan, cache, None,
+                                              pushdown=False)
                 root.set_attribute("kind", query.kind)
-                pages_read = cache_hits = cache_misses = None
-                if stats_before is not None and stats_after is not None:
-                    delta = stats_after.delta(stats_before)
-                    pages_read = delta.page_reads
-                    cache_hits = delta.hits
-                    cache_misses = delta.misses
-                    obs_context.account(pages_read=pages_read)
-            env.done(plan.describe, len(result.pairs),
+            env.done(plan.describe, result.rows.shape[0],
                      op_stats=result.op_stats)
 
         counts = self.store.counts()
@@ -583,16 +535,10 @@ class QuerySession:
                 query.kind, query.t_threshold, query.v_threshold
             ),
             operators=ops,
-            n_pairs=len(result.pairs),
-            pages_read=pages_read,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            n_pairs=result.rows.shape[0],
+            pages_read=delta.page_reads if delta is not None else None,
+            cache_hits=delta.hits if delta is not None else None,
+            cache_misses=delta.misses if delta is not None else None,
             query_id=env.ctx.query_id,
             accounting=env.ctx.accounting.to_dict(),
         )
-
-    def _io_stats(self):
-        """A :class:`~repro.storage.minidb.pager.PagerStats` snapshot,
-        on stores that expose pager counters; ``None`` otherwise."""
-        fn = getattr(self.store, "pager_stats", None)
-        return fn().snapshot() if callable(fn) else None

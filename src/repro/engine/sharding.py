@@ -64,7 +64,7 @@ from ..obs.metrics import REGISTRY
 from ..storage.partitions import install_json, manifest_field, read_json
 from ..types import SegmentPair
 from .executor import _gather, _scatter
-from .resilience import QueryOutcome, ResultStatus
+from .resilience import QueryOutcome
 from .session import QueryEnvelope
 
 __all__ = [
@@ -598,10 +598,14 @@ class ShardedIndex:
         )
         if outcome.error is not None:  # a shard was lost
             raise outcome.error
-        per_sensor: Dict[str, List[SegmentPair]] = {}
+        per_sensor: Dict[str, List[np.ndarray]] = {}
         for shard, result in zip(routed, results):
-            per_sensor.setdefault(shard.spec.sensor, []).extend(result.pairs)
-        return corroborate(per_sensor, min_sensors, slack)
+            per_sensor.setdefault(shard.spec.sensor, []).append(result.rows)
+        return corroborate(
+            {sensor: np.vstack(blocks)
+             for sensor, blocks in per_sensor.items()},
+            min_sensors, slack,
+        )
 
     def _fan_out(self, kind, t_threshold, v_threshold, mode, routed,
                  **kw) -> Tuple[List, QueryOutcome]:
@@ -619,27 +623,13 @@ class ShardedIndex:
                 pool=self._executor(len(routed)) if len(routed) > 1 else None,
                 query_id=env.ctx.query_id, kind=kind, shards=len(routed),
             )
-            ident_rows, pairs, status, report, error = _gather(
-                labels, results, "shard"
-            )
+            merged = _gather(labels, results, "shard")
             env.done(
                 lambda: f"sharded[{len(routed)}/{len(self._shards)}s] {kind}"
                 f"(T={t_threshold:g}, V={v_threshold:g}) mode={mode}",
-                len(pairs), status.value,
+                merged.rows.shape[0], merged.status.value,
             )
-        return results, QueryOutcome(
-            pairs=pairs,
-            ident_rows=ident_rows,
-            status=status,
-            completeness=report,
-            error=error,
-            query_id=env.ctx.query_id,
-            accounting=env.ctx.accounting,
-            recorder_tail=(
-                flight.RECORDER.tail_dicts(32)
-                if status is not ResultStatus.COMPLETE else None
-            ),
-        )
+        return results, env.stamp([merged])[0]
 
     def _executor(self, n: int) -> ThreadPoolExecutor:
         with self._pool_lock:

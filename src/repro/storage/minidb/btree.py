@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import InvalidParameterError, StorageError
+from ...errors import CorruptionError, InvalidParameterError, StorageError
 from .heapfile import RID
 from .pager import PAGE_CAPACITY, PAGE_SIZE, Pager
 
@@ -244,21 +244,57 @@ class BPlusTree:
     # page decoding
     # ------------------------------------------------------------------ #
 
+    def leaf_header(self, page_id: int, page: bytes) -> Tuple[int, int]:
+        """A leaf's ``(n_entries, next_leaf)``.  A page whose CRC passes
+        may still be no leaf, or carry a count that does not fit."""
+        kind, n, next_leaf = _LEAF_HEADER.unpack_from(page, 0)
+        if kind != 1 or not 0 <= n <= self.leaf_fanout:
+            raise CorruptionError(
+                f"{self.pager.path}: page {page_id} (kind {kind}) claims "
+                f"{n} leaf entries; a leaf holds 0..{self.leaf_fanout}"
+            )
+        return n, next_leaf
+
+    def leaves(self, page_id: int) -> Iterator[Tuple[bytes, int]]:
+        """``(page, n_entries)`` of each leaf along the chain from
+        ``page_id``.  A chain longer than the file is a next-leaf cycle."""
+        start = page_id
+        for _ in range(self.pager.n_pages):
+            if page_id == -1:
+                return
+            page = self.pager.read(page_id)
+            n, next_leaf = self.leaf_header(page_id, page)
+            yield page, n
+            page_id = next_leaf
+        if page_id != -1:
+            raise CorruptionError(
+                f"{self.pager.path}: leaf chain from page {start} is "
+                f"longer than the file's {self.pager.n_pages} pages"
+            )
+
+    def _leaf_entries(self, page: bytes, n: int) -> List[Entry]:
+        size = self._leaf_entry.size
+        entries = []
+        for offset in range(_LEAF_HEADER.size, _LEAF_HEADER.size + n * size,
+                            size):
+            *key, rid_page, rid_slot = self._leaf_entry.unpack_from(
+                page, offset
+            )
+            entries.append((tuple(key), RID(rid_page, rid_slot)))
+        return entries
+
     def _decode(self, page_id: int):
         page = self.pager.read(page_id)
         kind = page[0]
         if kind == 1:
-            _k, n, next_leaf = _LEAF_HEADER.unpack_from(page, 0)
-            entries = []
-            offset = _LEAF_HEADER.size
-            for _ in range(n):
-                *key, rid_page, rid_slot = self._leaf_entry.unpack_from(
-                    page, offset
-                )
-                entries.append((tuple(key), RID(rid_page, rid_slot)))
-                offset += self._leaf_entry.size
-            return ("leaf", entries, next_leaf)
+            n, next_leaf = self.leaf_header(page_id, page)
+            return ("leaf", self._leaf_entries(page, n), next_leaf)
         _k, n, child0 = _INT_HEADER.unpack_from(page, 0)
+        if not 0 <= n <= self.internal_fanout:
+            raise CorruptionError(
+                f"{self.pager.path}: internal page {page_id} claims {n} "
+                f"keys; a node holds 0..{self.internal_fanout}"
+            )
         keys: List[Key] = []
         children: List[int] = [child0]
         offset = _INT_HEADER.size
@@ -302,12 +338,10 @@ class BPlusTree:
             if len(lo_key) != self.key_width:
                 raise InvalidParameterError("lo_key has wrong width")
             page_id = self._leaf_for(tuple(lo_key))
-        while page_id != -1:
-            _kind, entries, next_leaf = self._decode(page_id)
-            for key, rid in entries:
+        for page, n in self.leaves(page_id):
+            for key, rid in self._leaf_entries(page, n):
                 if lo_key is None or key >= tuple(lo_key):
                     yield key, rid
-            page_id = next_leaf
 
     def scan_leading_upto(self, first_max: float) -> Iterator[Entry]:
         """Entries whose leading key column is <= ``first_max``.
@@ -315,14 +349,11 @@ class BPlusTree:
         This is the access path of the Section 4.4 queries: a range on
         the index's leading column from the left end.
         """
-        page_id = self._leftmost_leaf()
-        while page_id != -1:
-            _kind, entries, next_leaf = self._decode(page_id)
-            for key, rid in entries:
+        for page, n in self.leaves(self._leftmost_leaf()):
+            for key, rid in self._leaf_entries(page, n):
                 if key[0] > first_max:
                     return
                 yield key, rid
-            page_id = next_leaf
 
     def height(self) -> int:
         """Levels from root to leaf (1 for a single-leaf tree)."""

@@ -249,13 +249,9 @@ def _leaf_entries_upto(
     """
     key_width = tree.key_width
     keys_parts, page_parts, slot_parts = [], [], []
-    pager = tree.pager
-    page_id = tree._leftmost_leaf()
-    while page_id != -1:
+    for data, n in tree.leaves(tree._leftmost_leaf()):
         if guard is not None:
             guard.tick()
-        data = pager.read(page_id)
-        _kind, n, next_leaf = _LEAF_HEADER.unpack_from(data, 0)
         if n:
             entries = np.frombuffer(
                 data, dtype=tree.entry_dtype, count=n,
@@ -271,7 +267,6 @@ def _leaf_entries_upto(
                 slot_parts.append(entries["slot"][:cut].astype(np.int64))
             if cut < n:
                 break  # every later entry's leading column exceeds the bound
-        page_id = next_leaf
     if not keys_parts:
         return (
             np.empty((0, key_width)),
@@ -318,6 +313,11 @@ def _gather_ident(
             guard.tick()
         data = pager.read(page_id)
         count, _next = _HEAP_HEADER.unpack_from(data, 0)
+        if not 0 <= count <= heap.rows_per_page:
+            raise CorruptionError(
+                f"{pager.path}: heap page {page_id} claims {count} rows; "
+                f"a page holds 0..{heap.rows_per_page}"
+            )
         rows = np.frombuffer(
             data, dtype="<f8", count=count * width, offset=_HEAP_HEADER.size
         ).reshape(count, width)

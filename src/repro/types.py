@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 from .errors import InvalidSegmentError
 
@@ -27,6 +28,7 @@ __all__ = [
     "DataSegment",
     "Event",
     "SegmentPair",
+    "pairs_of",
 ]
 
 
@@ -174,3 +176,11 @@ class SegmentPair:
     def as_tuple(self) -> tuple:
         """The 4-tuple ``(t_d, t_c, t_b, t_a)``."""
         return (self.t_d, self.t_c, self.t_b, self.t_a)
+
+
+def pairs_of(rows) -> List[SegmentPair]:
+    """One :class:`SegmentPair` per row of an ``(n, 4)`` ident matrix
+    ``(t_d, t_c, t_b, t_a)``, in row order.  ``tolist()`` hands the
+    constructor Python floats, so the pairs are bit-identical to the
+    stored timestamps."""
+    return [SegmentPair(*t) for t in rows.tolist()]

@@ -6,7 +6,8 @@ frames, a live ``hot.wal``, a ``partitions.json``, a shard
 — mutates it (truncate at k, flip bit k, splice a range from elsewhere
 in the file over position k, append garbage; for the partition also
 copy one whole page over another, which every page CRC passes) and
-hands it to the program's own openers and readers.  Each may succeed or
+hands it to the program's own openers and readers.  A batch MiniDB
+index also gets its B+tree node headers rewritten with a valid CRC.  Each may succeed or
 raise a :class:`~repro.errors.StorageError` subclass, nothing else, and
 must return within a deadline.  A recovered log keeps a prefix of the
 clean log's records, MiniDB replay never grows the main file past the
@@ -417,6 +418,90 @@ class TestSealedPartition:
             _read_partition(os.path.join(d, fname))
 
         _with_mutation({}, fname, clean, body)
+
+
+# ---------------------------------------------------------------------- #
+# B+tree leaves of a batch (unclustered) MiniDB index
+# ---------------------------------------------------------------------- #
+
+
+@lru_cache(maxsize=None)
+def batch_index():
+    """``(files, pages)`` of a batch-built MiniDB index whose B+tree has
+    several leaves; ``pages`` names its root and leftmost leaf."""
+    from repro.core.index import SegDiffIndex
+    from repro.datagen.series import TimeSeries
+
+    d = tempfile.mkdtemp()
+    try:
+        rng = np.random.default_rng(11)
+        ts = np.cumsum(rng.uniform(0.5, 3.0, 600))
+        vs = np.cumsum(rng.normal(0.0, 1.0, 600))
+        path = os.path.join(d, "index.mdb")
+        SegDiffIndex.build(TimeSeries(times=ts, values=vs), EPS, WINDOW,
+                           backend="minidb", path=path).close()
+        store = MiniDbFeatureStore(path)
+        try:
+            tree = store.db.table("drop_points").index("by_key")
+            assert tree.height() > 1
+            pages = {"root": tree.root, "leaf": tree._leftmost_leaf()}
+        finally:
+            store.close()
+        return _read_dir(d), pages
+    finally:
+        shutil.rmtree(d)
+
+
+class TestCorruptNodeHeader:
+    """A B+tree node header rewritten and re-stamped passes the page
+    CRC; the index probe must still raise a typed error, and promptly: a
+    count past the fanout or below zero used to leak ``ValueError`` /
+    ``struct.error``, and a leaf linking to itself walked forever."""
+
+    @pytest.mark.parametrize("target, n, self_loop", [
+        ("leaf", 100_000, False),  # count past the fanout
+        ("leaf", -5, False),  # negative count
+        ("leaf", None, True),  # next_leaf points at the leaf itself
+        ("root", 100_000, False),  # internal node: keys past the fanout
+    ], ids=["big-n", "negative-n", "self-loop", "root-big-n"])
+    def test_index_probe_raises_storage_error(self, target, n, self_loop):
+        from repro.core.index import SegDiffIndex
+        from repro.storage.minidb.btree import _LEAF_HEADER
+        from repro.storage.minidb.pager import stamp
+
+        files, pages = batch_index()
+        at = pages[target]
+        data = bytearray(files["index.mdb"])
+        page = bytearray(data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE])
+        # a leaf and an internal node share the header layout:
+        # kind, count, next_leaf / child0
+        kind, count, link = _LEAF_HEADER.unpack_from(page, 0)
+        assert kind == (target == "leaf") and count > 0
+        _LEAF_HEADER.pack_into(page, 0, kind,
+                               count if n is None else n,
+                               at if self_loop else link)
+        data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE] = stamp(page)
+
+        def body(d):
+            out = {}
+
+            def search():
+                try:
+                    with SegDiffIndex.open(os.path.join(d, "index.mdb")) \
+                            as index:
+                        # T = w: every entry of the leftmost leaf matches,
+                        # so the walk must follow its next_leaf link
+                        index.search_drops(WINDOW, -1e-9, mode="index")
+                except BaseException as exc:  # noqa: BLE001 - asserted
+                    out["error"] = exc
+
+            worker = threading.Thread(target=search, daemon=True)
+            worker.start()
+            worker.join(10.0)
+            assert not worker.is_alive(), "the index probe never returned"
+            assert isinstance(out.get("error"), StorageError), out
+
+        _with_mutation(files, "index.mdb", bytes(data), body)
 
 
 # ---------------------------------------------------------------------- #

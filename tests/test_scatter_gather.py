@@ -18,7 +18,7 @@ from repro.core.live import LiveSnapshot
 from repro.core.queries import DropQuery
 from repro.datagen import random_walk_series
 from repro.engine import ResultStatus, ShardedIndex, executor
-from repro.engine.executor import ExecutionResult, OperatorStats
+from repro.engine.executor import OperatorStats
 from repro.engine.plan import build_plan
 from repro.engine.resilience import QueryOutcome
 from repro.engine.sharding import Shard, ShardSpec
@@ -71,8 +71,7 @@ class _StubReplica:
         if isinstance(outcome, BaseException):
             raise outcome
         rows = ROWS[self.sid]
-        return QueryOutcome(pairs=_pairs(rows), ident_rows=rows,
-                            status=outcome)
+        return QueryOutcome(rows=rows, status=outcome)
 
     def close(self):
         pass
@@ -97,8 +96,7 @@ def fake_execute(monkeypatch, threads):
             OperatorStats("point_range", "drop_points", "scan", 5, 2),
             OperatorStats("line_cross", "drop_lines", "scan", 3, 0),
         ]
-        return ExecutionResult(pairs=_pairs(rows), op_stats=stats,
-                               status=outcome, ident_rows=rows)
+        return QueryOutcome(rows=rows, op_stats=stats, status=outcome)
 
     monkeypatch.setattr(executor, "execute", fake)
 
@@ -125,7 +123,7 @@ def _assert_same_verdict(part, shard):
     assert part.status is shard.status
     assert part.completeness.finished == shard.completeness.finished
     assert part.completeness.unfinished == shard.completeness.unfinished
-    assert np.array_equal(part.ident_rows, shard.ident_rows)
+    assert np.array_equal(part.rows, shard.rows)
     assert part.pairs == shard.pairs
     assert type(part.error) is type(shard.error)
 
@@ -144,7 +142,7 @@ class TestOneVerdict:
         assert "c" in part.completeness.reason
         assert isinstance(part.error, StorageError)
         # the union of the survivors, deduplicated, in §4.4 order
-        assert part.ident_rows.tolist() == [
+        assert part.rows.tolist() == [
             [0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0],
             [8.0, 9.0, 10.0, 11.0],
         ]
@@ -185,15 +183,12 @@ class TestOneVerdict:
     def test_batch_cells_get_the_same_verdict(self, monkeypatch):
         """Each cell of a partitioned grid is one gather: cell 0 fails on
         partition "b" only, cell 1 fails everywhere."""
-        failed = ExecutionResult(
-            pairs=[], status=ResultStatus.FAILED,
-            error=StorageError("bad group"),
+        failed = QueryOutcome(
+            status=ResultStatus.FAILED, error=StorageError("bad group"),
         )
 
         def fake_batch(plans, store, **kw):
-            good = ExecutionResult(
-                pairs=_pairs(ROWS[store]), ident_rows=ROWS[store]
-            )
+            good = QueryOutcome(rows=ROWS[store])
             return [failed if store == "b" else good, failed]
 
         monkeypatch.setattr(executor, "execute_batch", fake_batch)
