@@ -8,7 +8,11 @@ operator, with two layers:
 * a classical **selectivity estimator**: a cached row sample from the
   point-feature table of the queried search type; a query's selectivity
   is the sample fraction matching the point predicate (the historical
-  ``choose_mode`` rule: selectivity above ``scan_threshold`` → scan);
+  ``choose_mode`` rule: selectivity above ``scan_threshold`` → scan).
+  The sample is the store's ``sample_points``: every ``N // n``-th row,
+  sliced from the table's array on memory and from the columnar view's
+  block on MiniDB (the block a scan or clustered probe then reuses),
+  selected by rowid stride in SQL on SQLite;
 * a **per-operator cost model**: each backend advertises three unit
   costs (sequential row visit, index-entry visit, matching-row fetch —
   the latter a page read on MiniDB, a rowid lookup on SQLite, an

@@ -231,6 +231,37 @@ class _PairPool:
             return self._objs[ids].tolist()
 
 
+class _UnionPool:
+    """One :class:`_PairPool` for the cells of several kind groups, over
+    the union of the groups' distinct rows: a pair that a drop cell and
+    a jump cell both select is one object.  The union is built on the
+    first read, so a grid whose cells are pooled again by their caller
+    (a partition's, see :func:`execute_batch_partitioned`) never pays
+    for it."""
+
+    __slots__ = ("parts", "_ids", "_pool", "_lock")
+
+    def __init__(self) -> None:
+        self.parts: List[np.ndarray] = []  # each group's sorted distinct rows
+        self._ids: List[np.ndarray] = []
+        self._pool: Optional[_PairPool] = None
+        self._lock = threading.Lock()
+
+    def take(self, part: int, sel: np.ndarray) -> List[SegmentPair]:
+        """The pairs of rows ``sel`` of part ``part`` (ascending ``sel``
+        gives §4.4 order: union ids ascend with them)."""
+        with self._lock:
+            if self._pool is None:
+                union, inverse = _unique_rows(
+                    np.vstack([np.empty((0, 4)), *self.parts]),
+                    return_inverse=True,
+                )
+                ends = np.cumsum([rows.shape[0] for rows in self.parts])
+                self._ids = np.split(inverse, ends[:-1])
+                self._pool = _PairPool(union)
+        return self._pool.take(self._ids[part][sel])
+
+
 def execute(
     plan: QueryPlan,
     store,
@@ -387,13 +418,15 @@ def execute_batch(
     group's cells :attr:`ResultStatus.FAILED` (cause in ``error``) and
     the rest of the grid still returns.  A
     :class:`~repro.errors.QueryTimeout` aborts the whole batch — the
-    deadline covers the batch, not one cell.
+    deadline covers the batch, not one cell.  The cells of both kinds
+    share one pair pool: a row any cell selects is built once.
     """
     results: List[Optional[QueryOutcome]] = [None] * len(plans)
     by_kind: Dict[str, List[int]] = {}
     for i, plan in enumerate(plans):
         by_kind.setdefault(plan.kind, []).append(i)
 
+    pool = _UnionPool()
     for kind, idxs in by_kind.items():
         group = [plans[i] for i in idxs]
         # the shared fetch, no pushdown: one index probe for the widest T
@@ -452,15 +485,16 @@ def execute_batch(
         # One shared candidate matrix per kind group: the distinct ident
         # rows are computed once; each cell then selects its rows by
         # integer id instead of re-deduplicating per query, and the
-        # cells share one pair object per selected row.  The sort makes
-        # ascending ids the §4.4 result ordering.
+        # cells of every group share one pair object per selected row.
+        # The sort makes ascending ids the §4.4 result ordering.
         n_p = prows.shape[0]
         uniq, inverse = _unique_rows(
             np.vstack([prows[:, 2:6], lrows[:, 4:8]]), return_inverse=True
         )
         _check_order(uniq)
         inv_p, inv_l = inverse[:n_p], inverse[n_p:]
-        pool = _PairPool(uniq)
+        part = len(pool.parts)
+        pool.parts.append(uniq)
 
         for i in idxs:
             if guard is not None:
@@ -490,7 +524,7 @@ def execute_batch(
                                 rows_matched=l_matched)
             results[i] = QueryOutcome(
                 rows=uniq[sel],
-                pairs_from=partial(pool.take, sel),
+                pairs_from=partial(pool.take, part, sel),
                 op_stats=[
                     OperatorStats(
                         "point_range", f"{kind}_points", point_access,

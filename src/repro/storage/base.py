@@ -6,13 +6,34 @@ import abc
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Union
 
+import numpy as np
+
 from ..core.corners import FeatureSet
 from ..core.queries import DropQuery, JumpQuery
 from ..types import SegmentPair
 
-__all__ = ["FeatureStore", "StoreCounts", "Query"]
+__all__ = ["FeatureStore", "StoreCounts", "Query", "strided_sample",
+           "extreme_dv"]
 
 Query = Union[DropQuery, JumpQuery]
+
+
+def strided_sample(points: np.ndarray, n: int) -> np.ndarray:
+    """Every ``len // n``-th row of a point block, at most ``n`` of them,
+    as a fresh ``(m, 2)`` (dt, dv) array: the sample of a store whose
+    point table is an array (memory, MiniDB's columnar view)."""
+    step = max(1, points.shape[0] // max(n, 1))
+    return points[::step][:n, :2].copy()
+
+
+def extreme_dv(kind: str, points: np.ndarray,
+               lines: np.ndarray) -> "float | None":
+    """Min (drop) / max (jump) Δv over a point block's Δv column and a
+    line block's two Δv columns; ``None`` when both are empty."""
+    stacked = np.concatenate([points[:, 1], lines[:, 1], lines[:, 3]])
+    if not stacked.shape[0]:
+        return None
+    return float(stacked.min() if kind == "drop" else stacked.max())
 
 
 @dataclass(frozen=True)
@@ -261,7 +282,12 @@ class FeatureStore(abc.ABC):
     def sample_points(self, kind: str, n: int):
         """A deterministic (dt, dv) row sample from the ``kind`` point
         table as an ``(m, 2)`` numpy array (``m <= n``), or ``None`` when
-        the table is empty.  Used by the adaptive query planner."""
+        the table is empty.  Used by the adaptive query planner.
+
+        The sample is evenly strided, every ``total // n``-th row in
+        storage order: the array backends (memory, MiniDB) slice it from
+        the table's block with :func:`strided_sample`, SQLite selects
+        the rowid stride in SQL."""
 
     @abc.abstractmethod
     def extreme_feature_dv(self, kind: str) -> "float | None":

@@ -18,7 +18,7 @@ from ..core.corners import FeatureSet
 from ..errors import InvalidParameterError, StorageError
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
-from .base import FeatureStore, StoreCounts
+from .base import FeatureStore, StoreCounts, extreme_dv, strided_sample
 from .grid_index import GridIndex
 
 __all__ = ["MemoryFeatureStore"]
@@ -319,26 +319,15 @@ class MemoryFeatureStore(FeatureStore):
         data = self._tables[f"{kind}_points"].data
         if data.shape[0] == 0:
             return None
-        step = max(1, data.shape[0] // max(n, 1))
-        return data[::step][:n, :2].copy()
+        return strided_sample(data, n)
 
     def extreme_feature_dv(self, kind: str) -> Optional[float]:
         """Min (drop) / max (jump) stored Δv across points and lines."""
         self._check_open()
         if kind not in ("drop", "jump"):
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        points = self._tables[f"{kind}_points"].data
-        lines = self._tables[f"{kind}_lines"].data
-        candidates = []
-        if points.shape[0]:
-            candidates.append(points[:, 1])
-        if lines.shape[0]:
-            candidates.append(lines[:, 1])
-            candidates.append(lines[:, 3])
-        if not candidates:
-            return None
-        stacked = np.concatenate(candidates)
-        return float(stacked.min() if kind == "drop" else stacked.max())
+        return extreme_dv(kind, self._tables[f"{kind}_points"].data,
+                          self._tables[f"{kind}_lines"].data)
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -262,7 +262,7 @@ class BPlusTree:
         for _ in range(self.pager.n_pages):
             if page_id == -1:
                 return
-            page = self.pager.read(page_id)
+            page = self._node_page(page_id)
             n, next_leaf = self.leaf_header(page_id, page)
             yield page, n
             page_id = next_leaf
@@ -283,8 +283,18 @@ class BPlusTree:
             entries.append((tuple(key), RID(rid_page, rid_slot)))
         return entries
 
+    def _node_page(self, page_id: int) -> bytes:
+        """A node's page.  The link to it came from the file, so a page id
+        past the file is corruption, not a caller's error."""
+        if not 0 <= page_id < self.pager.n_pages:
+            raise CorruptionError(
+                f"{self.pager.path}: B+tree links to page {page_id}, past "
+                f"the file's {self.pager.n_pages} pages"
+            )
+        return self.pager.read(page_id)
+
     def _decode(self, page_id: int):
-        page = self.pager.read(page_id)
+        page = self._node_page(page_id)
         kind = page[0]
         if kind == 1:
             n, next_leaf = self.leaf_header(page_id, page)
@@ -368,13 +378,19 @@ class BPlusTree:
             page_id = node[2][0]
 
     def n_pages(self) -> int:
-        """Pages in the tree (BFS count)."""
+        """Pages in the tree (BFS count).  A tree with more nodes than
+        the file has pages links a child back up (a cycle)."""
         self._check_built()
         count = 0
         frontier = [self.root]
         while frontier:
             page_id = frontier.pop()
             count += 1
+            if count > self.pager.n_pages:
+                raise CorruptionError(
+                    f"{self.pager.path}: B+tree from root {self.root} has "
+                    f"more nodes than the file's {self.pager.n_pages} pages"
+                )
             node = self._decode(page_id)
             if node[0] == "internal":
                 frontier.extend(node[2])

@@ -22,7 +22,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import InvalidParameterError, StorageError
+from ...errors import CorruptionError, InvalidParameterError, StorageError
 from .pager import PAGE_CAPACITY, PAGE_SIZE, Pager
 
 __all__ = ["HeapFile", "RID", "encode_chain", "pack_rows", "rows_per_page"]
@@ -201,23 +201,42 @@ class HeapFile:
             raise StorageError(f"invalid rid {rid}")
         return self._row.unpack_from(page, self._row_offset(rid.slot))
 
-    def scan(self) -> Iterator[Tuple[RID, Tuple[float, ...]]]:
-        """Sequential scan in insertion order."""
+    def pages(self) -> Iterator[Tuple[int, bytes, int]]:
+        """``(page_id, page, n_rows)`` of each page along the chain.  A
+        chain longer than the file is a next-page cycle, and a count
+        that does not fit a page is a corrupt header."""
+        pager = self.pager
         page_id = self.first_page
-        while page_id != -1:
-            page = self.pager.read(page_id)
+        for _ in range(pager.n_pages):
+            if page_id == -1:
+                return
+            if not 0 <= page_id < pager.n_pages:
+                raise CorruptionError(f"{pager.path}: heap chain links "
+                                      f"to page {page_id}, past the file")
+            page = pager.read(page_id)
             count, next_page = self._read_header(page)
+            if not 0 <= count <= self.rows_per_page:
+                raise CorruptionError(
+                    f"{pager.path}: heap page {page_id} claims {count} "
+                    f"rows; a page holds 0..{self.rows_per_page}"
+                )
+            yield page_id, page, count
+            page_id = next_page
+        if page_id != -1:
+            raise CorruptionError(
+                f"{pager.path}: heap chain from page {self.first_page} is "
+                f"longer than the file's {pager.n_pages} pages"
+            )
+
+    def scan(self) -> Iterator[Tuple[RID, Tuple[float, ...]]]:
+        """Sequential row-at-a-time scan in insertion order (the page-cost
+        experiment's reader; queries read the columnar view)."""
+        for page_id, page, count in self.pages():
             for slot in range(count):
                 yield RID(page_id, slot), self._row.unpack_from(
                     page, self._row_offset(slot)
                 )
-            page_id = next_page
 
     def n_pages(self) -> int:
         """Pages in the chain (walks the chain)."""
-        pages = 0
-        page_id = self.first_page
-        while page_id != -1:
-            pages += 1
-            _count, page_id = self._read_header(self.pager.read(page_id))
-        return pages
+        return sum(1 for _ in self.pages())

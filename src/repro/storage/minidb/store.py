@@ -15,6 +15,10 @@ Plan semantics mirror the SQLite backend:
   the probe is a prefix of the chain and fetches nothing;
 * ``cache="cold"`` — the buffer pool is dropped before the query, making
   the paper's flushed-cache runs exact and deterministic.
+
+The planner and top-k helpers (``sample_points``,
+``extreme_feature_dv``) read the same cached columnar blocks as the
+scans: no query, planner or top-k path walks a heap a row at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +38,13 @@ from ...errors import (
 from ...obs import context as obs_context
 from ...obs.metrics import REGISTRY, ROWS_BUCKETS
 from ...types import DataSegment, SegmentPair
-from ..base import FeatureStore, Query, StoreCounts
+from ..base import (
+    FeatureStore,
+    Query,
+    StoreCounts,
+    extreme_dv,
+    strided_sample,
+)
 from ..durable import RealFS
 from ...core.corners import FeatureSet
 from ...core.queries import line_mask, point_mask
@@ -82,6 +92,10 @@ def _open_transient(exc: BaseException) -> bool:
 
 class MiniDbFeatureStore(FeatureStore):
     """Feature store over a MiniDB page file.
+
+    Every read — scans, probes, the planner sample and the top-k Δv
+    bound — is served from the :class:`ColumnarView` blocks or B+tree
+    leaves, decoded array-at-once.
 
     ``path=None`` uses a private temporary file removed on close;
     ``cache_pages`` sizes the buffer pool (warm-cache capacity).
@@ -374,42 +388,28 @@ class MiniDbFeatureStore(FeatureStore):
     # ------------------------------------------------------------------ #
 
     def sample_points(self, kind: str, n: int):
-        import numpy as np
-
+        """Evenly strided (dt, dv) sample of the point table (see base),
+        sliced from the columnar view's block: one array decode of the
+        chain, charged one logical page read per chain page like a warm
+        scan, instead of a struct unpack per row."""
         self._check_open()
         if kind not in _POINT_TABLES:
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        table = self.db.table(_POINT_TABLES[kind])
-        total = table.n_rows
-        if total == 0:
+        name = _POINT_TABLES[kind]
+        if self.db.table(name).n_rows == 0:
             return None
-        step = max(1, total // max(n, 1))
-        out = []
-        for i, (_rid, row) in enumerate(table.scan()):
-            if i % step == 0:
-                out.append(row[:2])
-                if len(out) >= n:
-                    break
-        return np.asarray(out, dtype=float)
+        return strided_sample(self._columnar.table_block(name), n)
 
     def extreme_feature_dv(self, kind: str):
+        """Min (drop) / max (jump) stored Δv over the point block's Δv
+        column and the line block's two, read through the columnar
+        view."""
         self._check_open()
         if kind not in _POINT_TABLES:
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        best: Optional[float] = None
-        want_min = kind == "drop"
-
-        def consider(value: float) -> None:
-            nonlocal best
-            if best is None or (value < best if want_min else value > best):
-                best = value
-
-        for _rid, row in self.db.table(_POINT_TABLES[kind]).scan():
-            consider(row[1])
-        for _rid, row in self.db.table(_LINE_TABLES[kind]).scan():
-            consider(row[1])
-            consider(row[3])
-        return best
+        return extreme_dv(kind,
+                          self._columnar.table_block(_POINT_TABLES[kind]),
+                          self._columnar.table_block(_LINE_TABLES[kind]))
 
     # ------------------------------------------------------------------ #
     # accounting

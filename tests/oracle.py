@@ -37,3 +37,33 @@ def oracle_pairs(stores, query):
             if line_match(kind, r[0], r[1], r[2], r[3], t, v):
                 idents.add(tuple(r[4:8]))
     return [SegmentPair(*ident) for ident in sorted(idents)]
+
+
+def walk_sample_points(store, kind, n):
+    """The MiniDB planner sample as a row-at-a-time ``Table.scan()``
+    walk: every ``total // n``-th row's (dt, dv), at most ``n``."""
+    import numpy as np
+
+    table = store.db.table(f"{kind}_points")
+    total = table.n_rows
+    if total == 0:
+        return None
+    step = max(1, total // max(n, 1))
+    out = []
+    for i, (_rid, row) in enumerate(table.scan()):
+        if i % step == 0:
+            out.append(row[:2])
+            if len(out) >= n:
+                break
+    return np.asarray(out, dtype=float)
+
+
+def walk_extreme_feature_dv(store, kind):
+    """The MiniDB top-k bound as a row-at-a-time walk: min (drop) / max
+    (jump) Δv over the point rows and both Δv columns of the line rows."""
+    values = [row[1] for row in table_rows(store, f"{kind}_points")]
+    for row in table_rows(store, f"{kind}_lines"):
+        values += [row[1], row[3]]
+    if not values:
+        return None
+    return min(values) if kind == "drop" else max(values)

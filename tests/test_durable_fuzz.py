@@ -7,7 +7,8 @@ frames, a live ``hot.wal``, a ``partitions.json``, a shard
 in the file over position k, append garbage; for the partition also
 copy one whole page over another, which every page CRC passes) and
 hands it to the program's own openers and readers.  A batch MiniDB
-index also gets its B+tree node headers rewritten with a valid CRC.  Each may succeed or
+index also gets its B+tree node headers and a heap page's next link
+rewritten with a valid CRC.  Each may succeed or
 raise a :class:`~repro.errors.StorageError` subclass, nothing else, and
 must return within a deadline.  A recovered log keeps a prefix of the
 clean log's records, MiniDB replay never grows the main file past the
@@ -428,7 +429,8 @@ class TestSealedPartition:
 @lru_cache(maxsize=None)
 def batch_index():
     """``(files, pages)`` of a batch-built MiniDB index whose B+tree has
-    several leaves; ``pages`` names its root and leftmost leaf."""
+    several leaves; ``pages`` names its root, its leftmost leaf and the
+    first page of the ``drop_points`` heap chain."""
     from repro.core.index import SegDiffIndex
     from repro.datagen.series import TimeSeries
 
@@ -442,9 +444,11 @@ def batch_index():
                            backend="minidb", path=path).close()
         store = MiniDbFeatureStore(path)
         try:
-            tree = store.db.table("drop_points").index("by_key")
-            assert tree.height() > 1
-            pages = {"root": tree.root, "leaf": tree._leftmost_leaf()}
+            table = store.db.table("drop_points")
+            tree = table.index("by_key")
+            assert tree.height() > 1 and table.heap_pages() > 1
+            pages = {"root": tree.root, "leaf": tree._leftmost_leaf(),
+                     "heap": table.heap.first_page}
         finally:
             store.close()
         return _read_dir(d), pages
@@ -456,15 +460,19 @@ class TestCorruptNodeHeader:
     """A B+tree node header rewritten and re-stamped passes the page
     CRC; the index probe must still raise a typed error, and promptly: a
     count past the fanout or below zero used to leak ``ValueError`` /
-    ``struct.error``, and a leaf linking to itself walked forever."""
+    ``struct.error``, a leaf linking to itself walked forever, and a
+    link past the file leaked ``InvalidParameterError``."""
 
-    @pytest.mark.parametrize("target, n, self_loop", [
-        ("leaf", 100_000, False),  # count past the fanout
-        ("leaf", -5, False),  # negative count
-        ("leaf", None, True),  # next_leaf points at the leaf itself
-        ("root", 100_000, False),  # internal node: keys past the fanout
-    ], ids=["big-n", "negative-n", "self-loop", "root-big-n"])
-    def test_index_probe_raises_storage_error(self, target, n, self_loop):
+    @pytest.mark.parametrize("target, n, link", [
+        ("leaf", 100_000, None),  # count past the fanout
+        ("leaf", -5, None),  # negative count
+        ("leaf", None, "self"),  # next_leaf points at the leaf itself
+        ("root", 100_000, None),  # internal node: keys past the fanout
+        ("leaf", None, 10**7),  # next_leaf points past the file
+        ("root", None, 10**7),  # child0 points past the file
+    ], ids=["big-n", "negative-n", "self-loop", "root-big-n",
+            "past-file", "root-past-file"])
+    def test_index_probe_raises_storage_error(self, target, n, link):
         from repro.core.index import SegDiffIndex
         from repro.storage.minidb.btree import _LEAF_HEADER
         from repro.storage.minidb.pager import stamp
@@ -475,11 +483,14 @@ class TestCorruptNodeHeader:
         page = bytearray(data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE])
         # a leaf and an internal node share the header layout:
         # kind, count, next_leaf / child0
-        kind, count, link = _LEAF_HEADER.unpack_from(page, 0)
+        kind, count, old_link = _LEAF_HEADER.unpack_from(page, 0)
         assert kind == (target == "leaf") and count > 0
+        if link is None:
+            link = old_link
+        elif link == "self":
+            link = at
         _LEAF_HEADER.pack_into(page, 0, kind,
-                               count if n is None else n,
-                               at if self_loop else link)
+                               count if n is None else n, link)
         data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE] = stamp(page)
 
         def body(d):
@@ -499,6 +510,59 @@ class TestCorruptNodeHeader:
             worker.start()
             worker.join(10.0)
             assert not worker.is_alive(), "the index probe never returned"
+            assert isinstance(out.get("error"), StorageError), out
+
+        _with_mutation(files, "index.mdb", bytes(data), body)
+
+
+class TestCorruptHeapChain:
+    """The first ``drop_points`` heap page linked to itself and re-stamped
+    passes the page CRC.  Every reader of the chain must still raise a
+    typed error, and promptly: the row-at-a-time walks behind the
+    planner sample, the top-k bound and ``feature_bytes`` used to follow
+    the link forever."""
+
+    READS = {
+        "sample_points": lambda index: index.store.sample_points("drop", 512),
+        "extreme_feature_dv":
+            lambda index: index.store.extreme_feature_dv("drop"),
+        "feature_bytes": lambda index: index.store.feature_bytes(),
+        "table_scan": lambda index: list(
+            index.store.db.table("drop_points").scan()),
+        "search_auto": lambda index: index.search_drops(
+            WINDOW, -1e-9, mode="auto"),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_chain_read_raises_storage_error(self, read):
+        from repro.core.index import SegDiffIndex
+        from repro.storage.minidb.heapfile import _HEADER
+        from repro.storage.minidb.pager import stamp
+
+        files, pages = batch_index()
+        at = pages["heap"]
+        data = bytearray(files["index.mdb"])
+        page = bytearray(data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE])
+        count, link = _HEADER.unpack_from(page, 0)
+        assert count > 0 and link not in (-1, at)
+        _HEADER.pack_into(page, 0, count, at)
+        data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE] = stamp(page)
+
+        def body(d):
+            out = {}
+
+            def run():
+                try:
+                    with SegDiffIndex.open(os.path.join(d, "index.mdb")) \
+                            as index:
+                        self.READS[read](index)
+                except BaseException as exc:  # noqa: BLE001 - asserted
+                    out["error"] = exc
+
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(10.0)
+            assert not worker.is_alive(), f"{read} never returned"
             assert isinstance(out.get("error"), StorageError), out
 
         _with_mutation(files, "index.mdb", bytes(data), body)

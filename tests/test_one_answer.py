@@ -114,10 +114,15 @@ class TestBatchCellsSharePairs:
         assert built[0] == _distinct(grid)
 
     def test_single_store_grid(self, built):
-        drops = [q for q in QUERIES if isinstance(q, DropQuery)]
+        """Drop and jump cells share one pool: a pair both kinds select
+        is one object."""
         with SegDiffIndex.build(_series(3), EPS, WINDOW) as index:
             built[0] = 0
-            grid = index.search_batch(drops)
+            grid = index.search_batch(QUERIES)
+        kinds = [[cell for q, cell in zip(QUERIES, grid)
+                  if isinstance(q, kind)] for kind in (DropQuery, JumpQuery)]
+        # some pair is selected by a drop cell and by a jump cell
+        assert sum(map(_distinct, kinds)) > _distinct(grid)
         assert sum(map(len, grid)) > _distinct(grid)
         assert built[0] == _distinct(grid)
 
