@@ -8,7 +8,8 @@ the single range query ``Δt <= T AND Δv <= V``.
 
 Two backends mirror the SegDiff stores: SQLite (with a ``(dt, dv)``
 B-tree, forced-scan / forced-index plans, warm/cold cache) and an
-in-memory numpy table.
+in-memory numpy table stored clustered by ``dt``, so its index probe is
+a binary search and a prefix slice, as on the SegDiff memory store.
 
 Note the paper's caveat (Section 5.1): Exh sees only sampled pairs, so
 events of the Model G signal that occur *between* samples can escape it —
@@ -154,21 +155,18 @@ class ExhIndex:
                 self._conn.execute("ANALYZE")
                 self._conn.commit()
                 self._indexed = True
-        else:
-            rows = self._rows
-            if self._frozen is not None and self._frozen.size:
-                merged = np.vstack(
-                    [self._frozen, np.asarray(rows, dtype=float).reshape(-1, 3)]
-                ) if rows else self._frozen
-            else:
-                merged = (
-                    np.asarray(rows, dtype=float).reshape(-1, 3)
-                    if rows
-                    else np.empty((0, 3))
-                )
-            self._frozen = merged
+        elif self._rows or self._frozen is None:
+            # rows in insertion order, then clustered by dt (stable, so
+            # equal-dt rows keep insertion order); ``_order[i]`` is the
+            # clustered position of insertion row ``i``
+            rows = np.asarray(self._rows, dtype=float).reshape(-1, 3)
+            if self._frozen is not None:
+                rows = np.vstack([self._frozen[self._order], rows])
+            perm = np.argsort(rows[:, 0], kind="stable")
+            self._frozen = rows[perm]
+            self._order = np.empty_like(perm)
+            self._order[perm] = np.arange(perm.shape[0])
             self._rows = []
-            self._order = np.argsort(self._frozen[:, 0], kind="stable")
 
     def _flush_sqlite(self) -> None:
         if self._rows:
@@ -252,7 +250,7 @@ class ExhIndex:
             raise StorageError("index not finalized; call finalize() first")
         data = self._frozen
         if mode == "index":
-            data = data[self._order]
+            # the table is clustered by dt: the prune is a prefix slice
             cut = int(np.searchsorted(data[:, 0], t_thr, side="right"))
             data = data[:cut]
             mask = data[:, 1] <= v_thr if kind == "drop" else data[:, 1] >= v_thr

@@ -22,7 +22,8 @@ Design invariants (docs/streaming.md has the full walkthrough):
   because the §4.4 answer is a set union with a content-determined sort,
   the scatter-merged answer equals the single-store answer exactly.
 * **Snapshot isolation.**  :meth:`snapshot` pins the sealed partitions
-  and clones the hot store under the writer mutex; concurrent appends,
+  and shares the hot store's frozen, read-only tables under the writer
+  mutex; concurrent appends,
   seals, compactions and TTL expiry never change what an open snapshot
   returns.  Retired partitions are disposed only when the last pin
   releases.
@@ -1065,9 +1066,11 @@ class LiveIndex:
         """An isolated, immutable view of everything ingested so far.
 
         Sealed partitions are pinned (concurrent compaction/expiry defer
-        disposal); the hot partition is cloned into a frozen store under
-        the writer mutex.  The snapshot answers queries identically no
-        matter what the writer does afterwards.  Close it (or use it as
+        disposal); the hot partition is frozen under the writer mutex and
+        its read-only tables are shared with the snapshot, not copied
+        (the writer's next freeze builds new arrays).  The snapshot
+        answers queries identically no matter what the writer does
+        afterwards.  Close it (or use it as
         a context manager) to release the pins.
         """
         with self._mu:
@@ -1077,9 +1080,7 @@ class LiveIndex:
             hot_part: Optional[Partition] = None
             hot = self._hot
             if hot.rows > 0:
-                hot.store.finalize()
-                clone = MemoryFeatureStore()
-                copy_store_into([hot.store], clone)
+                clone = hot.store.snapshot()
                 spec = PartitionSpec(
                     partition_id="hot",
                     t_min=hot.segments[0].t_start,

@@ -15,8 +15,9 @@ operator, with two layers:
   selected by rowid stride in SQL on SQLite;
 * a **per-operator cost model**: each backend advertises three unit
   costs (sequential row visit, index-entry visit, matching-row fetch —
-  the latter a page read on MiniDB, a rowid lookup on SQLite, an
-  argsort indirection in memory), and ``choose_access`` compares
+  the latter a page read on MiniDB, a rowid lookup on SQLite, a row of
+  a zero-copy Δt-clustered slice in memory), and ``choose_access``
+  compares
 
   .. code-block:: text
 
@@ -60,9 +61,11 @@ class BackendCosts:
 
 #: Per-backend constants, keyed by ``FeatureStore.BACKEND``.  The fetch
 #: cost is what separates them: materializing one matching row through a
-#: secondary index is an argsort indirection in memory, a B-tree rowid
-#: lookup on SQLite, and a random page read (possibly evicting a hot
-#: page) on MiniDB.
+#: secondary index is a row of a zero-copy Δt-clustered prefix slice in
+#: memory, a B-tree rowid lookup on SQLite, and a random page read
+#: (possibly evicting a hot page) on MiniDB.  The memory constant dates
+#: from when a probe gathered the table through its sort permutation;
+#: it is kept as it was, since re-tuning any constant changes plans.
 BACKEND_COSTS: Dict[str, BackendCosts] = {
     "memory": BackendCosts(seq_row=1.0, index_entry=0.4, fetch=2.0),
     "sqlite": BackendCosts(seq_row=1.0, index_entry=0.3, fetch=6.0),

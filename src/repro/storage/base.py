@@ -18,12 +18,19 @@ __all__ = ["FeatureStore", "StoreCounts", "Query", "strided_sample",
 Query = Union[DropQuery, JumpQuery]
 
 
-def strided_sample(points: np.ndarray, n: int) -> np.ndarray:
+def strided_sample(points: np.ndarray, n: int,
+                   order: "np.ndarray | None" = None) -> np.ndarray:
     """Every ``len // n``-th row of a point block, at most ``n`` of them,
     as a fresh ``(m, 2)`` (dt, dv) array: the sample of a store whose
-    point table is an array (memory, MiniDB's columnar view)."""
+    point table is an array (memory, MiniDB's columnar view).
+
+    ``order``, when given, is the block position of each row in
+    insertion order (a Δt-clustered memory table): the stride then walks
+    insertion order, gathering only the sampled rows."""
     step = max(1, points.shape[0] // max(n, 1))
-    return points[::step][:n, :2].copy()
+    if order is None:
+        return points[::step][:n, :2].copy()
+    return points[order[::step][:n], :2]
 
 
 def extreme_dv(kind: str, points: np.ndarray,
@@ -221,9 +228,9 @@ class FeatureStore(abc.ABC):
         by the same deterministic pipeline must return bit-identical
         rows here, so checksum trees over this view compare equal iff
         the stores hold the same features.  The default routes through
-        the scan primitives, which return insertion order on every
-        bundled backend; a backend whose scan order differs must
-        override.
+        the scan primitives, which return insertion order on SQLite and
+        MiniDB; a backend whose scan order differs (the Δt-clustered
+        memory store) must override.
         """
         from ..errors import InvalidParameterError
 
@@ -285,9 +292,10 @@ class FeatureStore(abc.ABC):
         the table is empty.  Used by the adaptive query planner.
 
         The sample is evenly strided, every ``total // n``-th row in
-        storage order: the array backends (memory, MiniDB) slice it from
-        the table's block with :func:`strided_sample`, SQLite selects
-        the rowid stride in SQL."""
+        the row order ``read_table_rows`` addresses: the array backends
+        (memory, MiniDB) slice it from the table's block with
+        :func:`strided_sample`, SQLite selects the rowid stride in
+        SQL."""
 
     @abc.abstractmethod
     def extreme_feature_dv(self, kind: str) -> "float | None":

@@ -2,10 +2,21 @@
 
 This backend exists for two reasons: it makes the large property-based
 test suite fast, and it serves as the "no database" ablation point —
-``mode="scan"`` is a straight vectorized filter, ``mode="index"`` sorts
-the point tables by ``dt`` once at ``finalize()`` and narrows candidates
-with a binary search before applying the value predicate (a faithful
-analogue of a ``(dt, dv)`` B-tree's leading-column pruning).
+``mode="scan"`` is a straight vectorized filter, ``mode="index"`` narrows
+candidates with a binary search on Δt before applying the value
+predicate (a faithful analogue of a ``(dt, dv)`` B-tree's leading-column
+pruning).
+
+``finalize()`` stores each table clustered by Δt, stably, so equal-Δt
+rows keep insertion order; a later ``finalize()`` merges the rows
+appended since into the block instead of re-sorting it, and one with
+nothing appended does nothing.  An index probe is then
+a ``searchsorted`` plus a zero-copy prefix slice of the table, and a scan
+is the whole clustered block.  Each table also keeps the permutation
+back to insertion order (the secondary index whose bytes
+``index_bytes()`` reports): ``read_table_rows``, ``replace_table_rows``,
+the checksum trees and the planner sample address rows in insertion
+order through it, as on every other backend.
 """
 
 from __future__ import annotations
@@ -42,30 +53,33 @@ _LINE_WIDTH = 8  # dt1, dv1, dt2, dv2, t_d, t_c, t_b, t_a
 
 
 class _Table:
-    """An append/extend buffer that freezes into a 2-D float array.
+    """An append/extend buffer that freezes into a Δt-clustered 2-D
+    float array.
 
     Scalar ``append`` collects tuples; bulk ``extend`` stores whole row
     arrays as chunks.  Both preserve global insertion order — pending
     tuples are sealed into a chunk whenever an array arrives — and
-    ``freeze`` concatenates everything once.
+    ``freeze`` merges the pending rows into the block, which holds every
+    row stably sorted by Δt.  ``_order[i]`` is the block position of
+    insertion row ``i``, so ``_frozen[_order]`` is the table in insertion
+    order.  Both arrays are read-only and never written in place: each
+    ``freeze`` builds new ones, so a frozen pair may be shared (see
+    :meth:`MemoryFeatureStore.snapshot`).
     """
 
     def __init__(self, width: int) -> None:
         self.width = width
         self._rows: List[tuple] = []
         self._chunks: List[np.ndarray] = []
-        self._frozen: Optional[np.ndarray] = None
-        self._order: Optional[np.ndarray] = None  # sort permutation by col 0
+        self._frozen = np.empty((0, width))
+        self._order = np.empty(0, dtype=np.intp)  # insertion -> block
+        self._is_frozen = False  # no row pending since the last freeze
         self._grid: Optional[GridIndex] = None  # built lazily on demand
 
     def _thaw(self) -> None:
         """Reopen a frozen table for further writes."""
-        if self._frozen is not None:
-            if self._frozen.shape[0]:
-                self._chunks = [self._frozen]
-            self._frozen = None
-            self._order = None
-            self._grid = None
+        self._is_frozen = False
+        self._grid = None
 
     def append(self, row: tuple) -> None:
         self._thaw()
@@ -83,31 +97,67 @@ class _Table:
         self._chunks.append(np.asarray(rows, dtype=float))
 
     def freeze(self) -> None:
-        if self._frozen is None:
-            parts = list(self._chunks)
-            if self._rows:
-                parts.append(
-                    np.asarray(self._rows, dtype=float).reshape(-1, self.width)
-                )
-            if not parts:
-                self._frozen = np.empty((0, self.width), dtype=float)
-            elif len(parts) == 1:
-                self._frozen = parts[0]
-            else:
-                self._frozen = np.concatenate(parts, axis=0)
-            self._rows = []
-            self._chunks = []
-        self._order = np.argsort(self._frozen[:, 0], kind="stable")
+        if self._is_frozen:
+            return
+        parts = self._chunks
+        if self._rows:
+            parts.append(
+                np.asarray(self._rows, dtype=float).reshape(-1, self.width)
+            )
+        self._merge(parts)
+        self._rows = []
+        self._chunks = []
+
+    def _merge(self, parts: List[np.ndarray]) -> None:
+        """Merge ``parts`` — row arrays in insertion order, all inserted
+        after every row of the block — into a new block.
+
+        The result is the stable Δt sort of every row in insertion
+        order: an old row goes after the new rows of smaller Δt, a new
+        row after the old rows of smaller or equal Δt.  That costs a sort
+        of the new rows and two binary searches, not a re-sort of the
+        table, and each array is scattered straight to its positions,
+        so no insertion-order copy of the table is built.
+        """
+        old, old_order = self._frozen, self._order
+        dt = np.concatenate([old[:0, 0]] + [p[:, 0] for p in parts])
+        perm = np.argsort(dt, kind="stable")
+        new_dt = dt[perm]
+        at_old = np.arange(old.shape[0]) + np.searchsorted(
+            new_dt, old[:, 0], side="left")
+        at_new = np.empty_like(perm)
+        at_new[perm] = np.arange(perm.shape[0]) + np.searchsorted(
+            old[:, 0], new_dt, side="right")
+        frozen = np.empty((old.shape[0] + perm.shape[0], self.width))
+        frozen[at_old] = old
+        start = 0
+        for part in parts:
+            stop = start + part.shape[0]
+            frozen[at_new[start:stop]] = part
+            start = stop
+        order = np.concatenate([at_old[old_order], at_new])
+        frozen.flags.writeable = False
+        order.flags.writeable = False
+        self._frozen, self._order, self._grid = frozen, order, None
+        self._is_frozen = True
 
     @property
     def data(self) -> np.ndarray:
-        if self._frozen is None:
+        """The frozen table, clustered by Δt."""
+        if not self._is_frozen:
             raise StorageError("store not finalized; call finalize() first")
         return self._frozen
 
-    @property
-    def sorted_by_dt(self) -> np.ndarray:
-        return self.data[self._order]
+    def rows(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Insertion-order rows ``[start, stop)`` as a fresh array."""
+        return self.data[self._order[start:stop]]
+
+    def prefix(self, t_threshold: float) -> np.ndarray:
+        """The rows with ``dt <= t_threshold``: a binary search and a
+        zero-copy prefix slice of the clustered block."""
+        data = self.data
+        return data[:int(np.searchsorted(data[:, 0], t_threshold,
+                                         side="right"))]
 
     @property
     def grid(self) -> GridIndex:
@@ -115,40 +165,53 @@ class _Table:
             self._grid = GridIndex(self.data)
         return self._grid
 
-    def replace(self, start: int, rows: np.ndarray) -> None:
-        """Overwrite rows ``[start, start + len(rows))`` in place.
+    def shared(self) -> "_Table":
+        """A frozen table over this one's arrays (no copy)."""
+        out = _Table(self.width)
+        out._frozen = self.data
+        out._order = self._order
+        out._is_frozen = True
+        out._grid = self._grid
+        return out
 
-        Anti-entropy repair path: the table must be frozen, and the
-        dt-order permutation and grid are invalidated because row values
-        changed under them.
+    def replace(self, start: int, rows: np.ndarray) -> None:
+        """Overwrite insertion-order rows ``[start, start + len(rows))``.
+
+        Anti-entropy repair path: the table must be frozen.  The write
+        goes to a copy of the block; new Δt values re-cluster it (O(n),
+        repair only), and the grid is invalidated either way.
         """
-        if self._frozen is None:
-            raise StorageError("store not finalized; call finalize() first")
+        data = self.data
         rows = np.asarray(rows, dtype=float).reshape(-1, self.width)
         stop = start + rows.shape[0]
-        if start < 0 or stop > self._frozen.shape[0]:
+        if start < 0 or stop > data.shape[0]:
             raise StorageError(
                 f"row range [{start}, {stop}) outside table of "
-                f"{self._frozen.shape[0]} rows"
+                f"{data.shape[0]} rows"
             )
-        if not self._frozen.flags.writeable:
-            self._frozen = self._frozen.copy()
-        self._frozen[start:stop] = rows
-        self._order = np.argsort(self._frozen[:, 0], kind="stable")
-        self._grid = None
+        at = self._order[start:stop]
+        same_dt = np.array_equal(data[at, 0], rows[:, 0])
+        data = data.copy()
+        data[at] = rows
+        if same_dt:
+            data.flags.writeable = False
+            self._frozen = data
+            self._grid = None
+        else:
+            rows = data[self._order]
+            self._frozen = np.empty((0, self.width))
+            self._order = np.empty(0, dtype=np.intp)
+            self._merge([rows])
 
     def __len__(self) -> int:
-        if self._frozen is not None:
-            return self._frozen.shape[0]
-        return len(self._rows) + sum(c.shape[0] for c in self._chunks)
+        return (self._frozen.shape[0] + len(self._rows)
+                + sum(c.shape[0] for c in self._chunks))
 
     def nbytes(self) -> int:
         return len(self) * self.width * 8
 
     def index_nbytes(self) -> int:
-        if self._order is None:
-            return 0
-        return int(self._order.nbytes)
+        return int(self._order.nbytes) if self._is_frozen else 0
 
 
 class MemoryFeatureStore(FeatureStore):
@@ -218,6 +281,19 @@ class MemoryFeatureStore(FeatureStore):
         for table in self._tables.values():
             table.freeze()
 
+    def snapshot(self) -> "MemoryFeatureStore":
+        """A finalized store over this one's current rows and segments.
+
+        The frozen tables are shared, not copied: their arrays are
+        read-only and a later write here builds new ones, so the
+        snapshot answers identically whatever this store does next.
+        """
+        self.finalize()
+        out = MemoryFeatureStore()
+        out._tables = {name: t.shared() for name, t in self._tables.items()}
+        out._segments = list(self._segments)
+        return out
+
     def add_segment(self, segment) -> None:
         self._check_open()
         self._segments.append(segment)
@@ -238,10 +314,10 @@ class MemoryFeatureStore(FeatureStore):
     # reads: block primitives (engine interface)
     # ------------------------------------------------------------------ #
     #
-    # Frozen tables already live as contiguous float64 arrays, so a scan
-    # is a zero-copy handle and an index probe a binary-search slice of
-    # the dt-sorted view — nothing on this backend ever materializes
-    # per-row tuples.
+    # Frozen tables live as contiguous, Δt-clustered float64 arrays, so a
+    # scan is a zero-copy handle and an index probe a binary-search prefix
+    # slice of the same block — nothing on this backend ever materializes
+    # per-row tuples or gathers a table.
 
     def scan_points_array(self, kind, t_threshold=None, v_threshold=None,
                           cache="warm", guard=None):
@@ -262,15 +338,15 @@ class MemoryFeatureStore(FeatureStore):
 
     def probe_point_index_array(self, kind, t_threshold, v_threshold=None,
                                 cache="warm", guard=None):
-        """dt-sorted binary-search prune — the B-tree leading-column
-        analogue — as a zero-copy slice of the sorted view."""
+        """Binary-search prune on the Δt-clustered table — the B-tree
+        leading-column analogue — as a zero-copy prefix slice of the
+        block a scan returns."""
         self._check_open()
         if guard is not None:
             guard.tick()
-        data = self._tables[f"{kind}_points"].sorted_by_dt
-        cut = int(np.searchsorted(data[:, 0], t_threshold, side="right"))
-        obs_context.account(rows_scanned=cut)
-        return data[:cut]
+        block = self._tables[f"{kind}_points"].prefix(t_threshold)
+        obs_context.account(rows_scanned=int(block.shape[0]))
+        return block
 
     def scan_lines_array(self, kind, t_threshold=None, v_threshold=None,
                          cache="warm", guard=None):
@@ -283,13 +359,14 @@ class MemoryFeatureStore(FeatureStore):
 
     def probe_line_index_array(self, kind, t_threshold, v_threshold=None,
                                cache="warm", guard=None):
+        """Zero-copy ``dt1 <= T`` prefix slice of the clustered line
+        table (see :meth:`probe_point_index_array`)."""
         self._check_open()
         if guard is not None:
             guard.tick()
-        data = self._tables[f"{kind}_lines"].sorted_by_dt
-        cut = int(np.searchsorted(data[:, 0], t_threshold, side="right"))
-        obs_context.account(rows_scanned=cut)
-        return data[:cut]
+        block = self._tables[f"{kind}_lines"].prefix(t_threshold)
+        obs_context.account(rows_scanned=int(block.shape[0]))
+        return block
 
     def probe_point_grid(self, kind, t_threshold, v_threshold):
         self._check_open()
@@ -303,7 +380,7 @@ class MemoryFeatureStore(FeatureStore):
         self._check_open()
         if table not in self._tables:
             raise InvalidParameterError(f"unknown feature table {table!r}")
-        return self._tables[table].data[start:stop].copy()
+        return self._tables[table].rows(start, stop)
 
     def replace_table_rows(self, table: str, start: int, rows) -> None:
         self._check_open()
@@ -316,10 +393,10 @@ class MemoryFeatureStore(FeatureStore):
         self._check_open()
         if kind not in ("drop", "jump"):
             raise InvalidParameterError(f"unknown kind {kind!r}")
-        data = self._tables[f"{kind}_points"].data
-        if data.shape[0] == 0:
+        table = self._tables[f"{kind}_points"]
+        if table.data.shape[0] == 0:
             return None
-        return strided_sample(data, n)
+        return strided_sample(table.data, n, order=table._order)
 
     def extreme_feature_dv(self, kind: str) -> Optional[float]:
         """Min (drop) / max (jump) stored Δv across points and lines."""

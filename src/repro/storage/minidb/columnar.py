@@ -294,7 +294,9 @@ def _gather_ident(
     whole page, and the page's other requested slots are charged as pool
     hits via :meth:`Pager.note_cached_reads` — the logical per-row page
     cost of a rid-at-a-time fetch (Figures 19-20) with one physical
-    decode per page instead of one per row.
+    decode per page instead of one per row.  A rid whose page is past the
+    file, or whose slot is negative or past the page's rows, comes from a
+    leaf that passed its CRC with wrong bytes: :class:`CorruptionError`.
     """
     n = rid_pages.shape[0]
     out = np.empty((n, 4))
@@ -311,6 +313,11 @@ def _gather_ident(
         page_id = int(sorted_pages[bounds[gi]])
         if guard is not None:
             guard.tick()
+        if not 0 <= page_id < pager.n_pages:
+            raise CorruptionError(
+                f"{pager.path}: index rid page {page_id} is past the "
+                f"file's {pager.n_pages} pages"
+            )
         data = pager.read(page_id)
         count, _next = _HEAP_HEADER.unpack_from(data, 0)
         if not 0 <= count <= heap.rows_per_page:
@@ -322,10 +329,11 @@ def _gather_ident(
             data, dtype="<f8", count=count * width, offset=_HEAP_HEADER.size
         ).reshape(count, width)
         slots = rid_slots[group]
-        if slots.shape[0] and int(slots.max()) >= count:
-            raise StorageError(
-                f"{pager.path}: index rid slot {int(slots.max())} exceeds "
-                f"page {page_id}'s {count} rows"
+        lo, hi = int(slots.min()), int(slots.max())
+        if lo < 0 or hi >= count:
+            raise CorruptionError(
+                f"{pager.path}: index rid slot {lo if lo < 0 else hi} is "
+                f"outside page {page_id}'s {count} rows"
             )
         out[group] = rows[slots, key_width : key_width + 4]
         if group.shape[0] > 1:

@@ -229,7 +229,7 @@ class Partition:
         self._lock = threading.Lock()
         # whether this partition is counted in the active-partitions
         # gauge (sealed members of a live index are; snapshot-private
-        # hot clones are not)
+        # hot views are not)
         self._counted = counted
         if counted:
             PARTITIONS_ACTIVE.inc()

@@ -67,3 +67,13 @@ def walk_extreme_feature_dv(store, kind):
     if not values:
         return None
     return min(values) if kind == "drop" else max(values)
+
+
+def dt_sorted_prefix(rows, t_threshold):
+    """The memory store's index probe as it was before tables were
+    stored clustered: the insertion-order ``rows`` gathered in stable
+    Δt order, cut after the last ``dt <= T`` row."""
+    import numpy as np
+
+    cut = int((rows[:, 0] <= t_threshold).sum())
+    return rows[np.argsort(rows[:, 0], kind="stable")][:cut]

@@ -2,11 +2,15 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.baselines import ExhIndex, NaiveScan
 from repro.datagen import TimeSeries, piecewise_series, random_walk_series
 from repro.errors import InvalidParameterError, QueryError, StorageError
+from repro.types import Event
+
+from .oracle import dt_sorted_prefix
 
 HOUR = 3600.0
 
@@ -190,3 +194,36 @@ class TestExhAccounting:
         assert event_set(inc.search_drops(HOUR, -3.0)) == event_set(
             batch.search_drops(HOUR, -3.0)
         )
+
+
+class TestExhClustered:
+    """The memory backend stores its pairs clustered by Δt, so an index
+    probe is a prefix slice: the events are those of the old sorted
+    gather ``rows[argsort(dt, stable)][:cut]``, in its order, and a scan
+    returns the same list."""
+
+    def test_index_probe_bit_identical_to_sorted_gather(self, drop_series):
+        exh = ExhIndex(8 * HOUR)
+        half = len(drop_series) // 2
+        exh.ingest(drop_series.head(half))
+        inserted = list(exh._rows)
+        exh.finalize()
+        for t, v in list(zip(drop_series.times, drop_series.values))[half:]:
+            exh.append(float(t), float(v))
+        inserted += exh._rows
+        exh.finalize()
+        rows = np.asarray(inserted, dtype=float)
+        try:
+            for t_thr, v_thr in [(300.0, -1.0), (HOUR, -3.0),
+                                 (2 * HOUR, -0.5), (8 * HOUR, -1e-9)]:
+                prefix = dt_sorted_prefix(rows, t_thr)
+                want = [Event(t2 - dt, t2, dv)
+                        for dt, dv, t2 in prefix[prefix[:, 1] <= v_thr]]
+                assert want
+                assert exh.search_drops(t_thr, v_thr, mode="index") == want
+                assert exh.search_drops(t_thr, v_thr, mode="scan") == want
+            assert exh.index_bytes() == (
+                rows.shape[0] * np.dtype(np.intp).itemsize
+            )
+        finally:
+            exh.close()

@@ -7,8 +7,8 @@ frames, a live ``hot.wal``, a ``partitions.json``, a shard
 in the file over position k, append garbage; for the partition also
 copy one whole page over another, which every page CRC passes) and
 hands it to the program's own openers and readers.  A batch MiniDB
-index also gets its B+tree node headers and a heap page's next link
-rewritten with a valid CRC.  Each may succeed or
+index also gets its B+tree node headers, a heap page's next link and a
+leaf's rids rewritten with a valid CRC.  Each may succeed or
 raise a :class:`~repro.errors.StorageError` subclass, nothing else, and
 must return within a deadline.  A recovered log keeps a prefix of the
 clean log's records, MiniDB replay never grows the main file past the
@@ -564,6 +564,50 @@ class TestCorruptHeapChain:
             worker.join(10.0)
             assert not worker.is_alive(), f"{read} never returned"
             assert isinstance(out.get("error"), StorageError), out
+
+        _with_mutation(files, "index.mdb", bytes(data), body)
+
+
+class TestCorruptRid:
+    """Every entry of the leftmost ``drop_points`` leaf rewritten to a
+    rid outside the heap and re-stamped passes the page CRC.  The index
+    probe gathers the rows those rids name and must raise
+    :class:`CorruptionError`: a page past the file used to leak
+    ``InvalidParameterError`` from the pager, and a negative slot
+    silently returned a row counted from the end of its page."""
+
+    #: a ``drop_points`` leaf entry: the (Δt, Δv) key and the rid
+    ENTRY = np.dtype([("key", "<f8", (2,)), ("page", "<i4"), ("slot", "<i4")])
+
+    @pytest.mark.parametrize("field, value", [
+        ("page", 10**7),  # rid page past the file
+        ("slot", -1),  # negative slot
+        ("slot", 10**6),  # slot past the page's rows
+    ], ids=["page-past-file", "negative-slot", "slot-past-page"])
+    def test_index_probe_raises_corruption_error(self, field, value):
+        from repro.core.index import SegDiffIndex
+        from repro.storage.minidb.btree import _LEAF_HEADER
+        from repro.storage.minidb.pager import stamp
+
+        files, pages = batch_index()
+        at = pages["leaf"]
+        data = bytearray(files["index.mdb"])
+        page = bytearray(data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE])
+        kind, count, _next = _LEAF_HEADER.unpack_from(page, 0)
+        assert kind == 1 and count > 0
+        entries = np.frombuffer(page, dtype=self.ENTRY, count=count,
+                                offset=_LEAF_HEADER.size).copy()
+        # T = w and V just below 0 select every drop entry of the leaf
+        assert (entries["key"][:, 1] <= -1e-9).any()
+        entries[field] = value
+        page[_LEAF_HEADER.size:_LEAF_HEADER.size + entries.nbytes] = \
+            entries.tobytes()
+        data[at * PAGE_SIZE:(at + 1) * PAGE_SIZE] = stamp(page)
+
+        def body(d):
+            with SegDiffIndex.open(os.path.join(d, "index.mdb")) as index:
+                with pytest.raises(CorruptionError, match="rid"):
+                    index.search_drops(WINDOW, -1e-9, mode="index")
 
         _with_mutation(files, "index.mdb", bytes(data), body)
 

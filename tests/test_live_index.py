@@ -220,6 +220,43 @@ class TestSnapshotIsolation:
             ref.close()
         live.close()
 
+    def test_snapshot_shares_hot_tables_under_writer(self):
+        """The hot partition reaches a snapshot as the hot store's own
+        read-only arrays, not a copy; appends (which thaw the hot store),
+        a second snapshot (which re-freezes it) and a seal (which retires
+        it) leave the snapshot's answers unchanged."""
+        ts, vs = make_walk(23, n=600)
+        live = LiveIndex(EPS, WINDOW, seal_rows=10**9)
+        live.append_array(ts[:300], vs[:300])
+
+        def answers(snap):
+            return {
+                (mode, T, V): tuples(snap.search_drops(T, V, mode=mode))
+                for mode in ("index", "scan") for T, V in DROP_QUERIES
+            } | {
+                (mode, T, V): tuples(snap.search_jumps(T, V, mode=mode))
+                for mode in ("index", "scan") for T, V in JUMP_QUERIES
+            }
+
+        with live.snapshot() as snap:
+            assert not live.partitions  # everything is still hot
+            hot, shared = live._hot.store, snap._hot.store
+            for kind in ("drop", "jump"):
+                block = shared.scan_lines_array(kind)
+                assert np.shares_memory(block, hot.scan_lines_array(kind))
+                assert not block.flags.writeable
+            ref = reference_index(ts[:300], vs[:300], finalize=False)
+            want = answers(snap)
+            assert want == answers(ref)
+            live.append_array(ts[300:450], vs[300:450])
+            live.snapshot().close()
+            live.append_array(ts[450:], vs[450:])
+            live.seal()
+            assert live.partitions
+            assert answers(snap) == want
+            ref.close()
+        live.close()
+
     def test_sixteen_readers_under_concurrent_writer(self):
         ts, vs = make_walk(17, n=1200)
         live = LiveIndex(EPS, WINDOW, seal_rows=300, auto_compact=True,
@@ -270,8 +307,12 @@ class TestSnapshotIsolation:
         w.join()
         assert errors == []
         # and after the dust settles the live answer is the batch answer
+        # over what the writer took in: it stops when the readers are
+        # done, which may come before the end of the series
         live.finalize()
-        ref = reference_index(ts, vs)
+        n = live.n_observations
+        assert n > 200
+        ref = reference_index(ts[:n], vs[:n])
         assert_equivalent(ref, live)
         ref.close()
         live.close()
