@@ -8,8 +8,9 @@ the single range query ``Δt <= T AND Δv <= V``.
 
 Two backends mirror the SegDiff stores: SQLite (with a ``(dt, dv)``
 B-tree, forced-scan / forced-index plans, warm/cold cache) and an
-in-memory numpy table stored clustered by ``dt``, so its index probe is
-a binary search and a prefix slice, as on the SegDiff memory store.
+in-memory numpy table, kept clustered by ``dt`` in the SegDiff memory
+store's own table type, so its index probe is the same binary search
+and prefix slice.
 
 Note the paper's caveat (Section 5.1): Exh sees only sampled pairs, so
 events of the Model G signal that occur *between* samples can escape it —
@@ -29,6 +30,7 @@ import numpy as np
 
 from ..datagen.series import TimeSeries
 from ..errors import InvalidParameterError, QueryError, StorageError
+from ..storage.memory_store import _Table
 from ..types import Event
 
 __all__ = ["ExhIndex"]
@@ -65,7 +67,7 @@ class ExhIndex:
         self.backend = backend
         self._recent: Deque[Tuple[float, float]] = deque()
         self._rows: List[Tuple[float, float, float]] = []
-        self._frozen: Optional[np.ndarray] = None
+        self._table = _Table(3)  # memory backend: (dt, dv, t2) rows
         self._conn: Optional[sqlite3.Connection] = None
         self._indexed = False
         self._closed = False
@@ -155,17 +157,11 @@ class ExhIndex:
                 self._conn.execute("ANALYZE")
                 self._conn.commit()
                 self._indexed = True
-        elif self._rows or self._frozen is None:
-            # rows in insertion order, then clustered by dt (stable, so
-            # equal-dt rows keep insertion order); ``_order[i]`` is the
-            # clustered position of insertion row ``i``
-            rows = np.asarray(self._rows, dtype=float).reshape(-1, 3)
-            if self._frozen is not None:
-                rows = np.vstack([self._frozen[self._order], rows])
-            perm = np.argsort(rows[:, 0], kind="stable")
-            self._frozen = rows[perm]
-            self._order = np.empty_like(perm)
-            self._order[perm] = np.arange(perm.shape[0])
+        else:
+            self._table.extend(
+                np.asarray(self._rows, dtype=float).reshape(-1, 3)
+            )
+            self._table.freeze()
             self._rows = []
 
     def _flush_sqlite(self) -> None:
@@ -246,15 +242,11 @@ class ExhIndex:
     def _search_memory(
         self, t_thr: float, v_thr: float, kind: str, mode: str
     ) -> List[Event]:
-        if self._frozen is None:
-            raise StorageError("index not finalized; call finalize() first")
-        data = self._frozen
         if mode == "index":
-            # the table is clustered by dt: the prune is a prefix slice
-            cut = int(np.searchsorted(data[:, 0], t_thr, side="right"))
-            data = data[:cut]
+            data = self._table.prefix(t_thr)
             mask = data[:, 1] <= v_thr if kind == "drop" else data[:, 1] >= v_thr
         else:
+            data = self._table.data
             in_t = data[:, 0] <= t_thr
             in_v = data[:, 1] <= v_thr if kind == "drop" else data[:, 1] >= v_thr
             mask = in_t & in_v
@@ -274,8 +266,7 @@ class ExhIndex:
         if self._conn is not None:
             self._flush_sqlite()
             return self._conn.execute("SELECT COUNT(*) FROM pairs").fetchone()[0]
-        frozen = 0 if self._frozen is None else self._frozen.shape[0]
-        return frozen + len(self._rows)
+        return len(self._table) + len(self._rows)
 
     def feature_bytes(self) -> int:
         """Bytes of the pairs table (excluding the index)."""
@@ -291,9 +282,7 @@ class ExhIndex:
             except sqlite3.Error:
                 pass
             return self.n_pairs() * (3 * 8 + 10)
-        if self._frozen is not None:
-            return int(self._frozen.nbytes) + len(self._rows) * 24
-        return len(self._rows) * 24
+        return self._table.nbytes() + len(self._rows) * 24
 
     def index_bytes(self) -> int:
         """Bytes of the ``(dt, dv)`` B-tree."""
@@ -310,7 +299,7 @@ class ExhIndex:
             except sqlite3.Error:
                 pass
             return self.n_pairs() * (2 * 8 + 12)
-        return 0 if self._frozen is None else int(self._order.nbytes)
+        return self._table.index_nbytes()
 
     def disk_bytes(self) -> int:
         """Features plus index."""
@@ -323,7 +312,7 @@ class ExhIndex:
             self._conn.close()
             if self._owns_file and self.path and os.path.exists(self.path):
                 os.unlink(self.path)
-        self._frozen = None
+        self._table = _Table(3)
         self._rows = []
         self._closed = True
 

@@ -8,11 +8,10 @@ predicate (a faithful analogue of a ``(dt, dv)`` B-tree's leading-column
 pruning).
 
 ``finalize()`` stores each table clustered by Δt, stably, so equal-Δt
-rows keep insertion order; a later ``finalize()`` merges the rows
-appended since into the block instead of re-sorting it, and one with
-nothing appended does nothing.  An index probe is then
-a ``searchsorted`` plus a zero-copy prefix slice of the table, and a scan
-is the whole clustered block.  Each table also keeps the permutation
+rows keep insertion order; a later ``finalize()`` re-sorts the block
+with the rows appended since, and one with nothing appended does
+nothing.  An index probe is then a ``searchsorted`` plus a zero-copy
+prefix slice of the table, and a scan is the whole clustered block.  Each table also keeps the permutation
 back to insertion order (the secondary index whose bytes
 ``index_bytes()`` reports): ``read_table_rows``, ``replace_table_rows``,
 the checksum trees and the planner sample address rows in insertion
@@ -59,12 +58,13 @@ class _Table:
     Scalar ``append`` collects tuples; bulk ``extend`` stores whole row
     arrays as chunks.  Both preserve global insertion order — pending
     tuples are sealed into a chunk whenever an array arrives — and
-    ``freeze`` merges the pending rows into the block, which holds every
+    ``freeze`` sorts the pending rows into the block, which holds every
     row stably sorted by Δt.  ``_order[i]`` is the block position of
     insertion row ``i``, so ``_frozen[_order]`` is the table in insertion
     order.  Both arrays are read-only and never written in place: each
-    ``freeze`` builds new ones, so a frozen pair may be shared (see
-    :meth:`MemoryFeatureStore.snapshot`).
+    ``freeze`` and ``replace`` builds new ones, so a frozen pair may be
+    shared (see :meth:`MemoryFeatureStore.snapshot`).  The Exh baseline
+    keeps its pair table in one too.
     """
 
     def __init__(self, width: int) -> None:
@@ -104,38 +104,27 @@ class _Table:
             parts.append(
                 np.asarray(self._rows, dtype=float).reshape(-1, self.width)
             )
-        self._merge(parts)
+        self._cluster(parts)
         self._rows = []
         self._chunks = []
 
-    def _merge(self, parts: List[np.ndarray]) -> None:
-        """Merge ``parts`` — row arrays in insertion order, all inserted
-        after every row of the block — into a new block.
+    def _cluster(self, parts: List[np.ndarray]) -> None:
+        """Build a new block from the current one plus ``parts`` — row
+        arrays in insertion order, all inserted after every row of the
+        block — by one stable sort on Δt.
 
-        The result is the stable Δt sort of every row in insertion
-        order: an old row goes after the new rows of smaller Δt, a new
-        row after the old rows of smaller or equal Δt.  That costs a sort
-        of the new rows and two binary searches, not a re-sort of the
-        table, and each array is scattered straight to its positions,
-        so no insertion-order copy of the table is built.
+        The block is already Δt-sorted with equal-Δt rows in insertion
+        order, and precedes every new row, so the stable sort of the
+        concatenation is the stable Δt sort of every row in insertion
+        order.
         """
-        old, old_order = self._frozen, self._order
-        dt = np.concatenate([old[:0, 0]] + [p[:, 0] for p in parts])
-        perm = np.argsort(dt, kind="stable")
-        new_dt = dt[perm]
-        at_old = np.arange(old.shape[0]) + np.searchsorted(
-            new_dt, old[:, 0], side="left")
-        at_new = np.empty_like(perm)
-        at_new[perm] = np.arange(perm.shape[0]) + np.searchsorted(
-            old[:, 0], new_dt, side="right")
-        frozen = np.empty((old.shape[0] + perm.shape[0], self.width))
-        frozen[at_old] = old
-        start = 0
-        for part in parts:
-            stop = start + part.shape[0]
-            frozen[at_new[start:stop]] = part
-            start = stop
-        order = np.concatenate([at_old[old_order], at_new])
+        n_old, old_order = self._frozen.shape[0], self._order
+        rows = np.concatenate([self._frozen, *parts])
+        perm = np.argsort(rows[:, 0], kind="stable")
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.shape[0])
+        frozen = rows[perm]
+        order = np.concatenate([inv[:n_old][old_order], inv[n_old:]])
         frozen.flags.writeable = False
         order.flags.writeable = False
         self._frozen, self._order, self._grid = frozen, order, None
@@ -178,8 +167,8 @@ class _Table:
         """Overwrite insertion-order rows ``[start, start + len(rows))``.
 
         Anti-entropy repair path: the table must be frozen.  The write
-        goes to a copy of the block; new Δt values re-cluster it (O(n),
-        repair only), and the grid is invalidated either way.
+        goes to an insertion-order copy of the table, which is then
+        re-clustered (O(n), repair only); the grid is invalidated.
         """
         data = self.data
         rows = np.asarray(rows, dtype=float).reshape(-1, self.width)
@@ -189,19 +178,11 @@ class _Table:
                 f"row range [{start}, {stop}) outside table of "
                 f"{data.shape[0]} rows"
             )
-        at = self._order[start:stop]
-        same_dt = np.array_equal(data[at, 0], rows[:, 0])
-        data = data.copy()
-        data[at] = rows
-        if same_dt:
-            data.flags.writeable = False
-            self._frozen = data
-            self._grid = None
-        else:
-            rows = data[self._order]
-            self._frozen = np.empty((0, self.width))
-            self._order = np.empty(0, dtype=np.intp)
-            self._merge([rows])
+        table = data[self._order]
+        table[start:stop] = rows
+        self._frozen = np.empty((0, self.width))
+        self._order = np.empty(0, dtype=np.intp)
+        self._cluster([table])
 
     def __len__(self) -> int:
         return (self._frozen.shape[0] + len(self._rows)

@@ -306,13 +306,14 @@ class TestSnapshotIsolation:
         stop.set()
         w.join()
         assert errors == []
-        # and after the dust settles the live answer is the batch answer
-        # over what the writer took in: it stops when the readers are
-        # done, which may come before the end of the series
-        live.finalize()
+        # the writer stops when the readers are done, which may come
+        # before the end of the series: feed it the rest
         n = live.n_observations
-        assert n > 200
-        ref = reference_index(ts[:n], vs[:n])
+        live.append_array(ts[n:], vs[n:])
+        live.seal()
+        # and after the dust settles the live answer is the batch answer
+        live.finalize()
+        ref = reference_index(ts, vs)
         assert_equivalent(ref, live)
         ref.close()
         live.close()
