@@ -23,7 +23,11 @@ optimization.
 :func:`execute_batch` answers a whole grid of queries in one shared pass
 per operator: candidates are fetched once for the widest ``T`` and every
 query is answered with vectorized masks over the shared arrays — the
-fast path for the Figures 16-24 workload.
+fast path for the Figures 16-24 workload.  A grid deduplicates once:
+its candidates form one sorted distinct-row matrix, and each cell is a
+bitmap over that matrix's ids (ascending ids are the §4.4 order);
+:func:`execute_batch_partitioned` unions its partitions' matrices the
+same way, once per grid.
 
 Every entry point returns :class:`~repro.engine.resilience.QueryOutcome`,
 whose answer is the deduplicated ``(n, 4)`` ident matrix ``rows``.
@@ -38,7 +42,6 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,6 +210,28 @@ def _union_dedup_rows(ident_blocks: Sequence[np.ndarray]) -> np.ndarray:
     return uniq
 
 
+def _grid_matrix(blocks: Sequence[np.ndarray]):
+    """One grid's distinct-row matrix: the rows of ``blocks``
+    deduplicated once, sorted and order-checked, and each block's
+    ``inverse`` ids into it.  The sort is lexicographic, so ascending
+    ids are the §4.4 result order."""
+    uniq, inverse = _unique_rows(
+        np.vstack([np.empty((0, 4)), *blocks]), return_inverse=True
+    )
+    _check_order(uniq)
+    ends = np.cumsum([b.shape[0] for b in blocks], dtype=np.intp)
+    return uniq, np.split(inverse, ends[:-1])
+
+
+def _bitmap(n: int, id_blocks) -> np.ndarray:
+    """The distinct ids among ``id_blocks`` (each below ``n``), ascending:
+    one bool mask over the matrix instead of a sort per cell."""
+    hit = np.zeros(n, dtype=bool)
+    for ids in id_blocks:
+        hit[ids] = True
+    return np.flatnonzero(hit)
+
+
 class _PairPool:
     """The :class:`SegmentPair` objects of one ident matrix, shared by the
     grid cells that select rows of it: row ``j`` becomes one object, built
@@ -231,35 +256,17 @@ class _PairPool:
             return self._objs[ids].tolist()
 
 
-class _UnionPool:
-    """One :class:`_PairPool` for the cells of several kind groups, over
-    the union of the groups' distinct rows: a pair that a drop cell and
-    a jump cell both select is one object.  The union is built on the
-    first read, so a grid whose cells are pooled again by their caller
-    (a partition's, see :func:`execute_batch_partitioned`) never pays
-    for it."""
+@dataclass(frozen=True, eq=False)
+class _Pick:
+    """A grid cell's answer as rows ``ids`` of ``pool``'s matrix (the
+    cell's ``pairs_from``): the partitioned gather maps the ids into its
+    own grid matrix instead of deduplicating the cell's rows again."""
 
-    __slots__ = ("parts", "_ids", "_pool", "_lock")
+    pool: _PairPool
+    ids: np.ndarray
 
-    def __init__(self) -> None:
-        self.parts: List[np.ndarray] = []  # each group's sorted distinct rows
-        self._ids: List[np.ndarray] = []
-        self._pool: Optional[_PairPool] = None
-        self._lock = threading.Lock()
-
-    def take(self, part: int, sel: np.ndarray) -> List[SegmentPair]:
-        """The pairs of rows ``sel`` of part ``part`` (ascending ``sel``
-        gives §4.4 order: union ids ascend with them)."""
-        with self._lock:
-            if self._pool is None:
-                union, inverse = _unique_rows(
-                    np.vstack([np.empty((0, 4)), *self.parts]),
-                    return_inverse=True,
-                )
-                ends = np.cumsum([rows.shape[0] for rows in self.parts])
-                self._ids = np.split(inverse, ends[:-1])
-                self._pool = _PairPool(union)
-        return self._pool.take(self._ids[part][sel])
+    def __call__(self) -> List[SegmentPair]:
+        return self.pool.take(self.ids)
 
 
 def execute(
@@ -317,15 +324,8 @@ def execute(
                 store, "lines", lop.access, lop.kind, lop.t_threshold,
                 lop.v_threshold, cache, pushdown, guard,
             )
-            lmask = line_mask(
-                lop.kind,
-                lrows[:, 0],
-                lrows[:, 1],
-                lrows[:, 2],
-                lrows[:, 3],
-                lop.t_threshold,
-                lop.v_threshold,
-            )
+            lmask = line_mask(lop.kind, *lrows[:, :4].T,
+                              lop.t_threshold, lop.v_threshold)
             lmask = _t_range_mask(lmask, lrows, plan.t_range, 4, 7)
             l_fetched, l_matched = int(lrows.shape[0]), int(lmask.sum())
             ls.set_attribute("access", lop.access)
@@ -418,15 +418,16 @@ def execute_batch(
     group's cells :attr:`ResultStatus.FAILED` (cause in ``error``) and
     the rest of the grid still returns.  A
     :class:`~repro.errors.QueryTimeout` aborts the whole batch — the
-    deadline covers the batch, not one cell.  The cells of both kinds
-    share one pair pool: a row any cell selects is built once.
+    deadline covers the batch, not one cell.  The candidates of every
+    group that fetched form one distinct-row matrix; the cells of both
+    kinds select rows of it and share one pair per row.
     """
     results: List[Optional[QueryOutcome]] = [None] * len(plans)
     by_kind: Dict[str, List[int]] = {}
     for i, plan in enumerate(plans):
         by_kind.setdefault(plan.kind, []).append(i)
 
-    pool = _UnionPool()
+    fetched = []  # (kind, idxs, point access, line access, prows, lrows)
     for kind, idxs in by_kind.items():
         group = [plans[i] for i in idxs]
         # the shared fetch, no pushdown: one index probe for the widest T
@@ -462,59 +463,38 @@ def execute_batch(
                 reason=f"store failure for kind {kind!r}: {exc}",
             )
             for i in idxs:
-                results[i] = QueryOutcome(
-                    status=ResultStatus.FAILED,
-                    completeness=report,
-                    error=exc,
-                )
+                results[i] = QueryOutcome(status=ResultStatus.FAILED,
+                                          completeness=report, error=exc)
             continue
         # fetched once per group — counted once, not once per query
-        _ROWS_FETCHED["point_range"].inc(int(prows.shape[0]))
-        _ROWS_FETCHED["line_cross"].inc(int(lrows.shape[0]))
-        obs_context.account(
-            operator="point_range",
-            candidate_shape=(int(prows.shape[0]), _POINT_WIDTH),
-            rows_fetched=int(prows.shape[0]),
-        )
-        obs_context.account(
-            operator="line_cross",
-            candidate_shape=(int(lrows.shape[0]), _LINE_WIDTH),
-            rows_fetched=int(lrows.shape[0]),
-        )
+        for op, rows, width in (("point_range", prows, _POINT_WIDTH),
+                                ("line_cross", lrows, _LINE_WIDTH)):
+            _ROWS_FETCHED[op].inc(int(rows.shape[0]))
+            obs_context.account(operator=op, rows_fetched=int(rows.shape[0]),
+                                candidate_shape=(int(rows.shape[0]), width))
+        fetched.append((kind, idxs, point_access, line_access, prows, lrows))
 
-        # One shared candidate matrix per kind group: the distinct ident
-        # rows are computed once; each cell then selects its rows by
-        # integer id instead of re-deduplicating per query, and the
-        # cells of every group share one pair object per selected row.
-        # The sort makes ascending ids the §4.4 result ordering.
-        n_p = prows.shape[0]
-        uniq, inverse = _unique_rows(
-            np.vstack([prows[:, 2:6], lrows[:, 4:8]]), return_inverse=True
-        )
-        _check_order(uniq)
-        inv_p, inv_l = inverse[:n_p], inverse[n_p:]
-        part = len(pool.parts)
-        pool.parts.append(uniq)
-
+    # One distinct-row matrix for the whole call, deduplicated once: each
+    # cell selects its rows by a bitmap over the matrix's ids instead of
+    # sorting per query, and the sort makes ascending ids the §4.4 order.
+    uniq, inverses = _grid_matrix([
+        block for _, _, _, _, prows, lrows in fetched
+        for block in (prows[:, 2:6], lrows[:, 4:8])
+    ])
+    pool = _PairPool(uniq)
+    for g, (kind, idxs, point_access, line_access, prows, lrows) in (
+            enumerate(fetched)):
+        inv_p, inv_l = inverses[2 * g:2 * g + 2]
         for i in idxs:
             if guard is not None:
                 guard.tick()
             plan = plans[i]
-            t_thr = plan.query.t_threshold
-            v_thr = plan.query.v_threshold
+            t_thr, v_thr = plan.query.t_threshold, plan.query.v_threshold
             pmask = point_mask(kind, prows[:, 0], prows[:, 1], t_thr, v_thr)
             pmask = _t_range_mask(pmask, prows, plan.t_range, 2, 5)
-            lmask = line_mask(
-                kind,
-                lrows[:, 0],
-                lrows[:, 1],
-                lrows[:, 2],
-                lrows[:, 3],
-                t_thr,
-                v_thr,
-            )
+            lmask = line_mask(kind, *lrows[:, :4].T, t_thr, v_thr)
             lmask = _t_range_mask(lmask, lrows, plan.t_range, 4, 7)
-            sel = np.unique(np.concatenate([inv_p[pmask], inv_l[lmask]]))
+            sel = _bitmap(uniq.shape[0], (inv_p[pmask], inv_l[lmask]))
             p_matched, l_matched = int(pmask.sum()), int(lmask.sum())
             _ROWS_MATCHED["point_range"].inc(p_matched)
             _ROWS_MATCHED["line_cross"].inc(l_matched)
@@ -524,7 +504,7 @@ def execute_batch(
                                 rows_matched=l_matched)
             results[i] = QueryOutcome(
                 rows=uniq[sel],
-                pairs_from=partial(pool.take, part, sel),
+                pairs_from=_Pick(pool, sel),
                 op_stats=[
                     OperatorStats(
                         "point_range", f"{kind}_points", point_access,
@@ -602,22 +582,22 @@ def _scatter(
         return list(pool.map(call, labels, children))
 
 
-def _gather(
+def _verdict(
     labels: Sequence[str], results: Sequence, noun: str
-) -> QueryOutcome:
-    """THE verdict over one scatter: union the children, name the lost.
+) -> Tuple[QueryOutcome, List[QueryOutcome]]:
+    """THE verdict over one scatter: name the lost, keep the survivors.
 
     ``results[i]`` is child ``labels[i]``'s :class:`QueryOutcome` or the
     exception that lost it (a FAILED answer counts as lost, its
-    ``error`` as the cause).  The merged outcome's ``rows`` are the
-    union of the survivors' rows.  Nothing lost and nothing degraded is
+    ``error`` as the cause).  Nothing lost and nothing degraded is
     COMPLETE; something lost or degraded is DEGRADED (the union of the
     survivors is honest but incomplete); everything lost is FAILED.  The
-    report names finished and lost children by id.
+    report names finished and lost children by id.  Returns that
+    outcome, its rows not yet merged, and the survivors.
     """
     ok: List[str] = []
     lost: List[str] = []
-    blocks: List[np.ndarray] = []
+    survivors: List[QueryOutcome] = []
     degraded = False
     error: Optional[BaseException] = None
     for label, result in zip(labels, results):
@@ -628,8 +608,7 @@ def _gather(
             continue
         ok.append(label)
         degraded = degraded or result.status is ResultStatus.DEGRADED
-        blocks.append(result.rows)
-    rows = _union_dedup_rows(blocks)
+        survivors.append(result)
     if not lost and not degraded:
         status = ResultStatus.COMPLETE
         reason = "" if ok else f"no {noun} overlaps the predicate"
@@ -643,10 +622,19 @@ def _gather(
             record_degraded(noun)
         else:
             reason = f"{noun} answered degraded"
-    return QueryOutcome(
-        rows=rows, status=status, error=error,
+    merged = QueryOutcome(
+        status=status, error=error,
         completeness=CompletenessReport(tuple(ok), tuple(lost), reason),
     )
+    return merged, survivors
+
+
+def _gather(labels: Sequence[str], results: Sequence, noun: str) -> QueryOutcome:
+    """The :func:`_verdict` of one query's scatter, its ``rows`` the
+    union of the survivors' rows."""
+    merged, survivors = _verdict(labels, results, noun)
+    merged.rows = _union_dedup_rows([r.rows for r in survivors])
+    return merged
 
 
 # A partition is anything exposing ``store``, ``overlaps_time(t_range)``
@@ -692,13 +680,12 @@ def _scatter_partitions(
 
 
 def _gather_partitions(
-    labels: Sequence[str], results: Sequence, pruned: int,
-    kind: Optional[str] = None,
+    merged: QueryOutcome, labels: Sequence[str], results: Sequence,
+    pruned: int, kind: Optional[str] = None,
 ) -> QueryOutcome:
-    """The :func:`_gather` verdict with per-operator row counts summed
-    over the partitions that answered (``kind`` names the tables when
-    none did)."""
-    merged = _gather(labels, results, "partition")
+    """Complete the gathered outcome ``merged`` of a partition scatter:
+    per-operator row counts summed over the partitions that answered
+    (``kind`` names the tables when none did) and the partition counts."""
     stats = [
         s for r in results if isinstance(r, QueryOutcome)
         for s in r.op_stats
@@ -752,7 +739,8 @@ def execute_partitioned(
                        guard=guard)
 
     labels, results, pruned = _scatter_partitions(partitions, t_range, run)
-    merged = _gather_partitions(labels, results, pruned, query.kind)
+    merged = _gather(labels, results, "partition")
+    _gather_partitions(merged, labels, results, pruned, query.kind)
     if data is not None:
         with span("op.refine") as rs:
             # the pairs are built once, from the merged matrix
@@ -767,6 +755,14 @@ def execute_partitioned(
     return merged
 
 
+def _pick_of(cell: QueryOutcome) -> _Pick:
+    """``cell``'s rows as ids over its grid's matrix; a cell that
+    :func:`execute_batch` did not make is its own matrix."""
+    if isinstance(cell.pairs_from, _Pick):
+        return cell.pairs_from
+    return _Pick(_PairPool(cell.rows), np.arange(cell.rows.shape[0]))
+
+
 def execute_batch_partitioned(
     make_plans: Callable,
     partitions: Sequence,
@@ -779,13 +775,14 @@ def execute_batch_partitioned(
 
     Each surviving partition answers the grid through
     :func:`execute_batch` (one shared candidate fetch per kind, the
-    existing fast path); cell ``i`` of the returned list gathers cell
-    ``i`` of every partition.  Per-partition failures stay isolated: a
-    cell that failed on *some* partitions but succeeded on others comes
-    back DEGRADED (merged pairs are honest-but-incomplete, the report
-    names the lost partitions); a cell that failed everywhere is FAILED.
-    The cells share their pair objects: each distinct row any cell holds
-    is built once, on the first read of some cell's pairs.
+    existing fast path); cell ``i`` of the returned list takes the
+    :func:`_verdict` over cell ``i`` of every partition.  Per-partition
+    failures stay isolated: a cell that failed on *some* partitions but
+    succeeded on others comes back DEGRADED (merged pairs are
+    honest-but-incomplete, the report names the lost partitions); a cell
+    that failed everywhere is FAILED.  The partitions' matrices are
+    unioned once per grid, each cell's rows are a bitmap over the
+    union's ids, and each distinct row is one pair, built on first read.
     """
     def run(part):
         plans = [
@@ -797,21 +794,23 @@ def execute_batch_partitioned(
     labels, per_partition, pruned = _scatter_partitions(
         partitions, t_range, run, queries=n_queries
     )
-    cells = [
-        _gather_partitions(
-            labels,
-            [r if isinstance(r, BaseException) else r[i]
-             for r in per_partition],
-            pruned,
-        )
-        for i in range(n_queries)
-    ]
-    blocks = [cell.rows for cell in cells]
-    uniq, inverse = _unique_rows(
-        np.vstack([np.empty((0, 4)), *blocks]), return_inverse=True
-    )
+    cells: List[QueryOutcome] = []
+    picks: List[List[_Pick]] = []
+    for i in range(n_queries):
+        col = [r if isinstance(r, BaseException) else r[i]
+               for r in per_partition]
+        cell, survivors = _verdict(labels, col, "partition")
+        cells.append(_gather_partitions(cell, labels, col, pruned))
+        picks.append([_pick_of(r) for r in survivors])
+    # One union per grid: the distinct-row matrix of each partition that
+    # answered enters it once, and ``to_grid`` maps its ids into the
+    # grid's; each cell is then a bitmap over the grid's ids.
+    pools = list(dict.fromkeys(p.pool for ps in picks for p in ps))
+    uniq, inverses = _grid_matrix([pool.rows for pool in pools])
+    to_grid = dict(zip(pools, inverses))
     pool = _PairPool(uniq)
-    ends = np.cumsum([b.shape[0] for b in blocks])
-    for cell, ids in zip(cells, np.split(inverse, ends[:-1])):
-        cell.pairs_from = partial(pool.take, ids)
+    for cell, cell_picks in zip(cells, picks):
+        sel = _bitmap(uniq.shape[0],
+                      (to_grid[p.pool][p.ids] for p in cell_picks))
+        cell.rows, cell.pairs_from = uniq[sel], _Pick(pool, sel)
     return cells

@@ -78,6 +78,19 @@ def _crc_pair(left: int, right: int) -> int:
     return zlib.crc32(struct.pack("<II", left, right))
 
 
+def _levels(leaves) -> Tuple[Tuple[int, ...], ...]:
+    """``leaves`` and every level above them, paired up to one root."""
+    levels: List[Tuple[int, ...]] = [tuple(leaves)]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append(tuple(
+            _crc_pair(below[i], below[i + 1]) if i + 1 < len(below)
+            else below[i]
+            for i in range(0, len(below), 2)
+        ))
+    return tuple(levels)
+
+
 @dataclass(frozen=True)
 class ChecksumTree:
     """The checksum tree of one feature table.
@@ -120,18 +133,8 @@ def build_tree(
     leaves = [
         _crc_rows(rows[i : i + leaf_size]) for i in range(0, n, leaf_size)
     ] or [_crc_rows(rows[:0])]
-    levels: List[Tuple[int, ...]] = [tuple(leaves)]
-    while len(levels[-1]) > 1:
-        below = levels[-1]
-        above = [
-            _crc_pair(below[i], below[i + 1])
-            if i + 1 < len(below)
-            else below[i]
-            for i in range(0, len(below), 2)
-        ]
-        levels.append(tuple(above))
     return ChecksumTree(
-        table=table, leaf_size=int(leaf_size), n_rows=n, levels=tuple(levels)
+        table=table, leaf_size=int(leaf_size), n_rows=n, levels=_levels(leaves)
     )
 
 
@@ -239,19 +242,27 @@ def _meta_int(store, key: str, table: str, lo: int, hi: int) -> int:
 
 
 def load_trees(store) -> Optional[Dict[str, ChecksumTree]]:
-    """Read back a persisted tree set; ``None`` when absent.
+    """Read back a persisted tree set; ``None`` when no table has one.
 
-    The shape is fully determined by ``n_rows`` and ``leaf_size``
+    The four trees are persisted together, so a set that names some
+    tables' ``leaf_size`` but not all is truncated, not absent: it
+    raises :class:`~repro.errors.StorageError` instead of reading as an
+    index sealed before trees existed.  The shape is fully determined
+    by ``n_rows`` and ``leaf_size``
     (level 0 holds ``max(1, ceil(n_rows / leaf_size))`` digests, each
     level above half of the one below, rounded up, down to one root),
     so every persisted length is checked against it before it bounds a
-    loop; a mismatch raises :class:`~repro.errors.CorruptionError`.
+    loop; a mismatch raises :class:`~repro.errors.CorruptionError`.  So
+    does a digest above the leaves that is not the hash of the two
+    below it: :func:`diff_trees` stops at equal roots and descends only
+    into unequal nodes, so an inner digest it trusts must be sound.
     """
+    if all(store.get_meta(f"{_META_PREFIX}/{table}/leaf_size") is None
+           for table in TABLES):
+        return None
     trees: Dict[str, ChecksumTree] = {}
     for table in TABLES:
         prefix = f"{_META_PREFIX}/{table}"
-        if store.get_meta(f"{prefix}/leaf_size") is None:
-            return None
         leaf_size = _meta_int(store, f"{prefix}/leaf_size", table, 1, _MAX_ROWS)
         n_rows = _meta_int(store, f"{prefix}/n_rows", table, 0, _MAX_ROWS)
         lengths = [max(1, -(-n_rows // leaf_size))]
@@ -267,6 +278,11 @@ def load_trees(store) -> Optional[Dict[str, ChecksumTree]]:
                 _meta_int(store, f"{prefix}/{li}/{ni}", table, 0, 0xFFFFFFFF)
                 for ni in range(n)
             ))
+        if tuple(levels) != _levels(levels[0]):
+            raise CorruptionError(
+                f"checksum tree for {table}: inner digests do not hash "
+                "up from the leaves"
+            )
         trees[table] = ChecksumTree(
             table=table, leaf_size=leaf_size, n_rows=n_rows,
             levels=tuple(levels),

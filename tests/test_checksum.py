@@ -158,6 +158,35 @@ class TestPersistence:
             cks.load_trees(index.store)
         index.close()
 
+    def test_one_missing_leaf_size_is_truncation(self, walk_series):
+        """A set missing one table's ``leaf_size`` is damaged, not the
+        tree-less file of an index sealed before trees existed."""
+        from repro.core.index import SegDiffIndex
+
+        index = SegDiffIndex.build(walk_series, 0.3, 4 * 3600.0)
+        index.seal_checksums()
+        index.store._meta.pop("cks/jump_lines/leaf_size")
+        with pytest.raises(StorageError, match="truncated.*jump_lines"):
+            cks.load_trees(index.store)
+        index.close()
+
+    @pytest.mark.parametrize("key", ["0/0", "1/0", "root"])
+    def test_inner_digests_must_hash_up(self, walk_series, key):
+        """A rewritten leaf, inner node or root is caught on load: the
+        top-down diff trusts every node above the leaves it reaches."""
+        from repro.core.index import SegDiffIndex
+        from repro.errors import CorruptionError
+
+        index = SegDiffIndex.build(walk_series, 0.3, 4 * 3600.0)
+        trees = index.seal_checksums(leaf_size=8)
+        if key == "root":
+            key = f"{len(trees['drop_points'].levels) - 1}/0"
+        meta = f"cks/drop_points/{key}"
+        index.store.set_meta(meta, (index.store.get_meta(meta) + 1) % 2**32)
+        with pytest.raises(CorruptionError, match="hash up"):
+            cks.load_trees(index.store)
+        index.close()
+
     @pytest.mark.parametrize(
         "key", ["n_levels", "len/0", "n_rows", "leaf_size", "0/0"]
     )

@@ -18,8 +18,11 @@ returns a row the clean file does not hold.
 
 import os
 import shutil
+import sqlite3
 import tempfile
 import threading
+import tracemalloc
+from contextlib import closing
 from datetime import timedelta
 from functools import lru_cache
 
@@ -30,12 +33,14 @@ from hypothesis import strategies as st
 
 from repro.core.live import LiveIndex, partition_damage
 from repro.errors import CorruptionError, StorageError
+from repro.storage.checksum import load_trees
 from repro.storage.durable import RECORD, read_records
 from repro.storage.faults import FaultInjector
 from repro.storage.livewal import WAL_NAME, LiveWAL
 from repro.storage.minidb import PAGE_SIZE, MiniDatabase, MiniDbFeatureStore
 from repro.storage.minidb.wal import WriteAheadLog
 from repro.storage.partitions import MANIFEST_NAME, PartitionManifest
+from repro.storage.sqlite_store import SqliteFeatureStore
 
 EPS = 0.8
 WINDOW = 300.0
@@ -180,11 +185,11 @@ def shard_files() -> dict:
         shutil.rmtree(d)
 
 
-def _with_mutation(files: dict, fname: str, data: bytes, body) -> None:
+def _with_mutation(files: dict, fname: str, data: bytes, body):
     d = tempfile.mkdtemp()
     try:
         _write_dir(d, {**files, fname: data})
-        body(d)
+        return body(d)
     finally:
         shutil.rmtree(d)
 
@@ -610,6 +615,193 @@ class TestCorruptRid:
                     index.search_drops(WINDOW, -1e-9, mode="index")
 
         _with_mutation(files, "index.mdb", bytes(data), body)
+
+
+# ---------------------------------------------------------------------- #
+# checksum-tree meta items (``cks/<table>/...``)
+# ---------------------------------------------------------------------- #
+
+#: The live partition and the shard file whose trees the fuzz rewrites.
+_LIVE_PART, _SHARD_FILE = "p000001.sqlite", "t0-r0.sqlite"
+#: SQLite stores a NaN as NULL, which the meta table refuses.
+_HOSTILE = (float("inf"), float("-inf"), -1.0, 0.0, 0.5, 2.0**32,
+            2.0**53, 2.0**53 + 2.0, 1e18)
+
+
+@lru_cache(maxsize=None)
+def sealed_live_files() -> dict:
+    """A live directory of three sealed SQLite partitions."""
+    d = tempfile.mkdtemp()
+    try:
+        rng = np.random.default_rng(7)
+        ts = np.cumsum(rng.uniform(0.5, 3.0, 150))
+        vs = np.cumsum(rng.normal(0.0, 1.0, 150))
+        live = LiveIndex(EPS, WINDOW, directory=d, seal_rows=10**9)
+        for lo in range(0, 150, 50):
+            live.append_array(ts[lo : lo + 50], vs[lo : lo + 50])
+            live.seal()
+        live.close()
+        return _read_dir(d)
+    finally:
+        shutil.rmtree(d)
+
+
+def _meta(data: bytes) -> dict:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.sqlite")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with closing(sqlite3.connect(path)) as conn:
+            return dict(conn.execute("SELECT key, value FROM segdiff_meta"))
+
+
+def meta_edits(data: bytes):
+    """Strategy: one to three edits of a file's ``cks/`` meta items —
+    a value rewritten (hostile, or the clean one off by one or doubled),
+    a key deleted, or a stray key added beside a real one."""
+    clean = _meta(data)
+    keys = st.sampled_from(sorted(k for k in clean if k.startswith("cks/")))
+    value = st.one_of(
+        st.sampled_from(_HOSTILE),
+        st.integers(-2**40, 2**40).map(float),
+        st.floats(allow_nan=False, allow_infinity=True),
+    )
+    edit = st.one_of(
+        st.tuples(keys, value),
+        keys.flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(
+            [clean[k] + 1.0, clean[k] - 1.0, 2.0 * clean[k]]))),
+        st.tuples(keys, st.none()),
+        st.tuples(keys.map(lambda k: k.rsplit("/", 1)[0] + "/99999"), value),
+    )
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def _apply(path: str, edits) -> None:
+    with closing(sqlite3.connect(path)) as conn, conn:
+        for key, value in edits:
+            if value is None:
+                conn.execute("DELETE FROM segdiff_meta WHERE key = ?", (key,))
+            else:
+                conn.execute("INSERT OR REPLACE INTO segdiff_meta "
+                             "VALUES (?, ?)", (key, value))
+
+
+def _trees(path: str):
+    """The persisted trees of ``path`` (``load_trees``), or the
+    :class:`StorageError` that reading them raised."""
+    store = SqliteFeatureStore(path)
+    try:
+        return load_trees(store)
+    except StorageError as exc:
+        return exc
+    finally:
+        store.close()
+
+
+def _allocates_at_most(limit: int, fn):
+    """``bounded(fn)``, asserting the traced peak allocation <= ``limit``."""
+    tracemalloc.start()
+    try:
+        value = bounded(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"{peak} bytes allocated, limit {limit}"
+    return value
+
+
+def _all_drops(index) -> set:
+    return set(index.search_drops(WINDOW, -1e-9, mode="scan"))
+
+
+def _scrubbed_drops(d: str) -> set:
+    live = LiveIndex.open(d, scrub=True)
+    try:
+        return _all_drops(live)
+    finally:
+        live.close()
+
+
+def _verified_drops(d: str):
+    from repro.engine import ShardedIndex
+
+    with ShardedIndex.open(d) as sharded:
+        report = sharded.verify()
+        return report, set(sharded.search_outcome(
+            "drop", WINDOW, -1e-9, mode="scan").pairs)
+
+
+@lru_cache(maxsize=None)
+def clean_answers() -> dict:
+    """What the clean live directory and shard set answer."""
+    live, shard = sealed_live_files(), shard_files()
+    return {
+        "live": _with_mutation(live, _LIVE_PART, live[_LIVE_PART],
+                               _scrubbed_drops),
+        "shard": _with_mutation(shard, _SHARD_FILE, shard[_SHARD_FILE],
+                                _verified_drops)[1],
+    }
+
+
+class TestChecksumTreeMeta:
+    """The persisted checksum trees are float meta items, read back by
+    ``load_trees`` for scrub, ``segdiff fsck`` and shard ``verify``.
+    Rewritten, deleted or stray items must give a typed error or a
+    mismatch report — never a loop bounded by a corrupt count, an
+    allocation sized by one, a crash, or a row the clean file lacks —
+    and verification passes exactly the trees that read back clean."""
+
+    #: Traced bytes a step may allocate per byte of the directory: a
+    #: clean scrub-and-read peaks at 0.9x (live) and 1x (shards).
+    PER_BYTE = 4
+
+    @settings(FUZZ, max_examples=25)
+    @given(edits=meta_edits(sealed_live_files()[_LIVE_PART]))
+    def test_live_scrub_and_fsck(self, edits):
+        from repro.cli import main
+
+        files = sealed_live_files()
+        limit = self.PER_BYTE * sum(map(len, files.values()))
+
+        def body(d):
+            spec = next(s for s in PartitionManifest.load(d).partitions
+                        if s.file == _LIVE_PART)
+            path = os.path.join(d, _LIVE_PART)
+            clean = _trees(path)
+            _apply(path, edits)
+            trees = _allocates_at_most(limit, lambda: _trees(path))
+            passes = trees == clean
+            why = _allocates_at_most(
+                limit, lambda: partition_damage(d, spec))
+            assert (why is None) == passes, (why, edits)
+            rc = _allocates_at_most(limit, lambda: main(["fsck", d]))
+            assert rc == (0 if passes else 1)
+            drops = _allocates_at_most(
+                limit, lambda: _scrubbed_drops(d))
+            assert drops is not None and drops <= clean_answers()["live"]
+
+        _with_mutation(files, _LIVE_PART, files[_LIVE_PART], body)
+
+    @settings(FUZZ, max_examples=25)
+    @given(edits=meta_edits(shard_files()[_SHARD_FILE]))
+    def test_shard_verify(self, edits):
+        files = shard_files()
+        limit = self.PER_BYTE * sum(map(len, files.values()))
+
+        def body(d):
+            path = os.path.join(d, _SHARD_FILE)
+            clean = _trees(path)
+            _apply(path, edits)
+            trees = _allocates_at_most(limit, lambda: _trees(path))
+            out = _allocates_at_most(limit, lambda: _verified_drops(d))
+            if out is not None:
+                report, drops = out
+                assert (not report.divergences) == (trees == clean)
+                assert drops <= clean_answers()["shard"]
+            else:
+                assert trees != clean
+
+        _with_mutation(files, _SHARD_FILE, files[_SHARD_FILE], body)
 
 
 # ---------------------------------------------------------------------- #

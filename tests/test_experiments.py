@@ -1,7 +1,17 @@
 """Smoke tests for the experiment modules (small datasets).
 
-The full-size shape assertions live in ``benchmarks/``; these tests just
-prove every experiment runs, returns well-formed results, and renders.
+The full-size shape assertions live in ``benchmarks/`` (the
+``bench_fig*``, ``bench_table*``, ``bench_space_model``,
+``bench_page_cost`` and ``bench_ablations`` files), and CI's
+``paper-shapes`` job runs them::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_fig*.py \
+        benchmarks/bench_table*.py benchmarks/bench_space_model.py \
+        benchmarks/bench_page_cost.py benchmarks/bench_ablations.py \
+        --benchmark-disable
+
+These tests just prove every experiment runs, returns well-formed
+results, and renders.
 """
 
 import pytest
