@@ -8,14 +8,16 @@ backends agree and stay within the same latency order of magnitude.
 
 import pytest
 
+from repro.core.index import SegDiffIndex
+from repro.experiments import datasets
 from repro.experiments.ablations import (
     run_access_methods,
     run_backends,
-    run_planner,
     run_segmenters,
     run_self_pairs,
     run_tiered,
 )
+from repro.workloads import random_drop_queries
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +64,55 @@ def test_self_pairs_never_lose_hits(self_pair_stats):
     )
 
 
+def _planner_costs(n_queries=12, seed=23):
+    """Per plan policy, the price of the rows it touches over
+    ``run_planner``'s workload (same series, index and queries).
+
+    Per operator, a scan touches every row of its table (the store's
+    counts) at ``seq_row`` each; an index probe visits the rows of its
+    unpushed ``Δt <= T`` range at ``index_entry`` each and fetches the
+    rows the pushed ``V`` predicate keeps at ``fetch`` each (the
+    backend's unit costs).  Auto pays for the path its plan chose per
+    operator, the oracle for the cheaper one.
+    """
+    series = datasets.standard_series(days=7)
+    grid = random_drop_queries(
+        n_queries, datasets.DEFAULT_WINDOW,
+        v_range=(float(series.values.min() - series.values.max()), -0.5),
+        seed=seed,
+    )
+    cost = dict.fromkeys(("scan", "index", "auto", "oracle"), 0.0)
+    with SegDiffIndex.build(series, datasets.DEFAULT_EPSILON,
+                            datasets.DEFAULT_WINDOW, backend="sqlite") as index:
+        store, unit = index.store, index.planner.costs
+        counts = store.counts()
+        for q in grid:
+            plan = index.planner.plan(q, mode="auto")
+            for op, probe in ((plan.point_op, store.probe_point_index_array),
+                              (plan.line_op, store.probe_line_index_array)):
+                visited = probe(q.kind, q.t_threshold).shape[0]
+                fetched = probe(q.kind, q.t_threshold, q.v_threshold).shape[0]
+                paths = {
+                    "scan": getattr(counts, op.table) * unit.seq_row,
+                    "index": visited * unit.index_entry
+                    + fetched * unit.fetch,
+                }
+                paths["auto"] = paths[op.access]
+                paths["oracle"] = min(paths["scan"], paths["index"])
+                for policy, price in paths.items():
+                    cost[policy] += price
+    return cost
+
+
 def test_adaptive_planner_beats_worst_fixed_policy():
-    """The auto plan's total time must land between the oracle and the
-    worse of the two fixed policies, with bounded regret."""
-    totals = run_planner(n_queries=12, repeats=2)
-    worst_fixed = max(totals["scan"], totals["index"])
-    assert totals["auto"] <= worst_fixed * 1.10
-    assert totals["auto"] >= totals["oracle"] * 0.95  # sanity: not magic
+    """The auto plan's total cost must land between the oracle and the
+    worse of the two fixed policies, with bounded regret.  Judged on the
+    rows each access path touches, not on wall time, so a busy machine
+    cannot flip it; the ablation report keeps the timings."""
+    cost = _planner_costs()
+    worst_fixed = max(cost["scan"], cost["index"])
+    assert cost["auto"] <= worst_fixed * 1.10
+    assert cost["auto"] >= cost["oracle"]  # sanity: not magic
 
 
 def test_access_methods_agree_and_within_order_of_magnitude():

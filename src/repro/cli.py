@@ -580,16 +580,9 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         return 2
 
     if magic.startswith(b"SQLite format 3"):
-        import sqlite3
+        from .storage.sqlite_store import integrity_problems
 
-        conn = sqlite3.connect(args.db)
-        try:
-            rows = conn.execute("PRAGMA integrity_check").fetchall()
-            problems = [r[0] for r in rows if r[0] != "ok"]
-        except sqlite3.DatabaseError as exc:
-            problems = [str(exc)]
-        finally:
-            conn.close()
+        problems = integrity_problems(args.db)
         kind = "sqlite"
     else:
         from .storage.minidb import MiniDatabase

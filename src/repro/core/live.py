@@ -222,11 +222,13 @@ def partition_damage(directory: str, spec: PartitionSpec) -> Optional[str]:
     """Why the sealed partition ``spec`` of ``directory`` fails
     verification, or ``None`` when intact (scrub and ``segdiff fsck``).
 
-    A MiniDB file first gets the fsck walk (``MiniDatabase.check``).
+    A file first gets its store's ``check()``: the fsck walk
+    (``MiniDatabase.check``) or SQLite's ``PRAGMA integrity_check``.
     Partitions carry persisted checksum trees; verification recomputes
     them from the rows and diffs them
     (:func:`~repro.storage.checksum.diff_trees`).  Partitions sealed
-    before the trees existed get a full readability probe instead.
+    before the trees existed get a full readability probe instead.  The
+    segment log, which the trees do not cover, must decode either way.
     """
     from .index import SegDiffIndex  # late: avoids an import cycle
 
@@ -240,16 +242,16 @@ def partition_damage(directory: str, spec: PartitionSpec) -> Optional[str]:
     except Exception as exc:
         return f"unreadable: {exc}"
     try:
-        problems = store.check() if hasattr(store, "check") else []
+        problems = store.check()
         if problems:
             return f"fsck: {problems[0]}"
         if store.get_meta("sealed") != 1.0:
             return "not a sealed partition"
+        store.load_segments()  # a resume re-primes the writer from it
         persisted = load_trees(store)
         if persisted is None:
             for table in FEATURE_TABLES:
                 store.read_table_rows(table)
-            store.load_segments()
             return None
         fresh = store_trees(store)
         for table in FEATURE_TABLES:

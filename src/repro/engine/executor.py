@@ -540,35 +540,26 @@ def _scatter(
     scatter_span: str,
     scope: str,
     child_span: Optional[str] = None,
-    pool=None,
     **attrs,
 ) -> List:
     """THE scatter loop: ``run(child)`` per child, aligned with ``children``.
 
-    Each child runs under the accounting scope ``scope=label`` (``"shard"``
-    or ``"partition"``) and, when ``child_span`` names one, its own span.
-    Children run inline, or on ``pool``: thread-locals do not cross a
-    ``ThreadPoolExecutor``, so each worker rebinds the handed-off query
-    context and parents its spans on the scatter span — one connected
-    trace tree per query instead of per-thread orphans.  A child that
-    raises :class:`QueryTimeout`, :class:`StorageError` or ``OSError`` is
+    Children run inline on the caller's thread, each under the
+    accounting scope ``scope=label`` (``"shard"`` or ``"partition"``)
+    and, when ``child_span`` names one, its own span.  The caller's
+    query context and span stack stay bound throughout, so every child
+    span parents on the scatter span by the ordinary stack — one
+    connected trace tree per query.  A child that raises
+    :class:`QueryTimeout`, :class:`StorageError` or ``OSError`` is
     *lost*: its slot holds the exception for :func:`_gather` to name.
     """
     with span(scatter_span) as ss:
         for key, value in attrs.items():
             ss.set_attribute(key, value)
-        ctx = obs_context.current_context()
-        handed = (
-            ctx.handoff(ss) if pool is not None and ctx is not None else None
-        )
 
         def call(label, child):
-            bind = (
-                obs_context.bind_scope(**{scope: label}) if handed is None
-                else obs_context.use_context(handed, **{scope: label})
-            )
             try:
-                with bind:
+                with obs_context.bind_scope(**{scope: label}):
                     if child_span is None:
                         return run(child)
                     with span(child_span) as cs:
@@ -577,9 +568,7 @@ def _scatter(
             except (QueryTimeout, StorageError, OSError) as exc:
                 return exc
 
-        if pool is None:
-            return [call(*lc) for lc in zip(labels, children)]
-        return list(pool.map(call, labels, children))
+        return [call(*lc) for lc in zip(labels, children)]
 
 
 def _verdict(

@@ -93,7 +93,7 @@ class QueryEnvelope:
             env.done(plan.describe, n_pairs, status, op_stats)
 
     Entering adopts the diagnostics context already bound on this thread
-    (a scatter worker, ``segdiff debug``) or opens and binds a new one —
+    (a shard of a fan-out, ``segdiff debug``) or opens and binds a new one —
     whoever opened it *owns* the tail-retention decision.  :meth:`done`
     counts the query, times it and records a ``slow_query`` event when
     it took at least the process-wide threshold

@@ -7,7 +7,7 @@ a :class:`ShardedIndex` that
 
 * **routes** a ``(T, V)`` query only to shards whose sensor/time bounds
   overlap the caller's predicate,
-* **scatters** the routed shards onto a thread pool, one
+* **scatters** the routed shards inline on the caller's thread, one
   :class:`~repro.engine.session.QuerySession` per shard replica, and
   **gathers** through the same union/dedup ordering as the executor
   (``sorted(set(pairs))``), so a one-shard deployment is bit-identical
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -263,9 +263,7 @@ class ShardedIndex:
         self.epsilon = float(epsilon)
         self.window = float(window)
         self._shards: Dict[str, Shard] = {s.shard_id: s for s in shards}
-        self._max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        _warn_max_workers(max_workers)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -295,10 +293,11 @@ class ShardedIndex:
         trees.  Per-sensor answers route with ``sensors=[name]``;
         :meth:`search_corroborated` asks the transect-level question.
         """
+        _warn_max_workers(max_workers)
         parts = [(str(k), str(k), series) for k, series in sensors.items()]
         return cls._build(
             parts, epsilon, window, replicas, backend, directory,
-            max_gap, leaf_size, max_workers,
+            max_gap, leaf_size,
         )
 
     @classmethod
@@ -327,6 +326,7 @@ class ShardedIndex:
         from ..core.index import _split_episodes
         from ..datagen.series import TimeSeries
 
+        _warn_max_workers(max_workers)
         if n_shards < 1:
             raise InvalidParameterError("n_shards must be >= 1")
         ts = np.ascontiguousarray(series.times, dtype=float)
@@ -348,13 +348,13 @@ class ShardedIndex:
         ]
         return cls._build(
             parts, epsilon, window, replicas, backend, directory,
-            max_gap, leaf_size, max_workers,
+            max_gap, leaf_size,
         )
 
     @classmethod
     def _build(
         cls, parts, epsilon, window, replicas, backend, directory,
-        max_gap, leaf_size, max_workers,
+        max_gap, leaf_size,
     ) -> "ShardedIndex":
         """One shard per ``(shard_id, sensor, series)`` part, each holding
         ``replicas`` builds of the series sealed with their checksum
@@ -388,7 +388,7 @@ class ShardedIndex:
                     index.seal_checksums(leaf_size)
                     indexes.append(index)
                 shards.append(Shard(spec, indexes))
-            sharded = cls(shards, epsilon, window, max_workers=max_workers)
+            sharded = cls(shards, epsilon, window)
             built.pop_all()
         return sharded
 
@@ -405,6 +405,7 @@ class ShardedIndex:
         """
         from ..core.index import SegDiffIndex
 
+        _warn_max_workers(max_workers)
         path = os.path.join(directory, "manifest.json")
         manifest = read_json(path, "shard manifest")
         get = partial(manifest_field, path)
@@ -441,7 +442,7 @@ class ShardedIndex:
                 shards.append(Shard(spec, replicas))
             if not shards:
                 raise CorruptionError(f"{path}: field 'shards' lists no shard")
-            sharded = cls(shards, epsilon, window, max_workers=max_workers)
+            sharded = cls(shards, epsilon, window)
             opened.pop_all()
         return sharded
 
@@ -543,8 +544,8 @@ class ShardedIndex:
         ``sensors``/``t_range`` restrict routing; remaining keywords
         (``timeout_ms``, ``cache``) pass through to every shard
         session.  One scatter, one gather
-        (:func:`~repro.engine.executor._scatter` — on the pool when more
-        than one shard is routed — and ``_gather``): the merged outcome
+        (:func:`~repro.engine.executor._scatter`, inline, and
+        ``_gather``): the merged outcome
         is COMPLETE when every routed shard answered (possibly via
         replica failover), DEGRADED when some shards were lost (the
         completeness report names them), and FAILED when no shard
@@ -620,7 +621,6 @@ class ShardedIndex:
                     kind, t_threshold, v_threshold, mode=mode, **kw
                 ),
                 "shard.scatter_gather", "shard",
-                pool=self._executor(len(routed)) if len(routed) > 1 else None,
                 query_id=env.ctx.query_id, kind=kind, shards=len(routed),
             )
             merged = _gather(labels, results, "shard")
@@ -630,18 +630,6 @@ class ShardedIndex:
                 merged.rows.shape[0], merged.status.value,
             )
         return results, env.stamp([merged])[0]
-
-    def _executor(self, n: int) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                workers = self._max_workers or min(
-                    len(self._shards), (os.cpu_count() or 4)
-                )
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, workers),
-                    thread_name_prefix="repro-shard",
-                )
-            return self._pool
 
     # ------------------------------------------------------------------ #
     # anti-entropy: verify / repair
@@ -851,9 +839,6 @@ class ShardedIndex:
         }
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
         for shard in self._shards.values():
             shard.close()
 
@@ -862,6 +847,16 @@ class ShardedIndex:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _warn_max_workers(max_workers: Optional[int]) -> None:
+    """``max_workers`` is accepted and ignored: every routed shard runs
+    inline on the caller's thread, where the GIL put it anyway."""
+    if max_workers is not None:
+        warnings.warn(
+            "max_workers does nothing: shards run on the caller's thread",
+            DeprecationWarning, stacklevel=3,
+        )
 
 
 def _check_file_name(shard_id: str) -> None:

@@ -1,21 +1,18 @@
-"""Per-query diagnostic context: identity, propagation, accounting.
+"""Per-query diagnostic context: identity, scope, accounting.
 
 A :class:`QueryContext` is the unit of end-to-end query diagnostics: it
-carries a process-unique query id, a reference to the submitting query's
-parent span (so spans opened on *other* threads — the sharding scatter
-pool — link back into one trace tree), and a
-:class:`ResourceAccounting` that every layer below contributes to
-(stores report rows scanned and bytes decoded, the executor reports
-candidate-matrix shapes, the shared retry loop reports retries and
-shard failover reports failovers).
+carries a process-unique query id and a :class:`ResourceAccounting` that
+every layer below contributes to (stores report rows scanned and bytes
+decoded, the executor reports candidate-matrix shapes, the shared retry
+loop reports retries and shard failover reports failovers).
 
-Propagation is **explicit**: thread-locals do not cross a
-``ThreadPoolExecutor`` boundary, so whoever scatters work captures the
-context with :func:`current_context` and re-binds it in the worker with
-:func:`use_context` (adding per-thread scope such as the shard id).
-Within one thread, :func:`bind_scope` narrows the scope further (the
-partitioned executor binds each partition id around its per-partition
-execution) so contributions land in the right
+A context is bound to the thread that runs the query
+(:func:`use_context`).  Shards and partitions are scattered inline on
+that thread, so the binding and the tracer's span stack reach every
+layer without being handed anywhere, and each child's spans parent on
+the scatter span by the ordinary stack.  :func:`bind_scope` narrows the
+accounting scope around one child (the scatter binds each shard or
+partition id) so contributions land in the right
 ``(operator, shard, partition)`` breakdown cell.
 
 The module is stdlib-only and imported by the stores, so — like the
@@ -115,23 +112,6 @@ class ResourceAccounting:
                 totals[name] = totals.get(name, 0) + v
                 cell[name] = cell.get(name, 0) + v
 
-    def merge(self, other: "ResourceAccounting") -> None:
-        """Fold another query's accounting into this one (shard gather)."""
-        with other._lock:
-            cells = [(k, dict(v)) for k, v in other.breakdown.items()]
-            shapes = list(other.candidate_shapes)
-            matrices = other.candidate_matrices
-        with self._lock:
-            self.candidate_matrices += matrices
-            room = _MAX_SHAPES - len(self.candidate_shapes)
-            if room > 0:
-                self.candidate_shapes.extend(shapes[:room])
-            for key, fields in cells:
-                cell = self.breakdown.setdefault(key, {})
-                for name, v in fields.items():
-                    self.totals[name] = self.totals.get(name, 0) + v
-                    cell[name] = cell.get(name, 0) + v
-
     # -- views ---------------------------------------------------------- #
 
     def total(self, field: str) -> int:
@@ -208,21 +188,16 @@ class ResourceAccounting:
 class QueryContext:
     """Identity + diagnostics carried by one query end to end.
 
-    ``parent_span`` is the submitting thread's active span at hand-off —
-    the tracer's cross-thread fallback parent, so worker-thread spans
-    join the submitter's tree instead of becoming orphan roots.  Spans
-    record under a bound context even while process-wide tracing is off
-    (tail-based retention: the owner decides at completion whether the
-    trace is worth keeping).
+    Spans record under a bound context even while process-wide tracing
+    is off (tail-based retention: the owner decides at completion
+    whether the trace is worth keeping).
     """
 
-    __slots__ = ("query_id", "api", "accounting", "parent_span",
-                 "trace_roots")
+    __slots__ = ("query_id", "api", "accounting", "trace_roots")
 
     def __init__(
         self,
         api: str = "search",
-        parent_span: Optional[object] = None,
         query_id: Optional[str] = None,
     ) -> None:
         self.query_id = (
@@ -230,21 +205,9 @@ class QueryContext:
         )
         self.api = api
         self.accounting = ResourceAccounting()
-        self.parent_span = parent_span
         #: Roots finished under this context while global tracing is off
         #: (tail-retention candidates; the context owner keeps or drops).
         self.trace_roots: List[object] = []
-
-    def handoff(self, parent_span: Optional[object]) -> "QueryContext":
-        """The context to bind in a worker thread: same identity and
-        accounting, with the scatter span as the cross-thread parent."""
-        child = QueryContext.__new__(QueryContext)
-        child.query_id = self.query_id
-        child.api = self.api
-        child.accounting = self.accounting
-        child.parent_span = parent_span
-        child.trace_roots = self.trace_roots
-        return child
 
 
 class _Binding:
@@ -283,19 +246,18 @@ def new_context(api: str = "search") -> QueryContext:
 
 
 class use_context:
-    """Bind ``ctx`` (with optional scope) on this thread::
+    """Bind ``ctx`` on this thread::
 
-        with use_context(ctx, shard="s3"):
-            ...  # account()/span() contributions attribute to s3
+        with use_context(ctx):
+            ...  # account()/span() contributions go to ctx
 
     Bindings nest; the previous binding is restored on exit.
     """
 
     __slots__ = ("_next", "_prev")
 
-    def __init__(self, ctx: QueryContext, shard: Optional[str] = None,
-                 partition: Optional[str] = None) -> None:
-        self._next = _Binding(ctx, shard, partition)
+    def __init__(self, ctx: QueryContext) -> None:
+        self._next = _Binding(ctx, None, None)
         self._prev: Optional[_Binding] = None
 
     def __enter__(self) -> QueryContext:

@@ -17,10 +17,9 @@ owner records it only when the query was worth keeping (slow, degraded,
 failed, timed out) — tail-based retention.
 
 The active-span stack is thread-local: traces from concurrent sessions
-never interleave.  A worker thread with an empty stack but a bound
-context parents its spans on the context's hand-off span, so
-scatter-gather work joins the submitting query's tree instead of
-orphaning per-thread fragments.
+never interleave.  Scatter-gather runs its shards and partitions on the
+querying thread, so their spans nest under the scatter span by the
+ordinary stack and one query is one connected tree.
 """
 
 from __future__ import annotations
@@ -175,17 +174,7 @@ class Tracer:
 
     def _current(self) -> Optional[Span]:
         stack = self._stack()
-        if stack:
-            return stack[-1]
-        # empty stack on this thread: fall back to the bound context's
-        # hand-off span, so scatter-pool worker spans parent onto the
-        # submitting query's tree.  Span.__init__ appends the child via
-        # ``parent.children.append`` — atomic under the GIL, so the
-        # cross-thread link needs no extra lock.
-        ctx = _context.current_context()
-        if ctx is not None:
-            return ctx.parent_span  # type: ignore[return-value]
-        return None
+        return stack[-1] if stack else None
 
     def _push(self, s: Span) -> None:
         self._stack().append(s)

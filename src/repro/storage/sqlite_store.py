@@ -17,6 +17,7 @@ per table/index) when available, falling back to a row-size model.
 
 from __future__ import annotations
 
+import functools
 import os
 import sqlite3
 import tempfile
@@ -27,7 +28,12 @@ from typing import Callable, Dict, List, Mapping, Optional, TypeVar
 from ..core.corners import FeatureSet
 from ..core.queries import line_candidate_sql, point_candidate_sql
 from ..engine.resilience import RetryPolicy
-from ..errors import InvalidParameterError, StorageError
+from ..errors import (
+    CorruptionError,
+    InvalidParameterError,
+    InvalidSegmentError,
+    StorageError,
+)
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
 from .base import FeatureStore, StoreCounts
@@ -70,6 +76,45 @@ def _is_transient(exc: BaseException) -> bool:
     """Lock contention errors that a retry can cure."""
     msg = str(exc).lower()
     return "locked" in msg or "busy" in msg
+
+
+def _typed_read(read: Callable) -> Callable:
+    """``read`` raising :class:`StorageError` for what SQLite reports
+    about the file, and :class:`CorruptionError` for bytes that do not
+    decode: sqlite3 raises a bare ``DatabaseError`` for a malformed
+    file, and ``UnicodeDecodeError`` when its message quotes corrupt
+    schema bytes; a corrupt record hands back a text or blob where the
+    schema says ``REAL``, which the float conversion refuses, or a
+    segment that fails validation.  A ``ProgrammingError`` is a misuse
+    of the connection, not a fault of the file, and stays itself."""
+
+    @functools.wraps(read)
+    def typed(self, *args, **kwargs):
+        try:
+            return read(self, *args, **kwargs)
+        except sqlite3.ProgrammingError:
+            raise
+        except sqlite3.OperationalError as exc:
+            raise StorageError(f"{self.path}: {exc}") from exc
+        except (sqlite3.DatabaseError, ValueError, TypeError,
+                InvalidSegmentError) as exc:
+            raise CorruptionError(f"{self.path}: {exc}") from exc
+
+    return typed
+
+
+def integrity_problems(path: str) -> List[str]:
+    """What ``PRAGMA integrity_check`` finds wrong with the SQLite file
+    at ``path``: malformed pages, and index entries that disagree with
+    their table rows.  Empty when intact."""
+    conn = sqlite3.connect(path)
+    try:
+        found = conn.execute("PRAGMA integrity_check").fetchall()
+        return [why for (why,) in found if why != "ok"]
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        return [str(exc)]
+    finally:
+        conn.close()
 
 
 def _sleep(seconds: float) -> None:
@@ -153,7 +198,7 @@ class SqliteFeatureStore(FeatureStore):
             conn.execute(
                 f"PRAGMA busy_timeout = {int(self.busy_timeout * 1000)}"
             )
-        except sqlite3.DatabaseError as exc:
+        except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
             conn.close()
             raise StorageError(
                 f"{self.path} is not a SQLite database: {exc}"
@@ -168,7 +213,7 @@ class SqliteFeatureStore(FeatureStore):
                     "SELECT name FROM sqlite_master WHERE type='table'"
                 )
             }
-        except sqlite3.DatabaseError as exc:
+        except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
             self._conn.close()
             raise StorageError(
                 f"{self.path} is not a SQLite database: {exc}"
@@ -331,18 +376,16 @@ class SqliteFeatureStore(FeatureStore):
         if len(self._segment_buffer) >= self.flush_rows:
             self._flush_segments()
 
+    @_typed_read
     def load_segments(self) -> list:
         from ..types import DataSegment
 
         self._check_open()
         self._flush_segments()
-        try:
-            rows = self._conn.execute(
-                "SELECT t_start, v_start, t_end, v_end FROM segments "
-                "ORDER BY seq"
-            ).fetchall()
-        except sqlite3.DatabaseError as exc:
-            raise StorageError(f"{self.path}: {exc}") from exc
+        rows = self._conn.execute(
+            "SELECT t_start, v_start, t_end, v_end FROM segments "
+            "ORDER BY seq"
+        ).fetchall()
         return [DataSegment(*row) for row in rows]
 
     def set_meta_many(self, items: Mapping[str, float]) -> None:
@@ -360,14 +403,12 @@ class SqliteFeatureStore(FeatureStore):
 
         self._with_retry(write)
 
+    @_typed_read
     def get_meta(self, key: str):
         self._check_open()
-        try:
-            row = self._conn.execute(
-                "SELECT value FROM segdiff_meta WHERE key = ?", (key,)
-            ).fetchone()
-        except sqlite3.DatabaseError as exc:
-            raise StorageError(f"{self.path}: {exc}") from exc
+        row = self._conn.execute(
+            "SELECT value FROM segdiff_meta WHERE key = ?", (key,)
+        ).fetchone()
         return None if row is None else float(row[0])
 
     def drop_indexes(self) -> None:
@@ -387,6 +428,7 @@ class SqliteFeatureStore(FeatureStore):
     #: fetchmany granularity of the unguarded read path
     _ARRAY_CHUNK = 4096
 
+    @_typed_read
     def _fetch_block(self, sql: str, params: dict, cache: str, guard,
                      width: int):
         """Run one candidate query in the requested cache regime, as
@@ -499,7 +541,7 @@ class SqliteFeatureStore(FeatureStore):
     def _meta_reader(self) -> sqlite3.Connection:
         """The connection for read-only metadata queries (``counts``,
         ``sample_points``, ``extreme_feature_dv``): the planner calls
-        them from scatter-pool threads, which must not touch the
+        them on whatever thread queries, which must not touch the
         owner's connection.  Write buffers are owner-thread state, so
         only the owner flushes them first."""
         if threading.get_ident() == self._owner_thread:
@@ -517,6 +559,7 @@ class SqliteFeatureStore(FeatureStore):
         ),
     }
 
+    @_typed_read
     def read_table_rows(self, table: str, start: int = 0,
                         stop: Optional[int] = None):
         """Insertion-order row range via ``ORDER BY rowid``.
@@ -577,6 +620,7 @@ class SqliteFeatureStore(FeatureStore):
 
         self._with_retry(write)
 
+    @_typed_read
     def sample_points(self, kind: str, n: int):
         """Evenly strided (dt, dv) sample of the point table (see base)."""
         import numpy as np
@@ -602,6 +646,7 @@ class SqliteFeatureStore(FeatureStore):
             ).fetchall()
         return np.asarray(rows, dtype=float)
 
+    @_typed_read
     def extreme_feature_dv(self, kind: str):
         """Min (drop) / max (jump) stored Δv across points and lines."""
         self._check_open()
@@ -624,6 +669,7 @@ class SqliteFeatureStore(FeatureStore):
     # accounting
     # ------------------------------------------------------------------ #
 
+    @_typed_read
     def counts(self) -> StoreCounts:
         self._check_open()
         conn = self._meta_reader()
@@ -636,6 +682,14 @@ class SqliteFeatureStore(FeatureStore):
             jump_points=get("jump_points"),
             jump_lines=get("jump_lines"),
         )
+
+    def check(self) -> List[CorruptionError]:
+        """:func:`integrity_problems` of the file, one
+        :class:`CorruptionError` each — the checksum trees cover the
+        tables, not their indexes; empty when intact."""
+        self._check_open()
+        return [CorruptionError(f"{self.path}: {why}")
+                for why in integrity_problems(self.path)]
 
     def _dbstat_bytes(self) -> Optional[Dict[str, int]]:
         try:

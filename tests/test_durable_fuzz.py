@@ -710,14 +710,14 @@ def _allocates_at_most(limit: int, fn):
     return value
 
 
-def _all_drops(index) -> set:
-    return set(index.search_drops(WINDOW, -1e-9, mode="scan"))
+def _all_drops(index, mode: str = "scan") -> set:
+    return set(index.search_drops(WINDOW, -1e-9, mode=mode))
 
 
-def _scrubbed_drops(d: str) -> set:
+def _scrubbed_drops(d: str, mode: str = "scan") -> set:
     live = LiveIndex.open(d, scrub=True)
     try:
-        return _all_drops(live)
+        return _all_drops(live, mode)
     finally:
         live.close()
 
@@ -802,6 +802,157 @@ class TestChecksumTreeMeta:
                 assert trees != clean
 
         _with_mutation(files, _SHARD_FILE, files[_SHARD_FILE], body)
+
+
+# ---------------------------------------------------------------------- #
+# a sealed SQLite live partition, byte by byte
+# ---------------------------------------------------------------------- #
+
+#: The smallest of the three sealed SQLite partitions (53 pages).
+_SQLITE_PART = "p000000.sqlite"
+
+
+@lru_cache(maxsize=None)
+def clean_sqlite_rows() -> dict:
+    """Every row each table of the clean partition holds."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, _SQLITE_PART)
+        _write_dir(d, {_SQLITE_PART: sealed_live_files()[_SQLITE_PART]})
+        store = SqliteFeatureStore(path)
+        try:
+            return {t: set(map(tuple, store.read_table_rows(t).tolist()))
+                    for t in _TABLES}
+        finally:
+            store.close()
+
+
+def _read_sqlite_partition(path: str) -> None:
+    """Open the partition's store and read it every way the query path
+    does: counts, planner samples, scans and index probes (warm and
+    cold), whole tables and the segment log.  Each read may raise a
+    :class:`StorageError`.  Runs on one thread: the connection that
+    opens a SQLite store is the one its owner closes."""
+    try:
+        store = SqliteFeatureStore(path)
+    except StorageError:
+        return
+
+    def read(fn, *args, **kw):
+        try:
+            fn(*args, **kw)
+        except StorageError:
+            pass
+
+    try:
+        read(store.counts)
+        read(store.load_segments)
+        for table in _TABLES:
+            read(store.read_table_rows, table)
+        for kind in ("drop", "jump"):
+            read(store.sample_points, kind, 64)
+            read(store.extreme_feature_dv, kind)
+            for t in _THRESHOLDS:
+                for cache in ("warm", "cold"):
+                    for fetch in (store.scan_points_array,
+                                  store.probe_point_index_array,
+                                  store.scan_lines_array,
+                                  store.probe_line_index_array):
+                        read(fetch, kind, t, cache=cache)
+    finally:
+        store.close()
+
+
+class TestSealedSqlitePartition:
+    """A sealed SQLite live partition, truncated, bit-flipped, spliced
+    or extended, or with one whole page copied over another.  SQLite
+    keeps no page checksums, so an unverified read may return a flipped
+    value: reads, ``segdiff fsck`` and scrub must raise only
+    :class:`StorageError` subclasses and allocate O(file size), and the
+    verified answer — the directory opened with ``scrub=True``, in scan
+    and index mode — holds no pair the clean directory lacks.  A file
+    the scrub passes holds only rows the clean file holds."""
+
+    #: Traced bytes a step may allocate per byte of the directory.
+    PER_BYTE = 4
+
+    @settings(FUZZ, max_examples=30)
+    @given(data=st.one_of(mutated(sealed_live_files()[_SQLITE_PART]),
+                          page_spliced(sealed_live_files()[_SQLITE_PART])))
+    def test_reads_fsck_and_scrub_stay_typed(self, data):
+        from repro.cli import main
+
+        files = sealed_live_files()
+        limit = self.PER_BYTE * sum(map(len, files.values()))
+        clean = clean_answers()["live"]
+
+        def body(d):
+            spec = next(s for s in PartitionManifest.load(d).partitions
+                        if s.file == _SQLITE_PART)
+            path = os.path.join(d, _SQLITE_PART)
+            _allocates_at_most(limit, lambda: _read_sqlite_partition(path))
+            with open(path, "wb") as fh:  # the readers may have written
+                fh.write(data)
+            why = _allocates_at_most(
+                limit, lambda: partition_damage(d, spec))
+            rc = _allocates_at_most(limit, lambda: main(["fsck", d]))
+            assert rc == (0 if why is None else 1), why
+            rc = _allocates_at_most(limit, lambda: main(["fsck", path]))
+            assert rc in (0, 1) and (rc == 0 or why is not None)
+            if why is None:
+                store = SqliteFeatureStore(path)
+                try:
+                    for table in _TABLES:
+                        rows = store.read_table_rows(table)
+                        assert set(map(tuple, rows.tolist())) <= \
+                            clean_sqlite_rows()[table]
+                finally:
+                    store.close()
+            for mode in ("scan", "index"):
+                with open(path, "wb") as fh:  # a scrub quarantines it
+                    fh.write(data)
+                drops = _allocates_at_most(
+                    limit, lambda: _scrubbed_drops(d, mode))
+                assert drops is not None and drops <= clean
+
+        _with_mutation(files, _SQLITE_PART, data, body)
+
+    def test_index_damage_fails_the_scrub(self):
+        """The checksum trees cover the tables, not their B-tree
+        indexes: a wrecked index page is the integrity check's to find,
+        so a scrubbed index-mode query never meets it."""
+        files = sealed_live_files()
+        clean = files[_SQLITE_PART]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, _SQLITE_PART)
+            _write_dir(d, {_SQLITE_PART: clean})
+            with closing(sqlite3.connect(path)) as conn:
+                (root,), = conn.execute(
+                    "SELECT rootpage FROM sqlite_master "
+                    "WHERE name = 'idx_drop_points'")
+        at = (root - 1) * 4096  # SQLite numbers its 4 KiB pages from 1
+        data = clean[:at] + clean[:4096] + clean[at + 4096:]
+
+        def body(d):
+            spec = next(s for s in PartitionManifest.load(d).partitions
+                        if s.file == _SQLITE_PART)
+            why = partition_damage(d, spec)
+            assert why is not None and why.startswith("fsck:"), why
+            assert _scrubbed_drops(d, "index") <= clean_answers()["live"]
+
+        _with_mutation(files, _SQLITE_PART, data, body)
+
+    def test_clean_partition_is_intact(self):
+        files = sealed_live_files()
+
+        def body(d):
+            spec = next(s for s in PartitionManifest.load(d).partitions
+                        if s.file == _SQLITE_PART)
+            assert partition_damage(d, spec) is None
+            bounded(lambda: _read_sqlite_partition(
+                os.path.join(d, _SQLITE_PART)))
+            assert _scrubbed_drops(d, "index") == clean_answers()["live"]
+
+        _with_mutation(files, _SQLITE_PART, files[_SQLITE_PART], body)
 
 
 # ---------------------------------------------------------------------- #

@@ -249,7 +249,7 @@ def _sharded(store):
         Shard(ShardSpec("a", 0.0, 1e9), [_Replica(_OneRowStore(_GOOD_POINT))]),
         Shard(ShardSpec("b", 0.0, 1e9), [_Replica(store)]),
     ]
-    with ShardedIndex(shards, EPS, WINDOW, max_workers=2) as index:
+    with ShardedIndex(shards, EPS, WINDOW) as index:
         return index.search_outcome("drop", HOUR, -1.0, mode="scan")
 
 

@@ -160,6 +160,18 @@ class TestOneScatterOneEnvelope:
             for name in names:
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
+    def test_the_scatter_runs_inline(self):
+        from repro.engine import executor
+        from repro.obs.context import QueryContext
+
+        imports = [
+            hit for hit in self._lines_with("concurrent")
+            if hit[1].startswith(("import concurrent", "from concurrent"))
+        ]
+        assert imports == []
+        assert "pool" not in inspect.signature(executor._scatter).parameters
+        assert not hasattr(QueryContext, "handoff")
+
     def test_one_slow_query_record_one_metric_family(self):
         # declared as a recorder category, recorded only by the envelope
         assert {path for path, _ in self._lines_with('"slow_query"')} == {

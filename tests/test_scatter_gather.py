@@ -3,7 +3,7 @@
 ``executor._scatter`` / ``_gather`` serve both the live tier's partition
 entry points and ``ShardedIndex.search_outcome``.  These tests drive the
 *same* child outcomes through both and hold them to one verdict, pin the
-scatter policy (shards on the pool, partitions inline), and pin the race
+scatter policy (shards and partitions inline), and pin the race
 fix that came with the unification: a partition's planning runs inside
 its read lock.
 """
@@ -115,7 +115,7 @@ def _via_shards(ids, threads, t_range=None):
         Shard(ShardSpec(sid, 0.0, 100.0), [_StubReplica(sid, threads)])
         for sid in ids
     ]
-    with ShardedIndex(shards, 0.2, 3600.0, max_workers=2) as sharded:
+    with ShardedIndex(shards, 0.2, 3600.0) as sharded:
         return sharded.search_outcome("drop", 3600.0, -1.0, t_range=t_range)
 
 
@@ -207,22 +207,35 @@ class TestOneVerdict:
 
 
 class TestScatterPolicy:
-    """More than one routed shard -> the pool; one routed shard or any
-    partition set -> inline on the caller's thread."""
+    """Every child runs inline on the caller's thread: any number of
+    routed shards, any partition set."""
 
-    def test_shards_on_the_pool_partitions_inline(
-        self, fake_execute, threads
-    ):
+    def test_shards_and_partitions_run_inline(self, fake_execute, threads):
         me = threading.current_thread().name
         _via_partitions("ab")
         assert threads == [me, me]
         del threads[:]
-        _via_shards("ab", threads)
-        assert len(threads) == 2
-        assert all(name.startswith("repro-shard") for name in threads)
+        _via_shards("abc", threads)
+        assert threads == [me, me, me]
         del threads[:]
         _via_shards("a", threads)
         assert threads == [me]
+
+    def test_max_workers_warns_and_changes_no_answer(self, threads):
+        shards = [
+            Shard(ShardSpec(sid, 0.0, 100.0), [_StubReplica(sid, threads)])
+            for sid in "ab"
+        ]
+        with ShardedIndex(shards, 0.2, 3600.0) as plain:
+            expected = plain.search_outcome("drop", 3600.0, -1.0)
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            warned = ShardedIndex(shards, 0.2, 3600.0, max_workers=4)
+        with warned:
+            _assert_same_verdict(
+                warned.search_outcome("drop", 3600.0, -1.0), expected
+            )
+        me = threading.current_thread().name
+        assert set(threads) == {me}
 
 
 class _RecordingLock:

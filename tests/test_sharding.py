@@ -7,6 +7,9 @@ property that a single mutated replica row is localized to exactly its
 leaf range and repair restores byte-identical rows.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,15 +100,22 @@ class TestShardedEqualsPlain:
         self, series
     ):
         """``mode="auto"`` makes each shard's cost model read counts and
-        samples on the scatter-pool thread; SQLite connections are bound
-        to the thread that opened them, so those reads must go through
-        the store's per-thread reader."""
+        samples on the querying thread; SQLite connections are bound to
+        the thread that opened them, so a query from another thread than
+        the builder's must read through the store's per-thread reader."""
         with ShardedIndex.build(
             series, EPS, WINDOW, n_shards=4, max_gap=MAX_GAP,
-            backend="sqlite", max_workers=2,
+            backend="sqlite",
         ) as sharded:
-            scan = sharded.search_outcome("drop", T, V, mode="scan")
-            auto = sharded.search_outcome("drop", T, V, mode="auto")
+            out = {}
+            worker = threading.Thread(target=lambda: out.update(
+                (mode, sharded.search_outcome("drop", T, V, mode=mode))
+                for mode in ("scan", "auto")
+            ))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            scan, auto = out["scan"], out["auto"]
             assert auto.status is ResultStatus.COMPLETE
             assert scan.pairs and auto.pairs == scan.pairs
 
@@ -460,6 +470,89 @@ class TestSqlitePersistence:
             report = reopened.verify()
             assert not report.clean
             assert reopened.repair(report).clean
+
+
+def transect_sensors(n=5):
+    """``n`` sensors of the gapped walk, each with its own noise."""
+    return {f"s{i}": gapped_series(episodes=2, seed=10 + i) for i in range(n)}
+
+
+class TestCrossThreadSqlite:
+    """A transect built on one thread and queried from many at once:
+    each SQLite shard answers every thread through that thread's own
+    reader connection, in both the planned and the index mode."""
+
+    QUERIES = [(T, V), (WINDOW, -1.0), (HOUR / 2, -0.5)]
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        """Per query: the union of the per-sensor reference answers."""
+        out = {}
+        for t, v in self.QUERIES:
+            union = set()
+            for series in transect_sensors().values():
+                with SegDiffIndex.build(series, EPS, WINDOW) as idx:
+                    union.update(idx.search_drops(t, v, mode="scan"))
+            out[t, v] = sorted(p.as_tuple() for p in union)
+        return out
+
+    def test_eight_threads_auto_and_index(self, tmp_path, expected):
+        n_threads = 8
+        with ShardedIndex.build_transect(
+            transect_sensors(), EPS, WINDOW, backend="sqlite",
+            directory=str(tmp_path),
+        ) as sharded:
+            start = threading.Barrier(n_threads)
+            answers, errors = [], []
+
+            def ask():
+                try:
+                    start.wait()
+                    for mode in ("auto", "index"):
+                        for t, v in self.QUERIES:
+                            out = sharded.search_outcome(
+                                "drop", t, v, mode=mode
+                            )
+                            answers.append((t, v, mode, out))
+                except BaseException as exc:  # noqa: BLE001 - asserted
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=ask) for _ in range(n_threads)]
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the readers finely
+            try:
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=120)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(w.is_alive() for w in workers)
+        assert not errors, errors
+        assert len(answers) == n_threads * 2 * len(self.QUERIES)
+        for t, v, mode, out in answers:
+            assert out.status is ResultStatus.COMPLETE, (mode, out.error)
+            assert expected[t, v], (t, v)
+            assert len(set(out.pairs)) == len(out.pairs)
+            assert pair_set(out.pairs) == expected[t, v], (t, v, mode)
+
+    def test_max_workers_warns_and_changes_no_answer(
+        self, tmp_path, expected
+    ):
+        d = str(tmp_path)
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            built = ShardedIndex.build_transect(
+                transect_sensors(), EPS, WINDOW, backend="sqlite",
+                directory=d, max_workers=2,
+            )
+        with built:
+            built.save_manifest(d)
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            reopened = ShardedIndex.open(d, max_workers=2)
+        with reopened:
+            for (t, v), want in expected.items():
+                out = reopened.search_outcome("drop", t, v, mode="auto")
+                assert pair_set(out.pairs) == want
 
 
 class TestBuildSafety:

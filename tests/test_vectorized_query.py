@@ -182,7 +182,7 @@ class TestSharded:
         )
         with ShardedIndex.build(
             series, 0.2, 8 * HOUR, n_shards=3, max_gap=24 * HOUR,
-            backend=backend, max_workers=2,
+            backend=backend,
         ) as sharded:
             stores = [shard.primary.store for shard in sharded.shards]
             for q in (DROP, JumpQuery(2 * HOUR, 0.5)):
